@@ -37,6 +37,9 @@ class Verdict:
     margin: float
     note: str = ""
 
+    def __post_init__(self):
+        self.margin = float(self.margin)      # numpy scalars would print as np.float64(...)
+
     def line(self):
         status = "pass" if self.passed else "fail"
         note = f" note={self.note}" if self.note else ""

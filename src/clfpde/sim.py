@@ -6,10 +6,14 @@ states y_i:
     c_n' = -lambda_n c_n - sum_i v_i <varphi_i, phi_n>  (+ <phi_n, F(u)>),
     y_i' = -mu_i y_i + v_i.
 
-The default integrator applies the exact diagonal decay factor
-exp(-lambda_n dt) and treats the control / nonlinear coupling with an
-explicit midpoint rule (Strang arrangement), which keeps the O(n^2)-stiff
-tail stable at practical step sizes.  RK4 is available for cross-checks.
+Under the default integrator ('exponential_midpoint') a loop without a
+nonlinear coupling (linear, open loop, zero nonlinearity) is linear and
+time-invariant, z = (c, y), z' = A z: it advances by the exact propagator
+expm(A dt record_stride), one mat-vec per recorded sample.  A nonzero
+semilinear coupling applies the exact diagonal decay factor exp(-lambda_n dt)
+and treats the control / nonlinear coupling with an explicit midpoint rule
+(Strang arrangement), which keeps the O(n^2)-stiff tail stable at practical
+step sizes.  RK4 steps every loop explicitly, as a cross-check.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import (
     DegenerateTrajectory,
@@ -26,7 +31,7 @@ from .errors import (
     RemainderTooLarge,
     StepSizeTooLarge,
 )
-from .lyapunov import coupling_table, lyapunov_value_modal
+from .lyapunov import coupling_table
 from .spectral import project
 
 INSTABILITY_FACTOR = 1e6
@@ -39,7 +44,10 @@ class SimConfig:
     n_modes: int = 64
     dt: float = 1e-4
     t_final: float | None = None     # None: 5/sigma clipped to [1, 20], fallback 10
-    integrator: str = "exponential_midpoint"   # | 'rk4'
+    # 'exponential_midpoint': exact expm on LTI loops (linear, open loop, zero
+    # nonlinearity), Strang exponential midpoint on a nonzero nonlinearity;
+    # 'rk4': explicit steps on every loop, a cross-check
+    integrator: str = "exponential_midpoint"
     record_stride: int = 10
     max_steps: int = 2_000_000
 
@@ -86,15 +94,44 @@ def _prepare_state(eigsys, w0, y0, n_modes):
     return c0, y0
 
 
-def _run_loop(lambdas, mus, coupling_rhs, c, y, dt, steps, stride, cfg,
-              value_fn, controls_fn):
-    """Shared integrator core; returns stacked records."""
-    n_rec = steps // stride + 1
-    j = y.size
-    times = np.empty(n_rec)
+def closed_loop_matrix(lambdas, mus, T, Kmat, y_gains):
+    """A of the LTI modal loop z' = A z, z = (c, y), under v = Kmat c - y_gains y.
+
+    c' = -Lambda c - T v and y' = -mu y + v, with T the coupling table
+    <varphi_i, phi_n>; the open loop has Kmat = 0 and y_gains = 0.
+    """
+    n, j = T.shape
+    A = np.zeros((n + j, n + j))
+    A[:n, :n] = -np.diag(lambdas) - T @ Kmat
+    A[:n, n:] = T * y_gains[None, :]
+    A[n:, :n] = Kmat
+    A[n:, n:] = -np.diag(mus + y_gains)
+    return A
+
+
+def _record_times(dt, steps, stride):
+    """t = k dt for the recorded steps k = 0, stride, 2 stride, ... <= steps."""
+    return np.arange(0, steps + 1, stride) * dt
+
+
+def _growth_cap(c, y):
+    return INSTABILITY_FACTOR * max(np.sqrt(float(c @ c)) + np.linalg.norm(y), 1e-12)
+
+
+def _check_growth(size, t, cap):
+    if not np.isfinite(size) or size > cap:
+        raise Instability(
+            f"norm {size:.3e} at t={t:.4g} exceeds {INSTABILITY_FACTOR:g} x initial"
+        )
+
+
+def _run_loop(lambdas, mus, coupling_rhs, c, y, dt, steps, stride, cfg, controls_fn):
+    """Per-step integrator core; returns the recorded (times, coeffs, ys, vs)."""
+    times = _record_times(dt, steps, stride)
+    n_rec = times.size
     coeffs = np.empty((n_rec, c.size))
-    ys = np.empty((n_rec, j))
-    vs = np.empty((n_rec, j))
+    ys = np.empty((n_rec, y.size))
+    vs = np.empty((n_rec, y.size))
 
     if cfg.integrator == "exponential_midpoint":
         E = np.exp(-lambdas * dt / 2.0)
@@ -126,29 +163,75 @@ def _run_loop(lambdas, mus, coupling_rhs, c, y, dt, steps, stride, cfg,
     else:
         raise ValueError(f"unknown integrator {cfg.integrator!r}")
 
-    norm0 = np.sqrt(float(c @ c)) + np.linalg.norm(y)
-    cap = INSTABILITY_FACTOR * max(norm0, 1e-12)
+    cap = _growth_cap(c, y)
     rec = 0
     for k in range(steps + 1):
         if k % stride == 0:
-            times[rec] = k * dt
             coeffs[rec] = c
             ys[rec] = y
             vs[rec] = controls_fn(c, y)
-            size = np.sqrt(float(c @ c)) + np.linalg.norm(y)
-            if not np.isfinite(size) or size > cap:
-                raise Instability(
-                    f"norm {size:.3e} at t={k * dt:.4g} exceeds {INSTABILITY_FACTOR:g} x initial"
-                )
+            _check_growth(np.sqrt(float(c @ c)) + np.linalg.norm(y), times[rec], cap)
             rec += 1
         if k < steps:
             c, y = step(c, y)
+    return times, coeffs, ys, vs
 
-    norm_w = np.sqrt(np.sum(coeffs ** 2, axis=1))
-    norm_y = np.sqrt(np.sum(ys ** 2, axis=1))
-    V = np.array([value_fn(coeffs[i], ys[i]) for i in range(n_rec)])
-    vbars = -mus[None, :] * ys + vs
-    return times, coeffs, ys, norm_w, norm_y, V, np.sum(ys, axis=1), vs, vbars
+
+def _lti_records(lambdas, mus, T, Kmat, y_gains, c, y, dt, steps, cfg):
+    """Recorded (times, coeffs, ys, vs) of the LTI loop under v = Kmat c - y_gains y.
+
+    'exponential_midpoint' samples the exact solution: one mat-vec with
+    P = expm(A dt record_stride) per record.  Other integrators step it.
+    """
+    stride = cfg.record_stride
+    if cfg.integrator != "exponential_midpoint":
+        def controls(c, y):
+            return Kmat @ c - y_gains * y
+
+        def coupling_rhs(c, y):
+            v = controls(c, y)
+            return -T @ v, v
+
+        return _run_loop(lambdas, mus, coupling_rhs, c, y, dt, steps, stride, cfg, controls)
+
+    n = c.size
+    times = _record_times(dt, steps, stride)
+    P = expm(closed_loop_matrix(lambdas, mus, T, Kmat, y_gains) * (dt * stride))
+    Z = np.empty((times.size, n + y.size))
+    Z[0, :n], Z[0, n:] = c, y
+    cap = _growth_cap(c, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, times.size):
+            np.dot(P, Z[k - 1], out=Z[k])
+        size = np.sqrt(np.sum(Z[:, :n] ** 2, axis=1)) + np.sqrt(np.sum(Z[:, n:] ** 2, axis=1))
+    bad = ~(size <= cap)
+    if bad.any():
+        first = int(np.argmax(bad))
+        _check_growth(size[first], times[first], cap)
+    C, Y = Z[:, :n], Z[:, n:]
+    return times, C, Y, C @ Kmat.T - Y * y_gains
+
+
+def _trajectory(records, mus, value_fn, **flags):
+    """Norms, V, U and raw boundary rates over all recorded samples."""
+    times, coeffs, ys, vs = records
+    return Trajectory(times, coeffs, ys,
+                      np.sqrt(np.sum(coeffs ** 2, axis=1)), np.sqrt(np.sum(ys ** 2, axis=1)),
+                      value_fn(coeffs, ys), np.sum(ys, axis=1), vs,
+                      -mus[None, :] * ys + vs, **flags)
+
+
+def _energy(C, Y):
+    return 0.5 * (np.sum(C * C, axis=1) + np.sum(Y * Y, axis=1))
+
+
+def _steps(t_final, dt):
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    steps = int(round(t_final / dt))
+    if steps < 100:
+        raise ValueError("t_final must cover at least 100 steps")
+    return steps
 
 
 def simulate_linear(eigsys, shapes, design, params, law, w0, y0, cfg):
@@ -157,49 +240,35 @@ def simulate_linear(eigsys, shapes, design, params, law, w0, y0, cfg):
     n_modes = cfg.n_modes
     if law is not None and n_modes <= law.M:
         raise ValueError(f"n_modes={n_modes} must exceed the kernel truncation M={law.M}")
-    lambdas = eigsys.lambdas[:n_modes]
-    mus = shapes.mus
-    T = coupling_table(shapes, eigsys, n_modes)     # (n_modes, j)
     j = shapes.j
+    Kmat = np.zeros((j, n_modes))
     if law is not None:
-        Kmat = np.zeros((j, n_modes))
         Kmat[:, : law.M] = law.kernel_coeffs
         y_gains = law.y_gains
-
-        def controls(c, y):
-            return Kmat @ c - y_gains * y
     else:
-        def controls(c, y):
-            return np.zeros(j)
-
-    def coupling_rhs(c, y):
-        v = controls(c, y)
-        return -T @ v, v
+        y_gains = np.zeros(j)
 
     sigma = design.sigma if design is not None else None
-    t_final = cfg.resolve_t_final(sigma)
-    dt = cfg.dt
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    steps = int(round(t_final / dt))
-    if steps < 100:
-        raise ValueError("t_final must cover at least 100 steps")
+    steps = _steps(cfg.resolve_t_final(sigma), cfg.dt)
 
     if params is not None and design is not None:
         N = design.K.shape[1]
 
-        def value(c, y):
-            cN = c[:N]
-            return lyapunov_value_modal(cN, float(c @ c) - float(cN @ cN), y, params, design)
+        def value(C, Y):
+            # lyapunov_value_modal, one row per sample
+            CN = C[:, :N]
+            quad = np.sum((CN @ design.R.T) * CN, axis=1)
+            tail_sq = np.sum(C * C, axis=1) - np.sum(CN * CN, axis=1)
+            return 0.5 * quad + 0.5 * params.gamma * tail_sq + 0.5 * ((Y * Y) @ params.omegas)
     else:
-        def value(c, y):
-            return 0.5 * (float(c @ c) + float(y @ y))
+        value = _energy
 
-    out = _run_loop(lambdas, mus, coupling_rhs, c, y, dt, steps,
-                    cfg.record_stride, cfg, value, controls)
-    kind = "linear" if law is not None else "open_loop"
-    return Trajectory(*out, certified=law is not None,
-                      design_N=design.K.shape[1] if design is not None else 1, kind=kind)
+    records = _lti_records(eigsys.lambdas[:n_modes], shapes.mus,
+                           coupling_table(shapes, eigsys, n_modes), Kmat, y_gains,
+                           c, y, cfg.dt, steps, cfg)
+    return _trajectory(records, shapes.mus, value, certified=law is not None,
+                       design_N=design.K.shape[1] if design is not None else 1,
+                       kind="linear" if law is not None else "open_loop")
 
 
 def simulate_semilinear(eigsys, shapes, model, design, F, w0, y0, cfg):
@@ -207,8 +276,9 @@ def simulate_semilinear(eigsys, shapes, model, design, F, w0, y0, cfg):
 
     The nonlinearity coefficients <phi_n, F(u)> are recomputed by quadrature
     at every coupling evaluation, with u reconstructed on the grid from the
-    modal state and the shape terms.  Uncertified designs run but are
-    flagged on the trajectory.
+    modal state and the shape terms.  A zero nonlinearity leaves the linear
+    loop v = Kmat c, which runs as simulate_linear does.  Uncertified designs
+    run but are flagged on the trajectory.
     """
     c, y = _prepare_state(eigsys, w0, y0, cfg.n_modes)
     n_modes = cfg.n_modes
@@ -218,57 +288,52 @@ def simulate_semilinear(eigsys, shapes, model, design, F, w0, y0, cfg):
     T = coupling_table(shapes, eigsys, n_modes)
     Kmat = np.zeros((N, n_modes))
     Kmat[:, :N] = design.g * (design.sigma - design.lambdas)[None, :]
-    Phi = eigsys.phis[:n_modes]                      # (n_modes, n_grid)
-    Psi = shapes.varphis                              # (N, n_grid)
-    wr = eigsys.grid.weights * eigsys.r_samples
-    Phi_w = Phi * wr
-    zero_f = F.kind == "zero"
     nonlinear = design.controller_kind == "nonlinear"
 
-    t_final = cfg.resolve_t_final(design.sigma)
     dt = cfg.dt
-    steps = int(round(t_final / dt))
-    if steps < 100:
-        raise ValueError("t_final must cover at least 100 steps")
+    steps = _steps(cfg.resolve_t_final(design.sigma), dt)
     if 2 * steps > cfg.max_steps:
         raise QuadratureBudgetExceeded(
             f"{steps} steps x 2 quadrature evaluations exceed max_steps={cfg.max_steps}"
         )
 
-    def f_modal(c, y):
-        if zero_f:
-            return np.zeros(n_modes)
-        u = c @ Phi + y @ Psi
-        return Phi_w @ F.evaluate(u)
-
-    def controls(c, y):
-        v = Kmat @ c
-        if nonlinear:
-            v = v + design.g @ f_modal(c, y)[:N]
-        return v
-
-    def coupling_rhs(c, y):
-        f = f_modal(c, y)
-        v = Kmat @ c
-        if nonlinear:
-            v = v + design.g @ f[:N]
-        return -T @ v + f, v
-
     if design.clf is not None:
         clf = design.clf
 
-        def value(c, y):
-            cN = c[:N]
-            return 0.5 * clf.R * float(cN @ cN) \
-                + 0.5 * clf.gamma * (float(c @ c) - float(cN @ cN)) \
-                + 0.5 * float(clf.omegas @ (y * y))
+        def value(C, Y):
+            head_sq = np.sum(C[:, :N] ** 2, axis=1)
+            return 0.5 * clf.R * head_sq + 0.5 * clf.gamma * (np.sum(C * C, axis=1) - head_sq) \
+                + 0.5 * ((Y * Y) @ clf.omegas)
     else:
-        def value(c, y):
-            return 0.5 * (float(c @ c) + float(y @ y))
+        value = _energy
 
-    out = _run_loop(lambdas, mus, coupling_rhs, c, y, dt, steps,
-                    cfg.record_stride, cfg, value, controls)
-    return Trajectory(*out, certified=design.certified, design_N=N, kind="semilinear")
+    if F.kind == "zero":
+        records = _lti_records(lambdas, mus, T, Kmat, np.zeros(N), c, y, dt, steps, cfg)
+    else:
+        Phi = eigsys.phis[:n_modes]                      # (n_modes, n_grid)
+        Psi = shapes.varphis                              # (N, n_grid)
+        Phi_w = Phi * (eigsys.grid.weights * eigsys.r_samples)
+
+        def f_modal(c, y):
+            return Phi_w @ F.evaluate(c @ Phi + y @ Psi)
+
+        def controls(c, y):
+            v = Kmat @ c
+            if nonlinear:
+                v = v + design.g @ f_modal(c, y)[:N]
+            return v
+
+        def coupling_rhs(c, y):
+            f = f_modal(c, y)
+            v = Kmat @ c
+            if nonlinear:
+                v = v + design.g @ f[:N]
+            return -T @ v + f, v
+
+        records = _run_loop(lambdas, mus, coupling_rhs, c, y, dt, steps,
+                            cfg.record_stride, cfg, controls)
+    return _trajectory(records, mus, value, certified=design.certified,
+                       design_N=N, kind="semilinear")
 
 
 @dataclass

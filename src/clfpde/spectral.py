@@ -429,7 +429,7 @@ def eigensolve(problem, grid, K, richardson=True, refine="auto"):
     if refine == "auto":
         refine = not (problem.constant_coefficients
                       and problem.left_dirichlet and problem.right_dirichlet)
-    phis = phi.T
+    phis = np.ascontiguousarray(phi.T)     # C order: reloaded artifacts are C order too
     if refine:
         phis = _refine_eigenvectors(problem, grid, lambdas, phis)
 

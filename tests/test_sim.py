@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,34 @@ def test_integrator_cross_check(single_mode_bundle):
     assert rel < 1e-4
 
 
+def test_exact_propagator_is_step_size_invariant(single_mode_bundle):
+    # the LTI loop is sampled exactly: only dt * record_stride matters
+    bundle = single_mode_bundle
+    w0, y0 = pipeline.initial_state(bundle)
+    fine = SimConfig(n_modes=64, dt=1e-4, t_final=0.5, record_stride=10)
+    coarse = SimConfig(n_modes=64, dt=1e-3, t_final=0.5, record_stride=1)
+    a, b = (simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
+                            bundle.params, bundle.law, w0, y0, cfg)
+            for cfg in (fine, coarse))
+    assert a.samples == b.samples == 501
+    assert np.allclose(a.times, b.times, rtol=1e-12, atol=0.0)
+    za, zb = np.hstack([a.coeffs, a.y]), np.hstack([b.coeffs, b.y])
+    assert np.max(np.abs(za - zb)) <= 1e-12 * np.max(np.abs(zb))
+
+
+def test_exact_propagator_matches_fine_rk4(single_mode_bundle):
+    bundle = single_mode_bundle
+    w0, y0 = pipeline.initial_state(bundle)
+    exact = SimConfig(n_modes=64, dt=1e-4, t_final=0.5, record_stride=50)
+    ref = SimConfig(n_modes=64, dt=2e-5, t_final=0.5, record_stride=250,
+                    integrator="rk4")
+    ta, tb = (simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
+                              bundle.params, bundle.law, w0, y0, cfg)
+              for cfg in (exact, ref))
+    assert ta.samples == tb.samples
+    assert np.max(np.abs(ta.coeffs - tb.coeffs)) <= 1e-9
+
+
 def test_truncation_robustness(single_mode_bundle):
     bundle = single_mode_bundle
     w0, y0 = pipeline.initial_state(bundle)
@@ -150,6 +180,20 @@ def test_instability_guard(single_mode_bundle):
     with pytest.raises(Instability):
         simulate_linear(bundle.eigsys, bundle.shapes, None, None, None,
                         w0, [0.0], cfg)
+
+
+def test_instability_guard_survives_overflow(single_mode_bundle):
+    # the open loop grows like exp(9.87 t) and overflows to inf long before
+    # t = 100: the guard still names the first recorded sample past the cap,
+    # and no overflow warning escapes
+    bundle = single_mode_bundle
+    w0, _ = pipeline.initial_state(bundle)
+    cfg = SimConfig(n_modes=32, dt=1e-3, t_final=100.0, record_stride=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Instability, match=r"at t=1\.42 exceeds"):
+            simulate_linear(bundle.eigsys, bundle.shapes, None, None, None,
+                            w0, [0.0], cfg)
 
 
 def test_w0_remainder_guard(single_mode_bundle):
