@@ -37,9 +37,11 @@ from .reduced import (             # noqa: F401
 )
 from .lyapunov import (            # noqa: F401
     CLFParams,
+    ClosedLoop,
     FeedbackLaw,
     build_feedback_law,
     feedback_controls,
+    linear_loop,
     lyapunov_rate_and_bound,
     lyapunov_value,
     select_clf_params,
@@ -52,11 +54,10 @@ from .semilinear import (          # noqa: F401
     build_semilinear_design,
     check_linear_admissible,
     check_nonlinear_admissible,
-    linear_controls,
     max_growth_bound,
-    nonlinear_controls,
     select_linear_clf_params,
     select_nonlinear_clf_params,
+    semilinear_loop,
 )
 from .sim import (                 # noqa: F401
     SimConfig,

@@ -17,7 +17,7 @@ from .config import load_config
 from .errors import ConfigError, Instability, NonPositiveCoefficient, ToolkitError
 from .reproduce import reproduce
 from .semilinear import export_controller_coefficients_csv
-from .sim import read_trajectory_csv, write_trajectory_csv
+from .sim import FIT_MIN_SAMPLES, fit_decay_rate, read_trajectory_csv, write_trajectory_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,6 +98,10 @@ def cmd_simulate(args):
     if not bundle.certified and not args.uncertified:
         _say(args, "certification failed; pass --uncertified to simulate anyway")
         return EXIT_CERTIFICATION
+    samples = cfg.sim.steps(bundle.gains.sigma) // cfg.sim.record_stride + 1
+    if samples < FIT_MIN_SAMPLES:
+        raise ConfigError(f"the run records {samples} samples; fitting the decay rate "
+                          f"needs at least {FIT_MIN_SAMPLES}")
     traj = pipeline.simulate(bundle)
     if not bundle.certified:
         traj.certified = False
@@ -106,7 +110,6 @@ def cmd_simulate(args):
     if bundle.sl_design is not None:
         export_controller_coefficients_csv(
             bundle.sl_design, os.path.join(out, "controller_coefficients.csv"))
-    from .sim import fit_decay_rate
     fit = fit_decay_rate(traj)
     _say(args, f"trajectory written to {path} ({traj.samples} samples, "
                f"certified={traj.certified})")
@@ -123,7 +126,7 @@ def cmd_reproduce(args):
 
 def cmd_export(args):
     header, rows = read_trajectory_csv(args.traj)
-    header, rows = pipeline.downsample_rows(header, rows, args.stride)
+    rows = rows[::args.stride]          # keeps the first row; time stays monotone
     dest = args.out or (os.path.splitext(args.traj)[0] + f".stride{args.stride}.csv")
     import csv as _csv
     with open(dest, "w", newline="") as fh:
@@ -133,6 +136,13 @@ def cmd_export(args):
             writer.writerow([repr(float(v)) for v in row])
     _say(args, f"wrote {dest} ({len(rows)} rows)")
     return EXIT_OK
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser():
@@ -173,7 +183,7 @@ def build_parser():
 
     p = sub.add_parser("export", help="downsample a trajectory CSV for plotting")
     p.add_argument("--traj", required=True, help="trajectory CSV to downsample")
-    p.add_argument("--stride", type=int, default=10)
+    p.add_argument("--stride", type=_positive_int, default=10)
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_export)

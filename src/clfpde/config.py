@@ -150,8 +150,10 @@ class RunConfig:
             raise ConfigError("sim n_modes cannot exceed computed spectral modes")
         if len(self.y0) != self.j:
             raise ConfigError(f"y0 needs {self.j} values, got {len(self.y0)}")
-        if self.sim.dt <= 0.0:
+        if not self.sim.dt > 0.0:
             raise ConfigError("dt must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
     @property

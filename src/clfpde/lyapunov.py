@@ -1,4 +1,4 @@
-"""Control Lyapunov functional assembly and the boundary feedback law.
+"""Control Lyapunov functional assembly, the boundary feedback law and the closed loop.
 
 The functional is
 
@@ -11,6 +11,12 @@ P projects onto those modes.  Evaluation uses the single-integral form
 
 c_n = <phi_n, w>.  The feedback is v_i = <k_i, w> - omega_i L_i y_i with
 grid kernels k_i spanning modes up to the truncation index M.
+
+ClosedLoop is the one modal form of a designed loop: its operator A, its
+control map, V and dV/dt.  The simulator, the certifier and the rate
+evaluators here and in semilinear all read it; linear_loop builds it for
+this feedback law (or the open loop), semilinear.semilinear_loop for the
+cancellation and domination controllers.
 """
 
 from __future__ import annotations
@@ -52,6 +58,95 @@ class FeedbackLaw:
     mus: np.ndarray              # (j,) input-transformation parameters
     M: int
     N: int
+
+
+@dataclass
+class ClosedLoop:
+    """Modal closed loop z = (c_1..c_n, y) and the weights of its functional.
+
+        c' = -Lambda c - T v + f,   y' = -mu y + v,
+        v  = Kmat c - y_gains y  (+ G f_N under the cancellation controller),
+
+    with T the coupling table <varphi_i, phi_n> and f the nonlinearity
+    coefficients <phi_n, F(u)> (zero for a linear plant).
+    """
+
+    lambdas: np.ndarray          # (n,)
+    mus: np.ndarray              # (j,)
+    T: np.ndarray                # (n, j)
+    Kmat: np.ndarray             # (j, n)
+    y_gains: np.ndarray          # (j,)
+    R: np.ndarray                # (N, N) weight of the retained modes
+    gamma: float
+    omegas: np.ndarray           # (j,)
+    G: np.ndarray | None = None  # (j, N) gain on f_1..f_N, cancellation only
+
+    @property
+    def N(self):
+        return self.R.shape[0]
+
+    def matrix(self):
+        """A of the linear loop z' = A z (f = 0)."""
+        n, j = self.T.shape
+        A = np.zeros((n + j, n + j))
+        A[:n, :n] = -np.diag(self.lambdas) - self.T @ self.Kmat
+        A[:n, n:] = self.T * self.y_gains[None, :]
+        A[n:, :n] = self.Kmat
+        A[n:, n:] = -np.diag(self.mus + self.y_gains)
+        return A
+
+    def controls(self, c, y, f=None):
+        """v at one state or per row of (c, y); f enters only under the cancellation gain."""
+        v = c @ self.Kmat.T - y * self.y_gains
+        if f is not None and self.G is not None:
+            v = v + f[..., :self.N] @ self.G.T
+        return v
+
+    def value(self, C, Y, norm_sq=None):
+        """V per row of (C, Y); norm_sq is ||w||^2 per row, |C|^2 when omitted."""
+        CN = C[:, :self.N]
+        head_sq = np.sum(CN * CN, axis=1)
+        if norm_sq is None:
+            norm_sq = np.sum(C * C, axis=1)
+        quad = np.sum((CN @ self.R.T) * CN, axis=1)
+        return 0.5 * quad + 0.5 * self.gamma * (norm_sq - head_sq) + 0.5 * ((Y * Y) @ self.omegas)
+
+    def rate(self, c, y, v, f=0.0):
+        """dV/dt at (c, y) under controls v, c over all n modes."""
+        N = self.N
+        wdot = -self.lambdas * c - self.T @ v + f
+        return float((self.R @ c[:N]) @ wdot[:N]) \
+            + self.gamma * float(c[N:] @ wdot[N:]) \
+            + float(self.omegas @ (y * v)) \
+            - float((self.mus * self.omegas) @ (y * y))
+
+
+def linear_loop(eigsys, shapes, design, params, law, n):
+    """The loop of the first n modes under the feedback law.
+
+    law=None is the open loop (v = 0) with unit weights, V = (|c|^2 + |y|^2) / 2.
+    """
+    j = shapes.j
+    Kmat = np.zeros((j, n))
+    if law is None:
+        y_gains, R, gamma, omegas = np.zeros(j), np.eye(1), 1.0, np.ones(j)
+    else:
+        Kmat[:, :law.M] = law.kernel_coeffs
+        y_gains, R, gamma, omegas = law.y_gains, design.R, params.gamma, params.omegas
+    return ClosedLoop(eigsys.lambdas[:n], shapes.mus, coupling_table(shapes, eigsys, n),
+                      Kmat, y_gains, R, gamma, omegas)
+
+
+def modal_state(w, eigsys, n, rel=REMAINDER_ENERGY_REL):
+    """(c_1..c_n, ||w||^2) of a grid state; RemainderTooLarge past rel of its energy."""
+    c, _ = project(w, eigsys, n)
+    norm_sq = eigsys.norm_sq(w)
+    rem_sq = norm_sq - float(c @ c)
+    if norm_sq > 0.0 and rem_sq > rel * norm_sq:
+        raise RemainderTooLarge(
+            f"remainder energy {rem_sq:.3e} exceeds {rel:g} of total {norm_sq:.3e}"
+        )
+    return c, norm_sq
 
 
 def coupling_table(shapes, eigsys, n_max):
@@ -128,23 +223,11 @@ def select_clf_params(design, shapes, eigsys, Ls, safety=2.0, m_max=M_MAX_DEFAUL
     raise TailBoundFailed(f"no admissible truncation index M <= {m_cap}")
 
 
-def weighted_modal_image(coeffs, R):
-    """Modal representation of the weighting operator: coefficients -> R @ coefficients."""
-    return np.asarray(R) @ np.asarray(coeffs, dtype=float)
-
-
-def lyapunov_value(w, y, params, design, eigsys):
-    """Evaluate V through single integrals only."""
-    N = design.K.shape[1]
-    c, _ = project(w, eigsys, N)
-    norm_sq = eigsys.norm_sq(w)
-    return lyapunov_value_modal(c, norm_sq - float(c @ c), y, params, design)
-
-
-def lyapunov_value_modal(c_N, tail_sq, y, params, design):
+def lyapunov_value(w, y, loop, eigsys):
+    """Evaluate V of the loop at a grid state through single integrals only."""
+    c, _ = project(w, eigsys, loop.N)
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    quad = float(c_N @ (design.R @ c_N))
-    return 0.5 * quad + 0.5 * params.gamma * tail_sq + 0.5 * float(params.omegas @ (y * y))
+    return float(loop.value(c[None, :], y[None, :], eigsys.norm_sq(w))[0])
 
 
 def coercivity_constants(params, design):
@@ -219,35 +302,22 @@ def transform_input(v, y, mus, direction):
     raise ValueError(f"direction must be 'to_vbar' or 'to_v', got {direction!r}")
 
 
-def lyapunov_rate_and_bound(w, y, params, design, law, shapes, eigsys, v=None):
-    """Evaluate dV/dt along the closed loop and the certified decay bound.
+def lyapunov_rate_and_bound(w, y, params, loop, law, eigsys, v=None):
+    """Evaluate dV/dt along the loop (linear_loop) and the certified decay bound.
 
     Returns (vdot, bound) with the contract vdot <= bound + tol under the
-    feedback law; pass an explicit v to probe other controls (the bound then
-    only applies when v follows the law).
+    feedback law, whose controls come from the grid kernels; pass an explicit
+    v to probe other controls (the bound then only applies when v follows
+    the law).
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    N = design.K.shape[1]
-    c, _ = project(w, eigsys, eigsys.K)
-    norm_sq = eigsys.norm_sq(w)
-    rem_sq = norm_sq - float(c @ c)
-    if norm_sq > 0.0 and rem_sq > REMAINDER_ENERGY_REL * norm_sq:
-        raise RemainderTooLarge(
-            f"remainder energy {rem_sq:.3e} exceeds {REMAINDER_ENERGY_REL:g} of total {norm_sq:.3e}"
-        )
+    c, norm_sq = modal_state(w, eigsys, loop.lambdas.size)
     if v is None:
         v = feedback_controls(law, w, y, eigsys)
     v = np.atleast_1d(np.asarray(v, dtype=float))
-
-    coupling = coupling_table(shapes, eigsys, eigsys.K)    # (K, j)
-    wdot = -eigsys.lambdas * c - coupling @ v
-    vdot = float((design.R @ c[:N]) @ wdot[:N]) \
-        + params.gamma * float(c[N:] @ wdot[N:]) \
-        + float(params.omegas @ (y * v)) \
-        - float((shapes.mus * params.omegas) @ (y * y))
-    bound = -0.5 * float((params.omegas * shapes.mus) @ (y * y)) \
-        - 0.5 * min(params.gamma * eigsys.lambdas[N], params.sigma) * norm_sq
-    return vdot, bound
+    bound = -0.5 * float((params.omegas * loop.mus) @ (y * y)) \
+        - 0.5 * min(params.gamma * loop.lambdas[loop.N], params.sigma) * norm_sq
+    return loop.rate(c, y, v), bound
 
 
 def guaranteed_decay_rate(params, design, shapes, eigsys):

@@ -10,12 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from .artifact import DesignBundle, Verdict
+from .lyapunov import coupling_table  # noqa: F401  (perfbench/spans.py wraps this name)
 from .lyapunov import (
     build_feedback_law,
     coercivity_constants,
-    coupling_table,
     feedback_controls,
     feedback_controls_modal,
+    linear_loop,
     lyapunov_rate_and_bound,
     lyapunov_value,
     select_clf_params,
@@ -38,6 +39,7 @@ from .semilinear import (
     check_nonlinear_admissible,
     lyapunov_value_and_rate,
     max_growth_bound,
+    semilinear_loop,
 )
 from .shapes import (
     BOUNDARY_RESIDUAL_TOL as SHAPE_BC_TOL,
@@ -172,7 +174,8 @@ def certify(bundle, states=None):
                             GAIN_INEQUALITY_TOL - residual))
     verdicts.append(Verdict("gain_certificate_spd", gains.c1 > 0.0, gains.c1))
 
-    y_m, tail_m, trunc_m = weight_inequality_margins(params, gains, shapes, eig)
+    loop = linear_loop(eig, shapes, gains, params, law, eig.K)
+    y_m, tail_m, trunc_m = weight_inequality_margins(params, gains, shapes, eig, loop.T)
     verdicts.append(Verdict("clf_weight_inequalities", bool(np.all(y_m >= 0.0)),
                             float(np.min(y_m))))
     verdicts.append(Verdict("clf_tail_inequality", tail_m >= 0.0, tail_m))
@@ -181,24 +184,23 @@ def certify(bundle, states=None):
 
     if states is None:
         states = random_states(eig, shapes.j, SPOT_CHECK_STATES, cfg.seed)
-    coupling = coupling_table(shapes, eig, eig.K)
+    lo, hi = coercivity_constants(params, gains)
     dual_dev = 0.0
     coer_margin = np.inf
     diss_margin = np.inf
     for w, y in states:
         v_quad = feedback_controls(law, w, y, eig)
         c, _ = project(w, eig, eig.K)
-        v_modal = feedback_controls_modal(c, y, gains, params, coupling)
+        v_modal = feedback_controls_modal(c, y, gains, params, loop.T)
         dual_dev = max(dual_dev, float(np.max(np.abs(v_quad - v_modal))))
 
-        V = lyapunov_value(w, y, params, gains, eig)
-        lo, hi = coercivity_constants(params, gains)
+        V = lyapunov_value(w, y, loop, eig)
         size = eig.norm_sq(w) + float(y @ y)
         ctol = COERCIVITY_TOL_REL * max(1.0, abs(V))
         coer_margin = min(coer_margin, V - 0.5 * lo * size + ctol,
                           0.5 * hi * size - V + ctol)
 
-        vdot, bound = lyapunov_rate_and_bound(w, y, params, gains, law, shapes, eig)
+        vdot, bound = lyapunov_rate_and_bound(w, y, params, loop, law, eig, v=v_quad)
         rtol = RATE_TOL_REL * (1.0 + abs(bound))
         diss_margin = min(diss_margin, bound + rtol - vdot)
     verdicts.append(Verdict("kernel_dual_path", dual_dev <= DUAL_PATH_TOL,
@@ -234,9 +236,10 @@ def certify(bundle, states=None):
             verdicts.append(Verdict("semilinear_theta_positive", sl.clf.theta > 0.0,
                                     sl.clf.theta, note))
             F = nonlinearity_from_settings(cfg.semilinear)
+            sl_loop = semilinear_loop(eig, shapes, sl, eig.K)
             sl_margin = np.inf
             for w, y in states:
-                V, vdot, bound = lyapunov_value_and_rate(w, y, sl, shapes, eig, F)
+                V, vdot, bound = lyapunov_value_and_rate(w, y, sl, sl_loop, shapes, eig, F)
                 rtol = RATE_TOL_REL * (1.0 + abs(bound))
                 sl_margin = min(sl_margin, bound + rtol - vdot)
             verdicts.append(Verdict("semilinear_dissipation_spot_check",
@@ -294,9 +297,3 @@ def report_text(bundle):
     lines.append(f"overall: {'CERTIFIED' if bundle.certified else 'FAILED'}")
     return "\n".join(lines) + "\n"
 
-
-def downsample_rows(header, rows, stride):
-    """Every stride-th row (always keeping the first); time stays monotone."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    return header, rows[::stride]

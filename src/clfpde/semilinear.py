@@ -19,20 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominator,
-    NoAdmissibleA,
-    NoAdmissibleZeta,
-    RemainderTooLarge,
-    SingularB,
-)
-from .lyapunov import coupling_table
-from .spectral import project
+from .errors import DegenerateDenominator, NoAdmissibleA, NoAdmissibleZeta, SingularB
+from .lyapunov import ClosedLoop, coupling_table, modal_state, transform_state
 
 GAIN_INVERSE_TOL = 1e-10
 KAPPA_GRID_SIZE = 1024
 SEARCH_MARGIN = 1e-9
-REMAINDER_ENERGY_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -139,19 +131,6 @@ def gain_inverse(model):
     return g
 
 
-def nonlinear_controls(design, w_coeffs, f_coeffs):
-    """Cancellation controller from the first-N modal state and nonlinearity coefficients."""
-    c = np.asarray(w_coeffs, dtype=float)[: design.N]
-    f = np.asarray(f_coeffs, dtype=float)[: design.N]
-    return design.g @ ((design.sigma - design.lambdas) * c + f)
-
-
-def linear_controls(design, w_coeffs):
-    """Domination controller from the first-N modal state."""
-    c = np.asarray(w_coeffs, dtype=float)[: design.N]
-    return design.g @ ((design.sigma - design.lambdas) * c)
-
-
 def max_growth_bound(mus, norms_sq, g, lambda_next):
     """Largest admissible growth constant for the cancellation controller.
 
@@ -240,15 +219,6 @@ def kappa_grid(n=KAPPA_GRID_SIZE):
     return np.logspace(-4.0, 4.0, n)
 
 
-def find_kappa(check, grid=None):
-    """First grid kappa for which the given margin check passes."""
-    grid = kappa_grid() if grid is None else grid
-    for kappa in grid:
-        if check(kappa):
-            return float(kappa)
-    return None
-
-
 def best_kappa(margin_fn, grid=None):
     """Grid kappa maximizing the normalized admissibility margin (None if all fail).
 
@@ -276,12 +246,6 @@ def _search_grid():
     uniform = np.linspace(1.0 / 65.0, 64.0 / 65.0, 64)
     extension = np.logspace(np.log10(1.0 / 65.0), -12.0, 97)[1:]
     return np.concatenate([uniform, extension])
-
-
-def zeta_feasible(design, zeta, lbar=None, kappa=None):
-    """Strictly positive dissipation margins at a candidate zeta."""
-    _, m1, m2 = _zeta_margins(design, zeta, lbar, kappa)
-    return bool(np.all(m1 > SEARCH_MARGIN) and m2 > SEARCH_MARGIN)
 
 
 def _zeta_margins(design, zeta, lbar=None, kappa=None):
@@ -330,11 +294,6 @@ def select_nonlinear_clf_params(design, lbar=None, kappa=None, grid=None):
     raise NoAdmissibleZeta(
         "no feasible zeta found; check the admissibility margins for this lbar/kappa"
     )
-
-
-def a_feasible(design, a, lbar=None, kappa=None):
-    m = _a_margins(design, a, lbar, kappa)
-    return m is not None and bool(np.all(m[1] > SEARCH_MARGIN) and m[2] > SEARCH_MARGIN)
 
 
 def _a_margins(design, a, lbar=None, kappa=None, epsilon=0.0):
@@ -439,47 +398,43 @@ def build_semilinear_design(model, shapes, lbar, sigma, controller_kind,
     return design
 
 
-def lyapunov_value_and_rate(w, y, design, shapes, eigsys, F):
+def semilinear_loop(eigsys, shapes, design, n):
+    """The loop of the first n modes under the design's controller.
+
+    The scalar weight R becomes R I; an uncertified design (no functional
+    parameters) gets unit weights, V = (|c|^2 + |y|^2) / 2.
+    """
+    N = design.N
+    Kmat = np.zeros((N, n))
+    Kmat[:, :N] = design.g * (design.sigma - design.lambdas)[None, :]
+    clf = design.clf
+    if clf is None:
+        R, gamma, omegas = np.eye(N), 1.0, np.ones(N)
+    else:
+        R, gamma, omegas = clf.R * np.eye(N), clf.gamma, clf.omegas
+    return ClosedLoop(eigsys.lambdas[:n], design.mus, coupling_table(shapes, eigsys, n),
+                      Kmat, np.zeros(N), R, gamma, omegas,
+                      G=design.g if design.controller_kind == "nonlinear" else None)
+
+
+def lyapunov_value_and_rate(w, y, design, loop, shapes, eigsys, F):
     """Evaluate the semilinear functional, its rate, and the certified bound.
 
-    Returns (V, Vdot, bound) with bound = -theta (||w||^2 + sum y_i^2); the
-    contract Vdot <= bound + tol holds for certified designs under the
-    design's own controller.
+    loop is the design's semilinear_loop.  Returns (V, Vdot, bound) with
+    bound = -theta (||w||^2 + sum y_i^2); the contract Vdot <= bound + tol
+    holds for certified designs under the design's own controller.
     """
     if design.clf is None:
         raise ValueError("design carries no functional parameters (uncertified)")
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    N = design.N
-    c, _ = project(w, eigsys, eigsys.K)
-    norm_sq = eigsys.norm_sq(w)
-    rem_sq = norm_sq - float(c @ c)
-    if norm_sq > 0.0 and rem_sq > REMAINDER_ENERGY_REL * norm_sq:
-        raise RemainderTooLarge(
-            f"remainder energy {rem_sq:.3e} exceeds {REMAINDER_ENERGY_REL:g} of total"
-        )
-    u = np.asarray(w, dtype=float) + y @ shapes.varphis
-    fu = F.evaluate(u)
+    c, norm_sq = modal_state(w, eigsys, loop.lambdas.size)
+    u = transform_state(w, y, shapes, "to_u")
     wr = eigsys.grid.weights * eigsys.r_samples
-    f_all = eigsys.phis @ (wr * fu)
-
-    if design.controller_kind == "nonlinear":
-        v = nonlinear_controls(design, c, f_all)
-    else:
-        v = linear_controls(design, c)
-
-    coupling = coupling_table(shapes, eigsys, eigsys.K)
-    wdot = -eigsys.lambdas * c - coupling @ v + f_all
-
-    clf = design.clf
-    V = 0.5 * clf.R * float(c[:N] @ c[:N]) \
-        + 0.5 * clf.gamma * (norm_sq - float(c[:N] @ c[:N])) \
-        + 0.5 * float(clf.omegas @ (y * y))
-    vdot = clf.R * float(c[:N] @ wdot[:N]) \
-        + float(clf.omegas @ (y * v)) \
-        - float((design.mus * clf.omegas) @ (y * y)) \
-        + clf.gamma * float(c[N:] @ wdot[N:])
-    bound = -clf.theta * (norm_sq + float(y @ y))
-    return V, vdot, bound
+    f = eigsys.phis[:c.size] @ (wr * F.evaluate(u))
+    v = loop.controls(c, y, f)
+    V = float(loop.value(c[None, :], y[None, :], norm_sq)[0])
+    bound = -design.clf.theta * (norm_sq + float(y @ y))
+    return V, loop.rate(c, y, v, f), bound
 
 
 def export_controller_coefficients_csv(design, path):

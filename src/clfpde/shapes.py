@@ -45,18 +45,6 @@ class ShapeSet:
         return wphi @ self.varphis.T
 
 
-def check_mu(mu, eigsys, rel_gap=MU_GAP_REL):
-    """Validate positivity and spectral separation of one mu."""
-    if mu <= 0.0:
-        raise MuNotPositive(f"mu={mu!r} must be > 0")
-    gaps = np.abs(eigsys.lambdas - mu)
-    n = int(np.argmin(gaps))
-    if gaps[n] <= rel_gap * (1.0 + abs(mu)):
-        raise MuCollidesWithSpectrum(
-            f"mu={mu!r} within tolerance of eigenvalue {n + 1} ({eigsys.lambdas[n]!r})"
-        )
-
-
 @dataclass
 class MuVerdict:
     mu: float
@@ -86,6 +74,18 @@ def validate_mu_set(mus, eigsys, rel_gap=MU_GAP_REL):
             off_spectrum=gaps[n] > rel_gap * (1.0 + abs(mu)),
         ))
     return out
+
+
+def check_mu(mu, eigsys, rel_gap=MU_GAP_REL):
+    """Validate positivity and spectral separation of one mu."""
+    v = validate_mu_set(mu, eigsys, rel_gap)[0]
+    if not v.positive:
+        raise MuNotPositive(f"mu={mu!r} must be > 0")
+    if not v.off_spectrum:
+        raise MuCollidesWithSpectrum(
+            f"mu={mu!r} within tolerance of eigenvalue {v.nearest_mode} "
+            f"({eigsys.lambdas[v.nearest_mode - 1]!r})"
+        )
 
 
 def solve_shape_bvp(problem, eigsys, mu, grid, ordering="forward", correction_sweeps=1):

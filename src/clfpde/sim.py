@@ -1,19 +1,22 @@
 """Closed-loop spectral-Galerkin simulation and decay-rate fitting.
 
 The state is truncated to n_modes modal coefficients c_n plus the boundary
-states y_i:
+states y_i, and the loop is the shared lyapunov.ClosedLoop (linear_loop or
+semilinear.semilinear_loop):
 
     c_n' = -lambda_n c_n - sum_i v_i <varphi_i, phi_n>  (+ <phi_n, F(u)>),
     y_i' = -mu_i y_i + v_i.
 
 Under the default integrator ('exponential_midpoint') a loop without a
 nonlinear coupling (linear, open loop, zero nonlinearity) is linear and
-time-invariant, z = (c, y), z' = A z: it advances by the exact propagator
-expm(A dt record_stride), one mat-vec per recorded sample.  A nonzero
-semilinear coupling applies the exact diagonal decay factor exp(-lambda_n dt)
-and treats the control / nonlinear coupling with an explicit midpoint rule
-(Strang arrangement), which keeps the O(n^2)-stiff tail stable at practical
-step sizes.  RK4 steps every loop explicitly, as a cross-check.
+time-invariant, z = (c, y), z' = A z with A = ClosedLoop.matrix(): it
+advances by the exact propagator expm(A dt record_stride), one mat-vec per
+recorded sample.  A nonzero semilinear coupling applies the exact diagonal
+decay factor exp(-lambda_n dt) and treats the control / nonlinear coupling
+with an explicit midpoint rule (Strang arrangement), which keeps the
+O(n^2)-stiff tail stable at practical step sizes.  RK4 steps every loop
+explicitly, as a cross-check.  The recorded V is ClosedLoop.value, the same
+functional the certifier evaluates.
 """
 
 from __future__ import annotations
@@ -25,18 +28,22 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import (
+    ConfigError,
     DegenerateTrajectory,
     Instability,
     QuadratureBudgetExceeded,
-    RemainderTooLarge,
     StepSizeTooLarge,
 )
-from .lyapunov import coupling_table
-from .spectral import project
+from .lyapunov import coupling_table  # noqa: F401  (perfbench/spans.py wraps this name)
+from .lyapunov import linear_loop, modal_state, transform_input
+from .semilinear import semilinear_loop
 
 INSTABILITY_FACTOR = 1e6
 RK4_STABILITY = 2.78
 W0_REMAINDER_REL = 1e-8
+MIN_STEPS = 100
+FIT_MIN_SAMPLES = 20
+INTEGRATORS = ("exponential_midpoint", "rk4")
 
 
 @dataclass
@@ -57,6 +64,22 @@ class SimConfig:
         if sigma is None or sigma <= 0.0:
             return 10.0
         return float(min(max(5.0 / sigma, 1.0), 20.0))
+
+    def steps(self, sigma=None):
+        """Step count over the resolved horizon; ConfigError on unusable step settings."""
+        if self.integrator not in INTEGRATORS:
+            raise ConfigError(f"unknown integrator {self.integrator!r}")
+        if not self.dt > 0.0:
+            raise ConfigError("dt must be positive")
+        if self.record_stride < 1:
+            raise ConfigError("record_stride must be >= 1")
+        t_final = self.resolve_t_final(sigma)
+        if not 0.0 < t_final < np.inf:
+            raise ConfigError(f"t_final={t_final!r} must be positive and finite")
+        steps = int(round(t_final / self.dt))
+        if steps < MIN_STEPS:
+            raise ConfigError(f"t_final must cover at least {MIN_STEPS} steps")
+        return steps
 
 
 @dataclass
@@ -79,34 +102,12 @@ class Trajectory:
         return self.times.size
 
 
-def _prepare_state(eigsys, w0, y0, n_modes):
+def _initial_state(eigsys, w0, y0, n_modes):
+    """Modal (c0, y0) after the mode-count and remainder checks."""
     if n_modes > eigsys.K:
-        raise ValueError(f"n_modes={n_modes} exceeds computed modes {eigsys.K}")
-    w0 = np.asarray(w0, dtype=float)
-    c0, _ = project(w0, eigsys, n_modes)
-    norm_sq = eigsys.norm_sq(w0)
-    rem = norm_sq - float(c0 @ c0)
-    if norm_sq > 0.0 and rem > W0_REMAINDER_REL * norm_sq:
-        raise RemainderTooLarge(
-            f"w0 remainder energy {rem:.3e} exceeds {W0_REMAINDER_REL:g} relative"
-        )
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    return c0, y0
-
-
-def closed_loop_matrix(lambdas, mus, T, Kmat, y_gains):
-    """A of the LTI modal loop z' = A z, z = (c, y), under v = Kmat c - y_gains y.
-
-    c' = -Lambda c - T v and y' = -mu y + v, with T the coupling table
-    <varphi_i, phi_n>; the open loop has Kmat = 0 and y_gains = 0.
-    """
-    n, j = T.shape
-    A = np.zeros((n + j, n + j))
-    A[:n, :n] = -np.diag(lambdas) - T @ Kmat
-    A[:n, n:] = T * y_gains[None, :]
-    A[n:, :n] = Kmat
-    A[n:, n:] = -np.diag(mus + y_gains)
-    return A
+        raise ConfigError(f"n_modes={n_modes} exceeds computed modes {eigsys.K}")
+    c0, _ = modal_state(w0, eigsys, n_modes, W0_REMAINDER_REL)
+    return c0, np.atleast_1d(np.asarray(y0, dtype=float)).copy()
 
 
 def _record_times(dt, steps, stride):
@@ -125,8 +126,13 @@ def _check_growth(size, t, cap):
         )
 
 
-def _run_loop(lambdas, mus, coupling_rhs, c, y, dt, steps, stride, cfg, controls_fn):
-    """Per-step integrator core; returns the recorded (times, coeffs, ys, vs)."""
+def _run_loop(loop, coupling_rhs, controls_fn, c, y, dt, steps, cfg):
+    """Per-step integrator core; returns the recorded (times, coeffs, ys, vs).
+
+    coupling_rhs(c, y) -> (dc, dy) is the right-hand side without the
+    diagonal decay -lambda c, -mu y.
+    """
+    lambdas, mus, stride = loop.lambdas, loop.mus, cfg.record_stride
     times = _record_times(dt, steps, stride)
     n_rec = times.size
     coeffs = np.empty((n_rec, c.size))
@@ -142,7 +148,7 @@ def _run_loop(lambdas, mus, coupling_rhs, c, y, dt, steps, stride, cfg, controls
             d1c, d1y = coupling_rhs(ac, ay)
             d2c, d2y = coupling_rhs(ac + 0.5 * dt * d1c, ay + 0.5 * dt * d1y)
             return E * (ac + dt * d2c), Ey * (ay + dt * d2y)
-    elif cfg.integrator == "rk4":
+    else:
         lam_pos = float(np.max(lambdas)) if lambdas.size else 0.0
         if lam_pos * dt > RK4_STABILITY:
             raise StepSizeTooLarge(
@@ -160,8 +166,6 @@ def _run_loop(lambdas, mus, coupling_rhs, c, y, dt, steps, stride, cfg, controls
             k4c, k4y = full_rhs(c + dt * k3c, y + dt * k3y)
             return (c + dt / 6.0 * (k1c + 2 * k2c + 2 * k3c + k4c),
                     y + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y))
-    else:
-        raise ValueError(f"unknown integrator {cfg.integrator!r}")
 
     cap = _growth_cap(c, y)
     rec = 0
@@ -177,26 +181,23 @@ def _run_loop(lambdas, mus, coupling_rhs, c, y, dt, steps, stride, cfg, controls
     return times, coeffs, ys, vs
 
 
-def _lti_records(lambdas, mus, T, Kmat, y_gains, c, y, dt, steps, cfg):
-    """Recorded (times, coeffs, ys, vs) of the LTI loop under v = Kmat c - y_gains y.
+def _lti_records(loop, c, y, dt, steps, cfg):
+    """Recorded (times, coeffs, ys, vs) of the loop without a nonlinear coupling.
 
     'exponential_midpoint' samples the exact solution: one mat-vec with
     P = expm(A dt record_stride) per record.  Other integrators step it.
     """
     stride = cfg.record_stride
     if cfg.integrator != "exponential_midpoint":
-        def controls(c, y):
-            return Kmat @ c - y_gains * y
-
         def coupling_rhs(c, y):
-            v = controls(c, y)
-            return -T @ v, v
+            v = loop.controls(c, y)
+            return -loop.T @ v, v
 
-        return _run_loop(lambdas, mus, coupling_rhs, c, y, dt, steps, stride, cfg, controls)
+        return _run_loop(loop, coupling_rhs, loop.controls, c, y, dt, steps, cfg)
 
     n = c.size
     times = _record_times(dt, steps, stride)
-    P = expm(closed_loop_matrix(lambdas, mus, T, Kmat, y_gains) * (dt * stride))
+    P = expm(loop.matrix() * (dt * stride))
     Z = np.empty((times.size, n + y.size))
     Z[0, :n], Z[0, n:] = c, y
     cap = _growth_cap(c, y)
@@ -209,64 +210,28 @@ def _lti_records(lambdas, mus, T, Kmat, y_gains, c, y, dt, steps, cfg):
         first = int(np.argmax(bad))
         _check_growth(size[first], times[first], cap)
     C, Y = Z[:, :n], Z[:, n:]
-    return times, C, Y, C @ Kmat.T - Y * y_gains
+    return times, C, Y, loop.controls(C, Y)
 
 
-def _trajectory(records, mus, value_fn, **flags):
+def _trajectory(records, loop, **flags):
     """Norms, V, U and raw boundary rates over all recorded samples."""
     times, coeffs, ys, vs = records
     return Trajectory(times, coeffs, ys,
                       np.sqrt(np.sum(coeffs ** 2, axis=1)), np.sqrt(np.sum(ys ** 2, axis=1)),
-                      value_fn(coeffs, ys), np.sum(ys, axis=1), vs,
-                      -mus[None, :] * ys + vs, **flags)
-
-
-def _energy(C, Y):
-    return 0.5 * (np.sum(C * C, axis=1) + np.sum(Y * Y, axis=1))
-
-
-def _steps(t_final, dt):
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    steps = int(round(t_final / dt))
-    if steps < 100:
-        raise ValueError("t_final must cover at least 100 steps")
-    return steps
+                      loop.value(coeffs, ys), np.sum(ys, axis=1), vs,
+                      transform_input(vs, ys, loop.mus, "to_vbar"), **flags)
 
 
 def simulate_linear(eigsys, shapes, design, params, law, w0, y0, cfg):
     """Closed-loop linear simulation; pass law=None for the open loop (v = 0)."""
-    c, y = _prepare_state(eigsys, w0, y0, cfg.n_modes)
     n_modes = cfg.n_modes
     if law is not None and n_modes <= law.M:
-        raise ValueError(f"n_modes={n_modes} must exceed the kernel truncation M={law.M}")
-    j = shapes.j
-    Kmat = np.zeros((j, n_modes))
-    if law is not None:
-        Kmat[:, : law.M] = law.kernel_coeffs
-        y_gains = law.y_gains
-    else:
-        y_gains = np.zeros(j)
-
-    sigma = design.sigma if design is not None else None
-    steps = _steps(cfg.resolve_t_final(sigma), cfg.dt)
-
-    if params is not None and design is not None:
-        N = design.K.shape[1]
-
-        def value(C, Y):
-            # lyapunov_value_modal, one row per sample
-            CN = C[:, :N]
-            quad = np.sum((CN @ design.R.T) * CN, axis=1)
-            tail_sq = np.sum(C * C, axis=1) - np.sum(CN * CN, axis=1)
-            return 0.5 * quad + 0.5 * params.gamma * tail_sq + 0.5 * ((Y * Y) @ params.omegas)
-    else:
-        value = _energy
-
-    records = _lti_records(eigsys.lambdas[:n_modes], shapes.mus,
-                           coupling_table(shapes, eigsys, n_modes), Kmat, y_gains,
-                           c, y, cfg.dt, steps, cfg)
-    return _trajectory(records, shapes.mus, value, certified=law is not None,
+        raise ConfigError(f"n_modes={n_modes} must exceed the kernel truncation M={law.M}")
+    c, y = _initial_state(eigsys, w0, y0, n_modes)
+    steps = cfg.steps(design.sigma if design is not None else None)
+    loop = linear_loop(eigsys, shapes, design, params, law, n_modes)
+    records = _lti_records(loop, c, y, cfg.dt, steps, cfg)
+    return _trajectory(records, loop, certified=law is not None,
                        design_N=design.K.shape[1] if design is not None else 1,
                        kind="linear" if law is not None else "open_loop")
 
@@ -280,59 +245,43 @@ def simulate_semilinear(eigsys, shapes, model, design, F, w0, y0, cfg):
     loop v = Kmat c, which runs as simulate_linear does.  Uncertified designs
     run but are flagged on the trajectory.
     """
-    c, y = _prepare_state(eigsys, w0, y0, cfg.n_modes)
     n_modes = cfg.n_modes
     N = design.N
-    lambdas = eigsys.lambdas[:n_modes]
-    mus = design.mus
-    T = coupling_table(shapes, eigsys, n_modes)
-    Kmat = np.zeros((N, n_modes))
-    Kmat[:, :N] = design.g * (design.sigma - design.lambdas)[None, :]
-    nonlinear = design.controller_kind == "nonlinear"
-
+    if n_modes < N:
+        raise ConfigError(f"n_modes={n_modes} must cover the retained modes N={N}")
+    c, y = _initial_state(eigsys, w0, y0, n_modes)
     dt = cfg.dt
-    steps = _steps(cfg.resolve_t_final(design.sigma), dt)
+    steps = cfg.steps(design.sigma)
     if 2 * steps > cfg.max_steps:
         raise QuadratureBudgetExceeded(
             f"{steps} steps x 2 quadrature evaluations exceed max_steps={cfg.max_steps}"
         )
-
-    if design.clf is not None:
-        clf = design.clf
-
-        def value(C, Y):
-            head_sq = np.sum(C[:, :N] ** 2, axis=1)
-            return 0.5 * clf.R * head_sq + 0.5 * clf.gamma * (np.sum(C * C, axis=1) - head_sq) \
-                + 0.5 * ((Y * Y) @ clf.omegas)
-    else:
-        value = _energy
+    loop = semilinear_loop(eigsys, shapes, design, n_modes)
 
     if F.kind == "zero":
-        records = _lti_records(lambdas, mus, T, Kmat, np.zeros(N), c, y, dt, steps, cfg)
+        records = _lti_records(loop, c, y, dt, steps, cfg)
     else:
         Phi = eigsys.phis[:n_modes]                      # (n_modes, n_grid)
         Psi = shapes.varphis                              # (N, n_grid)
         Phi_w = Phi * (eigsys.grid.weights * eigsys.r_samples)
+        Kmat, G, T = loop.Kmat, loop.G, loop.T
 
         def f_modal(c, y):
             return Phi_w @ F.evaluate(c @ Phi + y @ Psi)
 
-        def controls(c, y):
-            v = Kmat @ c
-            if nonlinear:
-                v = v + design.g @ f_modal(c, y)[:N]
-            return v
-
         def coupling_rhs(c, y):
+            # loop.controls(c, y, f) spelled out: this runs twice per step
             f = f_modal(c, y)
             v = Kmat @ c
-            if nonlinear:
-                v = v + design.g @ f[:N]
+            if G is not None:
+                v = v + G @ f[:N]
             return -T @ v + f, v
 
-        records = _run_loop(lambdas, mus, coupling_rhs, c, y, dt, steps,
-                            cfg.record_stride, cfg, controls)
-    return _trajectory(records, mus, value, certified=design.certified,
+        def controls(c, y):
+            return loop.controls(c, y, f_modal(c, y))
+
+        records = _run_loop(loop, coupling_rhs, controls, c, y, dt, steps, cfg)
+    return _trajectory(records, loop, certified=design.certified,
                        design_N=N, kind="semilinear")
 
 
@@ -345,8 +294,8 @@ class DecayFit:
 
 def fit_decay_rate(traj):
     """Least-squares exponential fit of norm_w + norm_y over the trailing half."""
-    if traj.samples < 20:
-        raise ValueError("need at least 20 recorded samples to fit a rate")
+    if traj.samples < FIT_MIN_SAMPLES:
+        raise ValueError(f"need at least {FIT_MIN_SAMPLES} recorded samples to fit a rate")
     total = traj.norm_w + traj.norm_y
     if np.all(total == 0.0):
         raise DegenerateTrajectory("trajectory is identically zero")

@@ -12,9 +12,9 @@ from clfpde.cli import main as cli_main
 from clfpde.config import write_config
 from clfpde.lyapunov import (
     coercivity_constants,
-    coupling_table,
     feedback_controls,
     feedback_controls_modal,
+    linear_loop,
     lyapunov_rate_and_bound,
     lyapunov_value,
 )
@@ -92,20 +92,20 @@ def test_criterion_5_clf_certificate_suite():
     params, gains, law, shapes = (bundle.params, bundle.gains, bundle.law,
                                   bundle.shapes)
     lo, hi = coercivity_constants(params, gains)
-    coupling = coupling_table(shapes, eig, eig.K)
+    loop = linear_loop(eig, shapes, gains, params, law, eig.K)
     states = pipeline.random_states(eig, 1, 200, seed=0)
     coerc_ok = diss_ok = True
     dual_worst = 0.0
     for w, y in states:
-        V = lyapunov_value(w, y, params, gains, eig)
+        V = lyapunov_value(w, y, loop, eig)
         size = eig.norm_sq(w) + float(y @ y)
         tol = 1e-6 * max(1.0, abs(V))
         coerc_ok &= (0.5 * lo * size - tol <= V <= 0.5 * hi * size + tol)
-        vdot, bound = lyapunov_rate_and_bound(w, y, params, gains, law, shapes, eig)
+        vdot, bound = lyapunov_rate_and_bound(w, y, params, loop, law, eig)
         diss_ok &= (vdot <= bound + 1e-6 * (1.0 + abs(bound)))
         v_quad = feedback_controls(law, w, y, eig)
         c, _ = project(w, eig, eig.K)
-        v_modal = feedback_controls_modal(c, y, gains, params, coupling)
+        v_modal = feedback_controls_modal(c, y, gains, params, loop.T)
         dual_worst = max(dual_worst, float(np.max(np.abs(v_quad - v_modal))))
     dt, in_budget = elapsed_ok(t0, 30.0)
     report(5, coerc_ok and diss_ok and dual_worst <= 1e-8 and in_budget,

@@ -291,6 +291,31 @@ def test_cli_export_downsample(tmp_path):
     assert len(same.read_text().splitlines()) == len(full)
 
 
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "--config", str(CONFIGS / "single_mode.cfg"), "--dt", "1.0"],
+     "at least 100 steps"),
+    (["simulate", "--config", str(CONFIGS / "single_mode.cfg"), "--modes", "2"],
+     "must exceed the kernel truncation M=2"),
+    (["simulate", "--config", str(CONFIGS / "single_mode.cfg"), "--dt", "0.05"],
+     "needs at least 20"),
+    (["simulate", "--config", str(CONFIGS / "single_mode.cfg"), "--dt", "nan"],
+     "dt must be positive"),
+    (["check", "--config", str(CONFIGS / "single_mode.cfg"), "--seed", "-1"],
+     "seed must be >= 0"),
+    (["export", "--traj", "trajectory.csv", "--stride", "0"], "must be >= 1"),
+], ids=["too_few_steps", "modes_below_M", "too_few_samples", "dt_nan", "seed_negative",
+        "stride_0"])
+def test_cli_invalid_input_exits_2(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    try:
+        code = cli_main(args + ["--out", str(out), "--quiet"])
+    except SystemExit as exc:        # argparse rejects the option value
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_cli_env_out_dir(tmp_path, monkeypatch):
     cfgpath = quick_config(tmp_path)
     env_out = tmp_path / "envout"

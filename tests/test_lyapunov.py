@@ -9,12 +9,12 @@ from clfpde.lyapunov import (
     coupling_table,
     feedback_controls,
     feedback_controls_modal,
+    linear_loop,
     lyapunov_rate_and_bound,
     lyapunov_value,
     select_clf_params,
     transform_input,
     transform_state,
-    weighted_modal_image,
     weight_inequality_margins,
 )
 from clfpde.presets import single_mode_kernel_closed_form, single_mode_tail_sum
@@ -92,16 +92,6 @@ def test_omega_default_for_zero_gain(two_mode_bundle):
 
 # -- weighting operator ------------------------------------------------------
 
-def test_weighted_modal_image_identity():
-    c = np.array([0.3, -0.2, 0.9])
-    assert np.allclose(weighted_modal_image(c, np.eye(3)), c)
-
-
-def test_weighted_modal_image_matrix():
-    R = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert np.allclose(weighted_modal_image(np.array([1.0, 0.0]), R), [2.0, 1.0])
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_weighting_operator_symmetry(two_mode_bundle, seed):
@@ -113,8 +103,8 @@ def test_weighting_operator_symmetry(two_mode_bundle, seed):
     u, _ = random_modal_state(eig, 2, rng)
     cw, _ = project(w, eig, 2)
     cu, _ = project(u, eig, 2)
-    Gw = weighted_modal_image(cw, R) @ eig.phis[:2]
-    Gu = weighted_modal_image(cu, R) @ eig.phis[:2]
+    Gw = (R @ cw) @ eig.phis[:2]
+    Gu = (R @ cu) @ eig.phis[:2]
     lhs = eig.inner(Gw, u)
     rhs = eig.inner(Gu, w)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
@@ -122,17 +112,21 @@ def test_weighting_operator_symmetry(two_mode_bundle, seed):
 
 # -- functional value --------------------------------------------------------
 
+def loop_of(bundle):
+    """The certifier's loop: all computed modes under the bundle's feedback law."""
+    eig = bundle.eigsys
+    return linear_loop(eig, bundle.shapes, bundle.gains, bundle.params, bundle.law, eig.K)
+
+
 def test_value_trivial_zero(single_mode_bundle):
     eig = single_mode_bundle.eigsys
-    V = lyapunov_value(np.zeros(eig.grid.n_points), [0.0],
-                       single_mode_bundle.params, single_mode_bundle.gains, eig)
+    V = lyapunov_value(np.zeros(eig.grid.n_points), [0.0], loop_of(single_mode_bundle), eig)
     assert V == 0.0
 
 
 def test_value_first_mode(single_mode_bundle):
     eig = single_mode_bundle.eigsys
-    V = lyapunov_value(eig.phis[0], [0.0], single_mode_bundle.params,
-                       single_mode_bundle.gains, eig)
+    V = lyapunov_value(eig.phis[0], [0.0], loop_of(single_mode_bundle), eig)
     assert abs(V - 0.5) < 1e-10
 
 
@@ -140,11 +134,12 @@ def test_coercivity_sandwich(single_mode_bundle):
     eig = single_mode_bundle.eigsys
     params, gains = single_mode_bundle.params, single_mode_bundle.gains
     lo, hi = coercivity_constants(params, gains)
+    loop = loop_of(single_mode_bundle)
     rng = np.random.default_rng(7)
     for _ in range(50):
         w, y = random_modal_state(eig, 1, rng)
         size = eig.norm_sq(w) + float(y @ y)
-        V = lyapunov_value(w, y, params, gains, eig)
+        V = lyapunov_value(w, y, loop, eig)
         tol = 1e-6 * max(1.0, abs(V))
         assert 0.5 * lo * size - tol <= V <= 0.5 * hi * size + tol
 
@@ -261,8 +256,8 @@ def test_input_transform(two_mode_bundle):
 def test_rate_trivial_zero(single_mode_bundle):
     bundle = single_mode_bundle
     vdot, bound = lyapunov_rate_and_bound(
-        np.zeros(bundle.grid.n_points), [0.0], bundle.params, bundle.gains,
-        bundle.law, bundle.shapes, bundle.eigsys)
+        np.zeros(bundle.grid.n_points), [0.0], bundle.params, loop_of(bundle),
+        bundle.law, bundle.eigsys)
     assert vdot == 0.0 and bound == 0.0
 
 
@@ -270,11 +265,11 @@ def test_rate_trivial_zero(single_mode_bundle):
 def test_dissipation_on_random_states(fixture, request):
     bundle = request.getfixturevalue(fixture)
     eig = bundle.eigsys
+    loop = loop_of(bundle)
     rng = np.random.default_rng(23)
     for _ in range(50):
         w, y = random_modal_state(eig, 1, rng)
-        vdot, bound = lyapunov_rate_and_bound(
-            w, y, bundle.params, bundle.gains, bundle.law, bundle.shapes, eig)
+        vdot, bound = lyapunov_rate_and_bound(w, y, bundle.params, loop, bundle.law, eig)
         assert vdot <= bound + 1e-6 * (1.0 + abs(bound))
 
 
@@ -288,8 +283,7 @@ def test_tail_state_diagonal_rate(single_mode_bundle):
     amps = rng.standard_normal(20) / np.arange(1, 21) ** 2
     w = amps @ eig.phis[N:N + 20]
     vdot, _ = lyapunov_rate_and_bound(
-        w, [0.0], bundle.params, bundle.gains, bundle.law, bundle.shapes, eig,
-        v=np.zeros(1))
+        w, [0.0], bundle.params, loop_of(bundle), bundle.law, eig, v=np.zeros(1))
     c, _ = project(w, eig, eig.K)
     gamma = bundle.params.gamma
     direct = -gamma * float((eig.lambdas[N:] * c[N:] ** 2).sum())
@@ -302,5 +296,5 @@ def test_remainder_guard(single_mode_bundle):
     x = bundle.grid.x
     w = np.sin(150.5 * PI * x)      # far beyond the computed span
     with pytest.raises(RemainderTooLarge):
-        lyapunov_rate_and_bound(w, [0.0], bundle.params, bundle.gains,
-                                bundle.law, bundle.shapes, bundle.eigsys)
+        lyapunov_rate_and_bound(w, [0.0], bundle.params, loop_of(bundle),
+                                bundle.law, bundle.eigsys)

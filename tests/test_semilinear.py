@@ -1,26 +1,31 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from clfpde.errors import DegenerateDenominator, NoAdmissibleZeta, SingularB
-from clfpde.lyapunov import CLFParams, build_feedback_law, lyapunov_rate_and_bound
+from clfpde.lyapunov import (
+    CLFParams,
+    build_feedback_law,
+    linear_loop,
+    lyapunov_rate_and_bound,
+    lyapunov_value,
+)
 from clfpde.reduced import GainDesign, ReducedModel
 from clfpde.semilinear import (
     NonlinearitySpec,
-    a_feasible,
     build_semilinear_design,
     check_linear_admissible,
     check_nonlinear_admissible,
     gain_inverse,
     kappa_grid,
     linear_admissibility_margins,
-    linear_controls,
     lyapunov_value_and_rate,
     max_growth_bound,
     nonlinear_admissibility_margins,
-    nonlinear_controls,
     select_linear_clf_params,
     select_nonlinear_clf_params,
-    zeta_feasible,
+    semilinear_loop,
 )
 from clfpde.spectral import project
 
@@ -76,15 +81,32 @@ def test_gain_inverse_guards():
 
 # -- controllers -----------------------------------------------------------------
 
+def loop_of(bundle, controller_kind=None):
+    """The design's loop over all computed modes, optionally under the other controller."""
+    sl = bundle.sl_design
+    if controller_kind is not None:
+        sl = replace(sl, controller_kind=controller_kind)
+    return semilinear_loop(bundle.eigsys, bundle.shapes, sl, bundle.eigsys.K)
+
+
+def modal(values, n):
+    """Zero-padded modal vector whose leading entries are values."""
+    out = np.zeros(n)
+    out[:len(values)] = values
+    return out
+
+
 def test_controls_coefficients_match_quoted_forms(two_mode_bundle):
     # in the plain-sine convention the cancellation controller reads
     # v1 = (63 pi/256)(30((sigma+4pi^2) c1 + f1) + 11((sigma+pi^2) c2 + f2))
     # v2 = -(495 pi/256)(14((sigma+4pi^2) c1 + f1) + 3((sigma+pi^2) c2 + f2))
     sl = two_mode_bundle.sl_design
+    K = two_mode_bundle.eigsys.K
     rng = np.random.default_rng(4)
     c_sine = rng.standard_normal(2)
     f_sine = rng.standard_normal(2)
-    v = nonlinear_controls(sl, S2 * c_sine, S2 * f_sine)
+    v = loop_of(two_mode_bundle).controls(modal(S2 * c_sine, K), np.zeros(2),
+                                          modal(S2 * f_sine, K))
     sig = sl.sigma
     t1 = (sig + 4.0 * PI ** 2) * c_sine[0] + f_sine[0]
     t2 = (sig + PI ** 2) * c_sine[1] + f_sine[1]
@@ -94,10 +116,10 @@ def test_controls_coefficients_match_quoted_forms(two_mode_bundle):
 
 
 def test_zero_nonlinearity_reduces_to_linear_controller(two_mode_bundle):
-    sl = two_mode_bundle.sl_design
-    c = np.array([0.7, -0.3])
-    assert np.allclose(nonlinear_controls(sl, c, np.zeros(2)),
-                       linear_controls(sl, c))
+    c = modal([0.7, -0.3], two_mode_bundle.eigsys.K)
+    y = np.zeros(2)
+    assert np.allclose(loop_of(two_mode_bundle).controls(c, y, np.zeros(c.size)),
+                       loop_of(two_mode_bundle, "linear").controls(c, y))
 
 
 def test_feedback_linearization_identity(two_mode_bundle):
@@ -107,15 +129,15 @@ def test_feedback_linearization_identity(two_mode_bundle):
     sl = bundle.sl_design
     eig = bundle.eigsys
     F = NonlinearitySpec.make("sine_type", scale=0.29)
-    from clfpde.lyapunov import coupling_table
-    coupling = coupling_table(bundle.shapes, eig, eig.K)
+    loop = loop_of(bundle)
+    coupling = loop.T
     rng = np.random.default_rng(9)
     for _ in range(20):
         w, y = random_modal_state(eig, 2, rng)
         c, _ = project(w, eig, eig.K)
         u = w + y @ bundle.shapes.varphis
         f_all = eig.phis @ (eig.grid.weights * eig.r_samples * F.evaluate(u))
-        v = nonlinear_controls(sl, c, f_all)
+        v = loop.controls(c, y, f_all)
         wdot = -eig.lambdas[:2] * c[:2] - coupling[:2] @ v + f_all[:2]
         assert np.max(np.abs(wdot + sl.sigma * c[:2])) <= 1e-7
 
@@ -127,14 +149,14 @@ def test_domination_identity(two_mode_bundle):
     sl = bundle.sl_design
     eig = bundle.eigsys
     F = NonlinearitySpec.make("sine_type", scale=0.29)
-    from clfpde.lyapunov import coupling_table
-    coupling = coupling_table(bundle.shapes, eig, eig.K)
+    loop = loop_of(bundle, "linear")
+    coupling = loop.T
     rng = np.random.default_rng(10)
     w, y = random_modal_state(eig, 2, rng)
     c, _ = project(w, eig, eig.K)
     u = w + y @ bundle.shapes.varphis
     f_all = eig.phis @ (eig.grid.weights * eig.r_samples * F.evaluate(u))
-    v = linear_controls(sl, c)
+    v = loop.controls(c, y)
     wdot = -eig.lambdas[:2] * c[:2] - coupling[:2] @ v + f_all[:2]
     assert np.max(np.abs(wdot - (-sl.sigma * c[:2] + f_all[:2]))) <= 1e-7
 
@@ -280,7 +302,8 @@ def test_zeta_selection_certified_growth(two_mode_bundle):
     clf = sl.clf
     assert sl.controller_kind == "nonlinear"
     assert clf.theta > 0.0
-    assert not zeta_feasible(sl, 0.995)
+    with pytest.raises(NoAdmissibleZeta):
+        select_nonlinear_clf_params(sl, grid=[0.995])
     assert clf.zeta < 0.99
     # R and beta follow the constructive formulas
     N = sl.N
@@ -306,7 +329,7 @@ def test_a_selection_linear_controller(two_mode_bundle):
     assert clf.beta > 0.0 and clf.theta > 0.0
     assert clf.epsilon == 0.0
     assert "epsilon" in clf.epsilon_convention_note
-    assert a_feasible(sl, clf.a, lbar=0.0, kappa=1.0)
+    assert select_linear_clf_params(sl, lbar=0.0, kappa=1.0, grid=[clf.a]).a == clf.a
 
 
 def test_linear_design_certifies_small_growth(two_mode_bundle):
@@ -332,7 +355,7 @@ def test_semilinear_value_and_rate_zero_state(two_mode_bundle):
     bundle = two_mode_bundle
     z = np.zeros(bundle.grid.n_points)
     V, vdot, bound = lyapunov_value_and_rate(
-        z, [0.0, 0.0], bundle.sl_design, bundle.shapes, bundle.eigsys,
+        z, [0.0, 0.0], bundle.sl_design, loop_of(bundle), bundle.shapes, bundle.eigsys,
         NonlinearitySpec.make("zero"))
     assert V == 0.0 and vdot == 0.0 and bound == 0.0
 
@@ -340,11 +363,12 @@ def test_semilinear_value_and_rate_zero_state(two_mode_bundle):
 def test_semilinear_dissipation_random_states(two_mode_bundle):
     bundle = two_mode_bundle
     F = NonlinearitySpec.make("sine_type", scale=0.29)
+    loop = loop_of(bundle)
     rng = np.random.default_rng(31)
     for _ in range(40):
         w, y = random_modal_state(bundle.eigsys, 2, rng)
         V, vdot, bound = lyapunov_value_and_rate(
-            w, y, bundle.sl_design, bundle.shapes, bundle.eigsys, F)
+            w, y, bundle.sl_design, loop, bundle.shapes, bundle.eigsys, F)
         assert V >= 0.0
         assert vdot <= bound + 1e-6 * (1.0 + abs(bound))
 
@@ -362,16 +386,17 @@ def test_zero_nonlinearity_cross_checks_linear_path(two_mode_bundle):
                        c1=clf.R, c2=clf.R, mode="closed_form")
     params = CLFParams(omegas=clf.omegas, gamma=clf.gamma, sigma=sl.sigma,
                        M=N + 1, Ls=np.zeros(N))
-    law = build_feedback_law(gains, params, bundle.shapes, bundle.eigsys)
+    eig = bundle.eigsys
+    law = build_feedback_law(gains, params, bundle.shapes, eig)
+    lin_loop = linear_loop(eig, bundle.shapes, gains, params, law, eig.K)
+    sl_loop = loop_of(bundle)
     F = NonlinearitySpec.make("zero")
     rng = np.random.default_rng(17)
     for _ in range(10):
-        w, y = random_modal_state(bundle.eigsys, 2, rng)
+        w, y = random_modal_state(eig, 2, rng)
         V_sl, vdot_sl, _ = lyapunov_value_and_rate(
-            w, y, sl, bundle.shapes, bundle.eigsys, F)
-        from clfpde.lyapunov import lyapunov_value
-        V_lin = lyapunov_value(w, y, params, gains, bundle.eigsys)
-        vdot_lin, _ = lyapunov_rate_and_bound(
-            w, y, params, gains, law, bundle.shapes, bundle.eigsys)
+            w, y, sl, sl_loop, bundle.shapes, eig, F)
+        V_lin = lyapunov_value(w, y, lin_loop, eig)
+        vdot_lin, _ = lyapunov_rate_and_bound(w, y, params, lin_loop, law, eig)
         assert abs(V_sl - V_lin) <= 1e-12 * max(1.0, abs(V_lin))
         assert abs(vdot_sl - vdot_lin) <= 1e-9 * max(1.0, abs(vdot_lin))

@@ -11,7 +11,8 @@ from clfpde.errors import (
     RemainderTooLarge,
     StepSizeTooLarge,
 )
-from clfpde.semilinear import NonlinearitySpec
+from clfpde.lyapunov import linear_loop, lyapunov_value
+from clfpde.semilinear import NonlinearitySpec, lyapunov_value_and_rate, semilinear_loop
 from clfpde.sim import (
     SimConfig,
     Trajectory,
@@ -264,6 +265,57 @@ def test_quadrature_budget_guard(two_mode_bundle):
         simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.model,
                             bundle.sl_design, NonlinearitySpec.make("zero"),
                             bundle.eigsys.phis[0], [0.0, 0.0], cfg)
+
+
+# -- the simulator and the certifier share one loop ----------------------------------
+
+def assert_rate_matches_centred_difference(traj, h, rate_at, tol):
+    """loop.rate at interior samples against (V[k+1] - V[k-1]) / 2h."""
+    fd = (traj.V[2:] - traj.V[:-2]) / (2.0 * h)
+    rates = np.array([rate_at(k) for k in range(1, traj.samples - 1)])
+    assert np.max(np.abs(rates - fd)) <= tol * np.max(np.abs(rates))
+
+
+def test_linear_trajectory_V_is_the_certified_functional(single_mode_bundle):
+    bundle = single_mode_bundle
+    eig = bundle.eigsys
+    w0, y0 = pipeline.initial_state(bundle)
+    cfg = SimConfig(n_modes=32, dt=1e-4, t_final=0.2, record_stride=1)
+    traj = simulate_linear(eig, bundle.shapes, bundle.gains, bundle.params, bundle.law,
+                           w0, y0, cfg)
+    loop = linear_loop(eig, bundle.shapes, bundle.gains, bundle.params, bundle.law, 32)
+    for k in range(0, traj.samples, 50):
+        w = traj.coeffs[k] @ eig.phis[:32]
+        V = lyapunov_value(w, traj.y[k], loop, eig)
+        assert abs(V - traj.V[k]) <= 1e-12 * abs(traj.V[k])
+    # the exact propagator leaves only the O(h^2) error of the difference (5e-6)
+    assert_rate_matches_centred_difference(
+        traj, cfg.dt, lambda k: loop.rate(traj.coeffs[k], traj.y[k], traj.v[k]), 1e-4)
+
+
+def test_semilinear_trajectory_V_is_the_certified_functional(two_mode_bundle):
+    bundle = two_mode_bundle
+    eig, shapes, sl = bundle.eigsys, bundle.shapes, bundle.sl_design
+    F = NonlinearitySpec.make("sine_type", scale=0.29)
+    w0, y0 = pipeline.initial_state(bundle)
+    cfg = SimConfig(n_modes=32, dt=1e-4, t_final=0.05, record_stride=1)
+    traj = simulate_semilinear(eig, shapes, bundle.model, sl, F, w0, y0, cfg)
+    loop = semilinear_loop(eig, shapes, sl, 32)
+    Phi = eig.phis[:32]
+    for k in range(0, traj.samples, 50):
+        V, _, _ = lyapunov_value_and_rate(traj.coeffs[k] @ Phi, traj.y[k], sl, loop,
+                                          shapes, eig, F)
+        assert abs(V - traj.V[k]) <= 1e-12 * abs(traj.V[k])
+
+    Phi_w = Phi * (eig.grid.weights * eig.r_samples)
+
+    def rate_at(k):
+        c, y = traj.coeffs[k], traj.y[k]
+        f = Phi_w @ F.evaluate(c @ Phi + y @ shapes.varphis)
+        return loop.rate(c, y, traj.v[k], f)
+
+    # the midpoint step adds its own O(dt^2) to the difference (9e-5)
+    assert_rate_matches_centred_difference(traj, cfg.dt, rate_at, 1e-3)
 
 
 # -- trajectory CSV ----------------------------------------------------------------
