@@ -8,14 +8,13 @@ An artifact directory contains
     shapes.csv     rows (i, mu, norm_sq, shape samples)
     kernels.csv    columns (x, k_1(x), ..., k_j(x))
 
-Floats are serialized with shortest round-trip repr, so re-loading an
-artifact reconstructs the design bit for bit and re-certification
-reproduces every verdict margin.
+All five files use the text format of clfpde.textio (shortest round-trip
+floats), so re-loading an artifact reconstructs the design bit for bit and
+re-certification reproduces every verdict margin.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field
 
@@ -23,11 +22,13 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, config_to_text, load_config
+from .errors import ConfigError
 from .lyapunov import CLFParams, FeedbackLaw
 from .reduced import GainDesign, ReducedModel
 from .semilinear import SemilinearCLF, SemilinearDesign
 from .shapes import ShapeSet
 from .spectral import EigenSystem, Grid, make_grid
+from .textio import floats, parse_sections, read_csv, vec, write_csv
 
 
 @dataclass
@@ -67,20 +68,12 @@ class DesignBundle:
         return all(v.passed for v in self.verdicts)
 
 
-def _vec(v):
-    return " ".join(repr(float(x)) for x in np.atleast_1d(v))
-
-
-def _parse_vec(s):
-    return np.array([float(x) for x in s.split()], dtype=float)
-
-
 def _matrix_lines(name, M):
-    return [f"{name}_row_{i + 1} = {_vec(M[i])}" for i in range(M.shape[0])]
+    return [f"{name}_row_{i + 1} = {vec(M[i])}" for i in range(M.shape[0])]
 
 
 def _parse_matrix(section, name, rows):
-    return np.vstack([_parse_vec(section[f"{name}_row_{i + 1}"]) for i in range(rows)])
+    return np.array([floats(section[f"{name}_row_{i + 1}"]) for i in range(rows)])
 
 
 def save_artifact(bundle, out_dir):
@@ -91,14 +84,14 @@ def save_artifact(bundle, out_dir):
     lines = ["[meta]", f"version = {bundle.version}"]
     eig = bundle.eigsys
     lines += ["", "[eigen]", f"K = {eig.K}",
-              f"lambdas = {_vec(eig.lambdas)}",
-              f"dphi0 = {_vec(eig.dphi0)}",
-              f"dphi1 = {_vec(eig.dphi1)}"]
+              f"lambdas = {vec(eig.lambdas)}",
+              f"dphi0 = {vec(eig.dphi0)}",
+              f"dphi1 = {vec(eig.dphi1)}"]
     model = bundle.model
     lines += ["", "[reduced]", f"N = {model.N}", f"j = {model.j}",
               f"lambda_next = {model.lambda_next!r}",
-              f"lambdas = {_vec(model.lambdas)}",
-              f"mus = {_vec(model.mus)}"]
+              f"lambdas = {vec(model.lambdas)}",
+              f"mus = {vec(model.mus)}"]
     lines += _matrix_lines("B", model.B)
     gains = bundle.gains
     lines += ["", "[gains]", f"mode = {gains.mode}", f"sigma = {gains.sigma!r}",
@@ -106,26 +99,26 @@ def save_artifact(bundle, out_dir):
     lines += _matrix_lines("K", gains.K)
     lines += _matrix_lines("R", gains.R)
     params = bundle.params
-    lines += ["", "[clf]", f"omegas = {_vec(params.omegas)}",
+    lines += ["", "[clf]", f"omegas = {vec(params.omegas)}",
               f"gamma = {params.gamma!r}", f"sigma = {params.sigma!r}",
-              f"M = {params.M}", f"Ls = {_vec(params.Ls)}"]
+              f"M = {params.M}", f"Ls = {vec(params.Ls)}"]
     law = bundle.law
     lines += ["", "[law]", f"M = {law.M}", f"N = {law.N}",
-              f"y_gains = {_vec(law.y_gains)}", f"mus = {_vec(law.mus)}"]
+              f"y_gains = {vec(law.y_gains)}", f"mus = {vec(law.mus)}"]
     lines += _matrix_lines("kernel_coeffs", law.kernel_coeffs)
     if bundle.sl_design is not None:
         sl = bundle.sl_design
         lines += ["", "[semilinear]", f"controller = {sl.controller_kind}",
                   f"sigma = {sl.sigma!r}", f"kappa = {sl.kappa!r}", f"lbar = {sl.lbar!r}",
                   f"lambda_next = {sl.lambda_next!r}",
-                  f"lambdas = {_vec(sl.lambdas)}", f"mus = {_vec(sl.mus)}",
-                  f"norms_sq = {_vec(sl.norms_sq)}",
+                  f"lambdas = {vec(sl.lambdas)}", f"mus = {vec(sl.mus)}",
+                  f"norms_sq = {vec(sl.norms_sq)}",
                   f"certified = {'true' if sl.certified else 'false'}"]
         lines += _matrix_lines("g", sl.g)
         if sl.clf is not None:
             clf = sl.clf
             lines += [f"clf_R = {clf.R!r}", f"clf_gamma = {clf.gamma!r}",
-                      f"clf_omegas = {_vec(clf.omegas)}", f"clf_theta = {clf.theta!r}",
+                      f"clf_omegas = {vec(clf.omegas)}", f"clf_theta = {clf.theta!r}",
                       f"clf_beta = {clf.beta!r}", f"clf_epsilon = {clf.epsilon!r}"]
             if clf.zeta is not None:
                 lines.append(f"clf_zeta = {clf.zeta!r}")
@@ -138,40 +131,16 @@ def save_artifact(bundle, out_dir):
     with open(os.path.join(out_dir, "design.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    _write_eigen_csv(bundle.eigsys, os.path.join(out_dir, "eigen.csv"))
-    _write_shapes_csv(bundle.shapes, os.path.join(out_dir, "shapes.csv"))
-    _write_kernels_csv(bundle.law, bundle.grid, os.path.join(out_dir, "kernels.csv"))
-
-
-def _write_eigen_csv(eigsys, path):
-    from .spectral import export_eigensystem_csv
-    export_eigensystem_csv(eigsys, path)
-
-
-def _write_shapes_csv(shapes, path):
-    from .shapes import export_shapes_csv
-    export_shapes_csv(shapes, path)
-
-
-def _write_kernels_csv(law, grid, path):
-    from .lyapunov import export_kernels_csv
-    export_kernels_csv(law, grid, path)
-
-
-def _parse_design_text(text):
-    sections = {}
-    current = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
-            sections[current] = {}
-            continue
-        key, _, value = line.partition("=")
-        sections[current][key.strip()] = value.strip()
-    return sections
+    samples = [f"x{i}" for i in range(bundle.grid.n_points)]
+    write_csv(os.path.join(out_dir, "eigen.csv"), ["n", "lambda"] + samples,
+              ([n + 1, float(eig.lambdas[n])] + eig.phis[n].tolist() for n in range(eig.K)))
+    sh = bundle.shapes
+    write_csv(os.path.join(out_dir, "shapes.csv"), ["i", "mu", "norm_sq"] + samples,
+              ([i + 1, float(sh.mus[i]), float(sh.norms_sq[i])] + sh.varphis[i].tolist()
+               for i in range(sh.j)))
+    write_csv(os.path.join(out_dir, "kernels.csv"),
+              ["x"] + [f"k_{i + 1}" for i in range(law.kernels.shape[0])],
+              (row.tolist() for row in np.column_stack([bundle.grid.x, law.kernels.T])))
 
 
 def _parse_verdict_lines(section):
@@ -195,43 +164,43 @@ def load_artifact(out_dir):
     cfg = load_config(os.path.join(out_dir, "config.cfg"))
     grid = make_grid(cfg.n_points)
     with open(os.path.join(out_dir, "design.txt")) as fh:
-        sec = _parse_design_text(fh.read())
-
-    eig_sec = sec["eigen"]
-    K = int(eig_sec["K"])
-    lambdas = _parse_vec(eig_sec["lambdas"])
-    dphi0 = _parse_vec(eig_sec["dphi0"])
-    dphi1 = _parse_vec(eig_sec["dphi1"])
-    phis = _read_samples_csv(os.path.join(out_dir, "eigen.csv"), skip=2)
-    eigsys = EigenSystem(cfg.problem, grid, lambdas, phis, dphi0, dphi1,
-                         cfg.problem.r(grid.x))
-    assert eigsys.K == K
-
-    rows = _read_csv_rows(os.path.join(out_dir, "shapes.csv"))
-    mus = np.array([float(r[1]) for r in rows])
-    norms = np.array([float(r[2]) for r in rows])
-    varphis = np.array([[float(v) for v in r[3:]] for r in rows])
-    shapes = ShapeSet(mus, varphis, norms, grid, eigsys.r_samples)
-
+        sec = parse_sections(fh.read())
     red = sec["reduced"]
-    N = int(red["N"])
-    model = ReducedModel(_parse_vec(red["lambdas"]), _parse_matrix(red, "B", N),
-                         _parse_vec(red["mus"]), float(red["lambda_next"]))
+    N, j = int(red["N"]), int(red["j"])
+    eig_sec = sec["eigen"]
+
+    # C-ordered sample rows: BLAS then sums in the order the design did
+    _, eigen = read_csv(os.path.join(out_dir, "eigen.csv"))
+    _, shape_rows = read_csv(os.path.join(out_dir, "shapes.csv"))
+    phis = np.ascontiguousarray(eigen[:, 2:])
+    varphis = np.ascontiguousarray(shape_rows[:, 3:])
+    for name, samples, rows in (("eigen.csv", phis, int(eig_sec["K"])),
+                                ("shapes.csv", varphis, j)):
+        if samples.shape != (rows, grid.n_points):
+            raise ConfigError(f"{name}: {samples.shape[0]} x {samples.shape[1]} samples, "
+                              f"design.txt and config.cfg need {rows} x {grid.n_points}")
+    eigsys = EigenSystem(cfg.problem, grid, np.array(floats(eig_sec["lambdas"])), phis,
+                         np.array(floats(eig_sec["dphi0"])), np.array(floats(eig_sec["dphi1"])),
+                         cfg.problem.r(grid.x))
+    shapes = ShapeSet(shape_rows[:, 1].copy(), varphis, shape_rows[:, 2].copy(), grid,
+                      eigsys.r_samples)
+
+    model = ReducedModel(np.array(floats(red["lambdas"])), _parse_matrix(red, "B", N),
+                         np.array(floats(red["mus"])), float(red["lambda_next"]))
 
     gn = sec["gains"]
-    j = model.j
     gains = GainDesign(_parse_matrix(gn, "K", j), _parse_matrix(gn, "R", N),
                        float(gn["sigma"]), float(gn["c1"]), float(gn["c2"]), gn["mode"])
 
     cl = sec["clf"]
-    params = CLFParams(_parse_vec(cl["omegas"]), float(cl["gamma"]), float(cl["sigma"]),
-                       int(cl["M"]), _parse_vec(cl["Ls"]))
+    params = CLFParams(np.array(floats(cl["omegas"])), float(cl["gamma"]), float(cl["sigma"]),
+                       int(cl["M"]), np.array(floats(cl["Ls"])))
 
     lw = sec["law"]
     kernel_coeffs = _parse_matrix(lw, "kernel_coeffs", j)
     kernels = kernel_coeffs @ eigsys.phis[: int(lw["M"])]
-    law = FeedbackLaw(kernels, kernel_coeffs, _parse_vec(lw["y_gains"]),
-                      _parse_vec(lw["mus"]), int(lw["M"]), int(lw["N"]))
+    law = FeedbackLaw(kernels, kernel_coeffs, np.array(floats(lw["y_gains"])),
+                      np.array(floats(lw["mus"])), int(lw["M"]), int(lw["N"]))
 
     sl_design = None
     if "semilinear" in sec:
@@ -240,7 +209,7 @@ def load_artifact(out_dir):
         if "clf_R" in sl:
             clf = SemilinearCLF(
                 R=float(sl["clf_R"]), gamma=float(sl["clf_gamma"]),
-                omegas=_parse_vec(sl["clf_omegas"]), theta=float(sl["clf_theta"]),
+                omegas=np.array(floats(sl["clf_omegas"])), theta=float(sl["clf_theta"]),
                 beta=float(sl["clf_beta"]), epsilon=float(sl["clf_epsilon"]),
                 zeta=float(sl["clf_zeta"]) if "clf_zeta" in sl else None,
                 a=float(sl["clf_a"]) if "clf_a" in sl else None,
@@ -249,8 +218,8 @@ def load_artifact(out_dir):
         sl_design = SemilinearDesign(
             g=_parse_matrix(sl, "g", N), sigma=float(sl["sigma"]),
             kappa=float(sl["kappa"]), lbar=float(sl["lbar"]),
-            controller_kind=sl["controller"], lambdas=_parse_vec(sl["lambdas"]),
-            mus=_parse_vec(sl["mus"]), norms_sq=_parse_vec(sl["norms_sq"]),
+            controller_kind=sl["controller"], lambdas=np.array(floats(sl["lambdas"])),
+            mus=np.array(floats(sl["mus"])), norms_sq=np.array(floats(sl["norms_sq"])),
             lambda_next=float(sl["lambda_next"]), clf=clf,
             certified=sl["certified"] == "true",
         )
@@ -258,18 +227,6 @@ def load_artifact(out_dir):
     verdicts = _parse_verdict_lines(sec.get("verdicts", {}))
     return DesignBundle(cfg, grid, eigsys, shapes, model, gains, params, law,
                         sl_design, verdicts, sec["meta"]["version"])
-
-
-def _read_csv_rows(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return list(reader)
-
-
-def _read_samples_csv(path, skip):
-    rows = _read_csv_rows(path)
-    return np.array([[float(v) for v in r[skip:]] for r in rows])
 
 
 def compare_verdicts(a, b, tol=1e-12):

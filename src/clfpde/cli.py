@@ -17,7 +17,8 @@ from .config import load_config
 from .errors import ConfigError, Instability, NonPositiveCoefficient, ToolkitError
 from .reproduce import reproduce
 from .semilinear import export_controller_coefficients_csv
-from .sim import FIT_MIN_SAMPLES, fit_decay_rate, read_trajectory_csv, write_trajectory_csv
+from .sim import FIT_MIN_SAMPLES, fit_decay_rate, write_trajectory_csv
+from .textio import read_csv, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,15 +126,10 @@ def cmd_reproduce(args):
 
 
 def cmd_export(args):
-    header, rows = read_trajectory_csv(args.traj)
+    header, rows = read_csv(args.traj)
     rows = rows[::args.stride]          # keeps the first row; time stays monotone
     dest = args.out or (os.path.splitext(args.traj)[0] + f".stride{args.stride}.csv")
-    import csv as _csv
-    with open(dest, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(dest, header, (row.tolist() for row in rows))
     _say(args, f"wrote {dest} ({len(rows)} rows)")
     return EXIT_OK
 

@@ -6,8 +6,9 @@ Coefficients accept three spellings:
     p = poly: 1.0 0.5                        1.0 + 0.5 x
     p = table(order=3): x1 x2 .. | y1 y2 ..  tabulated with spline order
 
-Floats are written in full precision so that a round-trip through a config
-file reproduces the run bit for bit.
+The section syntax and the float format are those of clfpde.textio: floats
+are written in full precision so that a round-trip through a config file
+reproduces the run bit for bit.
 """
 
 from __future__ import annotations
@@ -17,31 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .semilinear import NonlinearitySpec
 from .sim import SimConfig
 from .spectral import Coefficient, SLProblem
-
-
-def parse_config_text(text):
-    """Parse into {section: {key: value-string}} preserving order."""
-    sections = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if not current:
-                raise ConfigError(f"line {lineno}: empty section name")
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if current is None:
-            raise ConfigError(f"line {lineno}: key outside any [section]")
-        key, _, value = line.partition("=")
-        sections[current][key.strip()] = value.strip()
-    return sections
+from .textio import floats, parse_sections, vec
 
 
 def _parse_coefficient(text, name):
@@ -81,8 +61,8 @@ def _get(section, key, cast, default=None, required=False):
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} ({exc})") from exc
 
 
-def _floats(raw):
-    return [float(v) for v in raw.replace(",", " ").split()]
+def _float_or_auto(raw):
+    return None if raw.strip().lower() == "auto" else float(raw)
 
 
 def _bool(raw):
@@ -101,6 +81,9 @@ class SemilinearSettings:
     lbar: float
     controller: str             # 'nonlinear' | 'linear'
     kappa: float | None         # None: search the grid
+
+    def nonlinearity(self):
+        return NonlinearitySpec.make(self.kind, scale=self.scale, lbar=self.lbar)
 
 
 @dataclass
@@ -142,6 +125,10 @@ class RunConfig:
                 raise ConfigError("semilinear controllers require j == N")
             if self.semilinear.controller not in ("nonlinear", "linear"):
                 raise ConfigError(f"unknown controller {self.semilinear.controller!r}")
+            try:
+                self.semilinear.nonlinearity().validate()
+            except ValueError as exc:
+                raise ConfigError(f"semilinear nonlinearity: {exc}") from exc
         if self.n_points < 129 or self.n_points % 2 == 0:
             raise ConfigError("grid n_points must be odd and >= 129")
         if self.modes < self.N + 20:
@@ -168,7 +155,7 @@ def load_config(path):
 
 
 def config_from_text(text):
-    sections = parse_config_text(text)
+    sections = parse_sections(text)
     if "problem" not in sections:
         raise ConfigError("missing [problem] section")
     prob = sections["problem"]
@@ -192,12 +179,10 @@ def config_from_text(text):
     out = sections.get("output", {})
     simsec = sections.get("sim", {})
 
-    t_final_raw = simsec.get("t_final", "auto")
-    t_final = None if t_final_raw.strip().lower() == "auto" else float(t_final_raw)
     sim = SimConfig(
         n_modes=_get(simsec, "n_modes", int, 64),
         dt=_get(simsec, "dt", float, 1e-4),
-        t_final=t_final,
+        t_final=_get(simsec, "t_final", _float_or_auto),
         integrator=_get(simsec, "integrator", str, "exponential_midpoint"),
         record_stride=_get(simsec, "record_stride", int, 10),
         max_steps=_get(simsec, "max_steps", int, 2_000_000),
@@ -206,13 +191,12 @@ def config_from_text(text):
     semilinear = None
     if "semilinear" in sections:
         sl = sections["semilinear"]
-        kappa_raw = sl.get("kappa", "auto")
         semilinear = SemilinearSettings(
             kind=_get(sl, "kind", str, required=True),
             scale=_get(sl, "scale", float, 0.0),
             lbar=_get(sl, "lbar", float, required=True),
             controller=_get(sl, "controller", str, "nonlinear"),
-            kappa=None if kappa_raw.strip().lower() == "auto" else float(kappa_raw),
+            kappa=_get(sl, "kappa", _float_or_auto),
         )
 
     cfg = RunConfig(
@@ -222,16 +206,16 @@ def config_from_text(text):
         richardson=_get(spectral, "richardson", _bool, True),
         N=_get(design, "N", int, required=True),
         j=_get(design, "j", int, required=True),
-        mus=_get(design, "mus", _floats, required=True),
-        sigma=_get(design, "sigma", _floats, [1.0]),
+        mus=_get(design, "mus", floats, required=True),
+        sigma=_get(design, "sigma", floats, [1.0]),
         gain_mode=_get(design, "gain_mode", str, "closed_form"),
-        Ls=_get(design, "Ls", _floats, []),
+        Ls=_get(design, "Ls", floats, []),
         safety=_get(clf, "safety", float, 2.0),
         m_max=_get(clf, "M_max", int, 512),
         semilinear=semilinear,
         sim=sim,
-        w0_modes=_get(simsec, "w0_modes", _floats, [1.0]),
-        y0=_get(simsec, "y0", _floats, None) or [0.0] * _get(design, "j", int, required=True),
+        w0_modes=_get(simsec, "w0_modes", floats, [1.0]),
+        y0=_get(simsec, "y0", floats, None) or [0.0] * _get(design, "j", int, required=True),
         out_dir=out.get("out_dir"),
         seed=_get(out, "seed", int, 0),
     )
@@ -252,11 +236,11 @@ def config_to_text(cfg):
     lines += ["", "[spectral]", f"modes = {cfg.modes}",
               f"richardson = {'true' if cfg.richardson else 'false'}"]
     lines += ["", "[design]", f"N = {cfg.N}", f"j = {cfg.j}",
-              "mus = " + " ".join(repr(v) for v in cfg.mus),
-              "sigma = " + " ".join(repr(v) for v in cfg.sigma),
+              f"mus = {vec(cfg.mus)}",
+              f"sigma = {vec(cfg.sigma)}",
               f"gain_mode = {cfg.gain_mode}"]
     if cfg.Ls:
-        lines.append("Ls = " + " ".join(repr(v) for v in cfg.Ls))
+        lines.append(f"Ls = {vec(cfg.Ls)}")
     lines += ["", "[clf]", f"safety = {cfg.safety!r}", f"M_max = {cfg.m_max}"]
     if cfg.semilinear is not None:
         sl = cfg.semilinear
@@ -268,8 +252,8 @@ def config_to_text(cfg):
               f"t_final = {'auto' if sim.t_final is None else repr(sim.t_final)}",
               f"integrator = {sim.integrator}", f"record_stride = {sim.record_stride}",
               f"max_steps = {sim.max_steps}",
-              "w0_modes = " + " ".join(repr(v) for v in cfg.w0_modes),
-              "y0 = " + " ".join(repr(v) for v in cfg.y0)]
+              f"w0_modes = {vec(cfg.w0_modes)}",
+              f"y0 = {vec(cfg.y0)}"]
     lines += ["", "[output]"]
     if cfg.out_dir is not None:
         lines.append(f"out_dir = {cfg.out_dir}")

@@ -21,7 +21,6 @@ cancellation and domination controllers.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,13 +327,3 @@ def guaranteed_decay_rate(params, design, shapes, eigsys):
     _, hi = coercivity_constants(params, design)
     return 0.5 * num / hi
 
-
-def export_kernels_csv(law, grid, path):
-    """Write columns x, k_1(x), ..., k_j(x)."""
-    j = law.kernels.shape[0]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x"] + [f"k_{i + 1}" for i in range(j)])
-        for i in range(grid.n_points):
-            writer.writerow([repr(float(grid.x[i]))]
-                            + [repr(float(law.kernels[k, i])) for k in range(j)])

@@ -33,7 +33,6 @@ from .reduced import (
 )
 from .semilinear import (
     GAIN_INVERSE_TOL,
-    NonlinearitySpec,
     build_semilinear_design,
     check_linear_admissible,
     check_nonlinear_admissible,
@@ -235,7 +234,7 @@ def certify(bundle, states=None):
             note = sl.clf.epsilon_convention_note
             verdicts.append(Verdict("semilinear_theta_positive", sl.clf.theta > 0.0,
                                     sl.clf.theta, note))
-            F = nonlinearity_from_settings(cfg.semilinear)
+            F = cfg.semilinear.nonlinearity()
             sl_loop = semilinear_loop(eig, shapes, sl, eig.K)
             sl_margin = np.inf
             for w, y in states:
@@ -252,10 +251,6 @@ def certify(bundle, states=None):
     return verdicts
 
 
-def nonlinearity_from_settings(settings):
-    return NonlinearitySpec.make(settings.kind, scale=settings.scale, lbar=settings.lbar)
-
-
 def initial_state(bundle):
     """Grid initial condition from the configured modal amplitudes."""
     amps = np.asarray(bundle.config.w0_modes, dtype=float)
@@ -269,7 +264,7 @@ def simulate(bundle):
     cfg = bundle.config
     w0, y0 = initial_state(bundle)
     if cfg.semilinear is not None:
-        F = nonlinearity_from_settings(cfg.semilinear)
+        F = cfg.semilinear.nonlinearity()
         F.validate()
         return simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.model,
                                    bundle.sl_design, F, w0, y0, cfg.sim)

@@ -8,7 +8,6 @@ Mismatches are reported, never raised.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field
 
@@ -24,6 +23,7 @@ from .presets import (
     two_mode_reference,
 )
 from .semilinear import max_growth_bound
+from .textio import write_csv
 
 
 @dataclass
@@ -61,12 +61,8 @@ class ReproduceReport:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["quantity", "computed", "reference", "rel_err"])
-            for r in self.rows:
-                writer.writerow([r.name, repr(r.computed), repr(r.reference),
-                                 repr(r.rel_err)])
+        write_csv(path, ["quantity", "computed", "reference", "rel_err"],
+                  ([r.name, r.computed, r.reference, r.rel_err] for r in self.rows))
 
 
 def reproduce(preset_id, out_dir=None):

@@ -14,13 +14,13 @@ a strictly smaller set of growth bounds when all retained modes are unstable.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateDenominator, NoAdmissibleA, NoAdmissibleZeta, SingularB
 from .lyapunov import ClosedLoop, coupling_table, modal_state, transform_state
+from .textio import write_csv
 
 GAIN_INVERSE_TOL = 1e-10
 KAPPA_GRID_SIZE = 1024
@@ -439,10 +439,7 @@ def lyapunov_value_and_rate(w, y, design, loop, shapes, eigsys, F):
 
 def export_controller_coefficients_csv(design, path):
     """Write rows (i, m, g_im, sigma_minus_lambda_m) of the controller table."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "m", "g", "sigma_minus_lambda"])
-        for i in range(design.N):
-            for m in range(design.N):
-                writer.writerow([i + 1, m + 1, repr(float(design.g[i, m])),
-                                 repr(float(design.sigma - design.lambdas[m]))])
+    g, gaps = design.g.tolist(), (design.sigma - design.lambdas).tolist()
+    write_csv(path, ["i", "m", "g", "sigma_minus_lambda"],
+              ([i + 1, m + 1, g[i][m], gaps[m]]
+               for i in range(design.N) for m in range(design.N)))

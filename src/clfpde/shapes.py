@@ -11,7 +11,6 @@ the domain; their parameters mu must be positive and off the spectrum.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,13 +188,3 @@ def check_orthogonality(shapes, tol=ORTHOGONALITY_TOL):
     max_off = float(np.max(np.abs(off)))
     return OrthogonalityReport(max_off <= tol, gram, max_off)
 
-
-def export_shapes_csv(shapes, path):
-    """Write rows (i, mu, norm_sq, varphi samples) for each shape."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "mu", "norm_sq"]
-                        + [f"x{i}" for i in range(shapes.grid.n_points)])
-        for i in range(shapes.j):
-            writer.writerow([i + 1, repr(float(shapes.mus[i])), repr(float(shapes.norms_sq[i]))]
-                            + [repr(float(v)) for v in shapes.varphis[i]])

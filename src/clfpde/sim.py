@@ -21,7 +21,6 @@ functional the certifier evaluates.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,7 @@ from .errors import (
 from .lyapunov import coupling_table  # noqa: F401  (perfbench/spans.py wraps this name)
 from .lyapunov import linear_loop, modal_state, transform_input
 from .semilinear import semilinear_loop
+from .textio import write_csv
 
 INSTABILITY_FACTOR = 1e6
 RK4_STABILITY = 2.78
@@ -321,21 +321,8 @@ def trajectory_header(j, N):
 
 def write_trajectory_csv(traj, path):
     """Trajectory export: t, norms, V, U, controls, and leading modal coefficients."""
-    j = traj.y.shape[1]
     nc = min(8, traj.design_N)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trajectory_header(j, traj.design_N))
-        for i in range(traj.samples):
-            row = [traj.times[i], traj.norm_w[i], traj.norm_y[i], traj.V[i], traj.U[i]]
-            row += list(traj.v[i]) + list(traj.vbar[i]) + list(traj.coeffs[i, :nc])
-            writer.writerow([repr(float(x)) for x in row])
-
-
-def read_trajectory_csv(path):
-    """Load a trajectory CSV into (header, float matrix)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(x) for x in row] for row in reader]
-    return header, np.asarray(rows)
+    table = np.column_stack([traj.times, traj.norm_w, traj.norm_y, traj.V, traj.U,
+                             traj.v, traj.vbar, traj.coeffs[:, :nc]])
+    write_csv(path, trajectory_header(traj.y.shape[1], traj.design_N),
+              (row.tolist() for row in table))

@@ -11,7 +11,6 @@ Eigenfunctions are orthonormal in the r-weighted L2 inner product.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -526,12 +525,3 @@ def check_assumption_h(eigsys, N):
     return AssumptionHReport(N, lambda_next, hard_pass, partial, increments,
                              slope, slope < -1.0)
 
-
-def export_eigensystem_csv(eigsys, path):
-    """Write rows (n, lambda, phi samples) for each computed mode."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "lambda"] + [f"x{i}" for i in range(eigsys.grid.n_points)])
-        for n in range(eigsys.K):
-            writer.writerow([n + 1, repr(float(eigsys.lambdas[n]))]
-                            + [repr(float(v)) for v in eigsys.phis[n]])

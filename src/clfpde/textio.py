@@ -1,0 +1,79 @@
+"""The one text format clfpde writes and reads.
+
+Two kinds of file:
+
+    [section] / key = value text      run configurations and design.txt
+    CSV tables                         a header row, then one row per record
+
+Floats are written as their shortest round-trip repr, so every value reads
+back bit for bit.  Table lines end in CRLF; a table loads with
+np.loadtxt(path, delimiter=",", skiprows=1).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import ConfigError
+
+
+def parse_sections(text):
+    """Parse into {section: {key: value-string}} preserving order."""
+    sections = {}
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            if not current:
+                raise ConfigError(f"line {lineno}: empty section name")
+            sections.setdefault(current, {})
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        if current is None:
+            raise ConfigError(f"line {lineno}: key outside any [section]")
+        key, _, value = line.partition("=")
+        sections[current][key.strip()] = value.strip()
+    return sections
+
+
+def vec(values):
+    """Space-separated full-precision floats."""
+    return " ".join(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def floats(text):
+    """Parse a vec() string (commas are accepted as separators) into a float list."""
+    return [float(v) for v in text.replace(",", " ").split()]
+
+
+def write_csv(path, header, rows):
+    """Write a table; each cell of each row is a Python int, float or name.
+
+    Build rows with ndarray.tolist(), one row at a time for large tables:
+    a Python float prints as its shortest round-trip repr.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\r\n")
+
+
+def read_csv(path):
+    """Load a table into (header names, float matrix with one row per record)."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    try:
+        if len(lines) < 2:
+            raise ValueError("needs a header row and at least one data row")
+        header = lines[0].rstrip("\n").split(",")
+        data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+        if data.shape[1] != len(header):
+            raise ValueError(f"{len(header)} columns in the header, "
+                             f"{data.shape[1]} in the rows")
+    except ValueError as exc:
+        raise ConfigError(f"table {path}: {exc}") from exc
+    return header, data

@@ -18,6 +18,7 @@ from clfpde.config import config_from_text, config_to_text, load_config, write_c
 from clfpde.errors import ConfigError
 from clfpde.presets import preset_config
 from clfpde.reproduce import reproduce
+from clfpde.textio import read_csv
 
 PI = np.pi
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -253,8 +254,7 @@ def test_single_input_multi_mode_design(tmp_path):
     out = tmp_path / "si_out"
     assert cli_main(["simulate", "--config", str(cfgpath), "--out", str(out),
                      "--quiet"]) == 0
-    from clfpde.sim import read_trajectory_csv
-    header, rows = read_trajectory_csv(out / "trajectory.csv")
+    header, rows = read_csv(out / "trajectory.csv")
     assert header[:5] == ["t", "norm_w", "norm_y", "V", "U"]
     V = rows[:, 3]
     assert np.all(np.diff(V) <= 1e-6 * np.maximum(V[:-1], 1e-300))
@@ -291,21 +291,63 @@ def test_cli_export_downsample(tmp_path):
     assert len(same.read_text().splitlines()) == len(full)
 
 
-@pytest.mark.parametrize("args, message", [
+def _table(text):
+    def prepare(tmp_path, request):
+        (tmp_path / "traj.csv").write_text(text)
+    return prepare
+
+
+def _damaged_artifact(table, damage):
+    def prepare(tmp_path, request):
+        save_artifact(request.getfixturevalue("single_mode_bundle"), tmp_path / "artifact")
+        path = tmp_path / "artifact" / table
+        path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+    return prepare
+
+
+def _edited_config(name, old, new):
+    def prepare(tmp_path, request):
+        text = (CONFIGS / name).read_text()
+        assert old in text
+        (tmp_path / "bad.cfg").write_text(text.replace(old, new))
+    return prepare
+
+
+@pytest.mark.parametrize("args, message, prepare", [
     (["simulate", "--config", str(CONFIGS / "single_mode.cfg"), "--dt", "1.0"],
-     "at least 100 steps"),
+     "at least 100 steps", None),
     (["simulate", "--config", str(CONFIGS / "single_mode.cfg"), "--modes", "2"],
-     "must exceed the kernel truncation M=2"),
+     "must exceed the kernel truncation M=2", None),
     (["simulate", "--config", str(CONFIGS / "single_mode.cfg"), "--dt", "0.05"],
-     "needs at least 20"),
+     "needs at least 20", None),
     (["simulate", "--config", str(CONFIGS / "single_mode.cfg"), "--dt", "nan"],
-     "dt must be positive"),
+     "dt must be positive", None),
     (["check", "--config", str(CONFIGS / "single_mode.cfg"), "--seed", "-1"],
-     "seed must be >= 0"),
-    (["export", "--traj", "trajectory.csv", "--stride", "0"], "must be >= 1"),
+     "seed must be >= 0", None),
+    (["export", "--traj", "trajectory.csv", "--stride", "0"], "must be >= 1", None),
+    (["export", "--traj", "traj.csv"], "traj.csv: needs a header row", _table("")),
+    (["export", "--traj", "traj.csv"], "traj.csv", _table("t,a\r\n1,2\r\n3\r\n")),
+    (["export", "--traj", "traj.csv"], "traj.csv", _table("t,a\r\n1,2\r\n3,abc\r\n")),
+    (["check", "--artifact", "artifact"], "eigen.csv: 49 x 2049 samples",
+     _damaged_artifact("eigen.csv", lambda lines: lines[:50])),
+    (["check", "--artifact", "artifact"], "shapes.csv",
+     _damaged_artifact("shapes.csv", lambda lines: [lines[0], lines[1].rsplit(",", 5)[0]])),
+    (["check", "--config", "bad.cfg"], "key 't_final'",
+     _edited_config("single_mode.cfg", "t_final = 8.0", "t_final = abc")),
+    (["check", "--config", "bad.cfg"], "key 'kappa'",
+     _edited_config("two_mode_semilinear.cfg", "kappa = auto", "kappa = abc")),
+    (["check", "--config", "bad.cfg"], "unknown nonlinearity kind 'cubic'",
+     _edited_config("two_mode_semilinear.cfg", "kind = sine_type", "kind = cubic")),
+    (["simulate", "--config", "bad.cfg"], "exceeds lbar",
+     _edited_config("two_mode_semilinear.cfg", "scale = 0.29", "scale = 0.5")),
 ], ids=["too_few_steps", "modes_below_M", "too_few_samples", "dt_nan", "seed_negative",
-        "stride_0"])
-def test_cli_invalid_input_exits_2(tmp_path, capsys, args, message):
+        "stride_0", "traj_empty", "traj_ragged", "traj_not_numeric", "eigen_rows_missing",
+        "shapes_row_short", "t_final_abc", "kappa_abc", "kind_cubic", "scale_above_lbar"])
+def test_cli_invalid_input_exits_2(tmp_path, capsys, monkeypatch, request, args, message,
+                                   prepare):
+    monkeypatch.chdir(tmp_path)
+    if prepare is not None:
+        prepare(tmp_path, request)
     out = tmp_path / "out"
     try:
         code = cli_main(args + ["--out", str(out), "--quiet"])

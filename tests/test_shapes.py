@@ -104,10 +104,9 @@ def test_orthogonality_duplicate_fails(two_mode_bundle):
 
 
 def test_shape_csv_export(tmp_path, two_mode_bundle):
-    from clfpde.shapes import export_shapes_csv
-    path = tmp_path / "shapes.csv"
-    export_shapes_csv(two_mode_bundle.shapes, path)
-    lines = path.read_text().splitlines()
+    from clfpde.artifact import save_artifact
+    save_artifact(two_mode_bundle, tmp_path)
+    lines = (tmp_path / "shapes.csv").read_text().splitlines()
     assert lines[0].split(",")[:3] == ["i", "mu", "norm_sq"]
     assert len(lines) == 3
 

@@ -17,12 +17,12 @@ from clfpde.sim import (
     SimConfig,
     Trajectory,
     fit_decay_rate,
-    read_trajectory_csv,
     simulate_linear,
     simulate_semilinear,
     trajectory_header,
     write_trajectory_csv,
 )
+from clfpde.textio import read_csv
 
 PI = np.pi
 
@@ -328,7 +328,7 @@ def test_trajectory_csv_header_and_roundtrip(tmp_path, single_mode_bundle):
                            bundle.eigsys.phis[0], [0.2], cfg)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path)
-    header, rows = read_trajectory_csv(path)
+    header, rows = read_csv(path)
     assert header == ["t", "norm_w", "norm_y", "V", "U", "v_1", "vbar_1", "c_1"]
     assert header == trajectory_header(1, 1)
     assert rows.shape == (traj.samples, 8)

@@ -294,10 +294,9 @@ def test_assumption_h_needs_tail_modes(varcoef_eigsys):
         check_assumption_h(varcoef_eigsys, varcoef_eigsys.K - 5)
 
 
-def test_eigen_csv_export(tmp_path, varcoef_eigsys):
-    from clfpde.spectral import export_eigensystem_csv
-    path = tmp_path / "eigen.csv"
-    export_eigensystem_csv(varcoef_eigsys, path)
-    header = path.read_text().splitlines()[0].split(",")
+def test_eigen_csv_export(tmp_path, single_mode_bundle):
+    from clfpde.artifact import save_artifact
+    save_artifact(single_mode_bundle, tmp_path)
+    header = (tmp_path / "eigen.csv").read_text().splitlines()[0].split(",")
     assert header[:2] == ["n", "lambda"]
-    assert len(header) == 2 + varcoef_eigsys.grid.n_points
+    assert len(header) == 2 + single_mode_bundle.eigsys.grid.n_points
