@@ -52,8 +52,6 @@ from .semilinear import (          # noqa: F401
     NonlinearitySpec,
     SemilinearDesign,
     build_semilinear_design,
-    check_linear_admissible,
-    check_nonlinear_admissible,
     max_growth_bound,
     select_linear_clf_params,
     select_nonlinear_clf_params,

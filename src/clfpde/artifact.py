@@ -72,10 +72,6 @@ def _matrix_lines(name, M):
     return [f"{name}_row_{i + 1} = {vec(M[i])}" for i in range(M.shape[0])]
 
 
-def _parse_matrix(section, name, rows):
-    return np.array([floats(section[f"{name}_row_{i + 1}"]) for i in range(rows)])
-
-
 def save_artifact(bundle, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.cfg"), "w") as fh:
@@ -163,44 +159,61 @@ def _parse_verdict_lines(section):
 def load_artifact(out_dir):
     cfg = load_config(os.path.join(out_dir, "config.cfg"))
     grid = make_grid(cfg.n_points)
-    with open(os.path.join(out_dir, "design.txt")) as fh:
+    design_path = os.path.join(out_dir, "design.txt")
+    with open(design_path) as fh:
         sec = parse_sections(fh.read())
-    red = sec["reduced"]
-    N, j = int(red["N"]), int(red["j"])
-    eig_sec = sec["eigen"]
+
+    def get(section, key, parse=float):
+        """One design.txt value; a missing or unparsable one is a ConfigError."""
+        try:
+            return parse(sec[section][key])
+        except KeyError as exc:
+            raise ConfigError(f"{design_path}: no key {key!r} in [{section}]") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{design_path}: [{section}] key {key!r}: {exc}") from exc
+
+    def array(section, key):
+        return np.array(get(section, key, floats))
+
+    def matrix(section, name, rows):
+        return np.array([get(section, f"{name}_row_{i + 1}", floats) for i in range(rows)])
+
+    N, j = get("reduced", "N", int), get("reduced", "j", int)
 
     # C-ordered sample rows: BLAS then sums in the order the design did
     _, eigen = read_csv(os.path.join(out_dir, "eigen.csv"))
     _, shape_rows = read_csv(os.path.join(out_dir, "shapes.csv"))
     phis = np.ascontiguousarray(eigen[:, 2:])
     varphis = np.ascontiguousarray(shape_rows[:, 3:])
-    for name, samples, rows in (("eigen.csv", phis, int(eig_sec["K"])),
+    for name, samples, rows in (("eigen.csv", phis, get("eigen", "K", int)),
                                 ("shapes.csv", varphis, j)):
         if samples.shape != (rows, grid.n_points):
             raise ConfigError(f"{name}: {samples.shape[0]} x {samples.shape[1]} samples, "
                               f"design.txt and config.cfg need {rows} x {grid.n_points}")
-    eigsys = EigenSystem(cfg.problem, grid, np.array(floats(eig_sec["lambdas"])), phis,
-                         np.array(floats(eig_sec["dphi0"])), np.array(floats(eig_sec["dphi1"])),
+    eigsys = EigenSystem(cfg.problem, grid, array("eigen", "lambdas"), phis,
+                         array("eigen", "dphi0"), array("eigen", "dphi1"),
                          cfg.problem.r(grid.x))
     shapes = ShapeSet(shape_rows[:, 1].copy(), varphis, shape_rows[:, 2].copy(), grid,
                       eigsys.r_samples)
 
-    model = ReducedModel(np.array(floats(red["lambdas"])), _parse_matrix(red, "B", N),
-                         np.array(floats(red["mus"])), float(red["lambda_next"]))
+    model = ReducedModel(array("reduced", "lambdas"), matrix("reduced", "B", N),
+                         array("reduced", "mus"), get("reduced", "lambda_next"))
 
-    gn = sec["gains"]
-    gains = GainDesign(_parse_matrix(gn, "K", j), _parse_matrix(gn, "R", N),
-                       float(gn["sigma"]), float(gn["c1"]), float(gn["c2"]), gn["mode"])
+    gains = GainDesign(matrix("gains", "K", j), matrix("gains", "R", N),
+                       get("gains", "sigma"), get("gains", "c1"), get("gains", "c2"),
+                       get("gains", "mode", str))
 
-    cl = sec["clf"]
-    params = CLFParams(np.array(floats(cl["omegas"])), float(cl["gamma"]), float(cl["sigma"]),
-                       int(cl["M"]), np.array(floats(cl["Ls"])))
+    params = CLFParams(array("clf", "omegas"), get("clf", "gamma"), get("clf", "sigma"),
+                       get("clf", "M", int), array("clf", "Ls"))
 
-    lw = sec["law"]
-    kernel_coeffs = _parse_matrix(lw, "kernel_coeffs", j)
-    kernels = kernel_coeffs @ eigsys.phis[: int(lw["M"])]
-    law = FeedbackLaw(kernels, kernel_coeffs, np.array(floats(lw["y_gains"])),
-                      np.array(floats(lw["mus"])), int(lw["M"]), int(lw["N"]))
+    M = get("law", "M", int)
+    kernel_coeffs = matrix("law", "kernel_coeffs", j)
+    if not 1 <= M <= eigsys.K or kernel_coeffs.shape != (j, M):
+        raise ConfigError(f"{design_path}: [law] M = {M} needs 1 <= M <= K = {eigsys.K} "
+                          f"and {j} x M kernel_coeffs, got {kernel_coeffs.shape}")
+    kernels = kernel_coeffs @ eigsys.phis[:M]
+    law = FeedbackLaw(kernels, kernel_coeffs, array("law", "y_gains"),
+                      array("law", "mus"), M, get("law", "N", int))
 
     sl_design = None
     if "semilinear" in sec:
@@ -208,25 +221,27 @@ def load_artifact(out_dir):
         clf = None
         if "clf_R" in sl:
             clf = SemilinearCLF(
-                R=float(sl["clf_R"]), gamma=float(sl["clf_gamma"]),
-                omegas=np.array(floats(sl["clf_omegas"])), theta=float(sl["clf_theta"]),
-                beta=float(sl["clf_beta"]), epsilon=float(sl["clf_epsilon"]),
-                zeta=float(sl["clf_zeta"]) if "clf_zeta" in sl else None,
-                a=float(sl["clf_a"]) if "clf_a" in sl else None,
+                R=get("semilinear", "clf_R"), gamma=get("semilinear", "clf_gamma"),
+                omegas=array("semilinear", "clf_omegas"),
+                theta=get("semilinear", "clf_theta"), beta=get("semilinear", "clf_beta"),
+                epsilon=get("semilinear", "clf_epsilon"),
+                zeta=get("semilinear", "clf_zeta") if "clf_zeta" in sl else None,
+                a=get("semilinear", "clf_a") if "clf_a" in sl else None,
                 epsilon_convention_note=sl.get("clf_epsilon_note", ""),
             )
         sl_design = SemilinearDesign(
-            g=_parse_matrix(sl, "g", N), sigma=float(sl["sigma"]),
-            kappa=float(sl["kappa"]), lbar=float(sl["lbar"]),
-            controller_kind=sl["controller"], lambdas=np.array(floats(sl["lambdas"])),
-            mus=np.array(floats(sl["mus"])), norms_sq=np.array(floats(sl["norms_sq"])),
-            lambda_next=float(sl["lambda_next"]), clf=clf,
+            g=matrix("semilinear", "g", N), sigma=get("semilinear", "sigma"),
+            kappa=get("semilinear", "kappa"), lbar=get("semilinear", "lbar"),
+            controller_kind=get("semilinear", "controller", str),
+            lambdas=array("semilinear", "lambdas"), mus=array("semilinear", "mus"),
+            norms_sq=array("semilinear", "norms_sq"),
+            lambda_next=get("semilinear", "lambda_next"), clf=clf,
             certified=sl["certified"] == "true",
         )
 
     verdicts = _parse_verdict_lines(sec.get("verdicts", {}))
     return DesignBundle(cfg, grid, eigsys, shapes, model, gains, params, law,
-                        sl_design, verdicts, sec["meta"]["version"])
+                        sl_design, verdicts, get("meta", "version", str))
 
 
 def compare_verdicts(a, b, tol=1e-12):

@@ -53,8 +53,7 @@ def _load_cfg(args):
     return cfg.validate()
 
 
-def _design_and_certify(args):
-    cfg = _load_cfg(args)
+def _design_and_certify(args, cfg):
     out = _out_dir(args, cfg)
     os.makedirs(out, exist_ok=True)
     try:
@@ -67,11 +66,11 @@ def _design_and_certify(args):
     save_artifact(bundle, os.path.join(out, "artifact"))
     with open(os.path.join(out, "report.txt"), "w") as fh:
         fh.write(pipeline.report_text(bundle))
-    return cfg, bundle, out
+    return bundle, out
 
 
 def cmd_design(args):
-    cfg, bundle, out = _design_and_certify(args)
+    bundle, out = _design_and_certify(args, _load_cfg(args))
     _say(args, pipeline.report_text(bundle))
     _say(args, f"artifact written to {os.path.join(out, 'artifact')}")
     return EXIT_OK if bundle.certified else EXIT_CERTIFICATION
@@ -94,15 +93,17 @@ def cmd_check(args):
 
 
 def cmd_simulate(args):
-    cfg, bundle, out = _design_and_certify(args)
+    cfg = _load_cfg(args)
+    # both gain modes design sigma = min(cfg.sigma), so the counts need no design
+    samples = cfg.sim.steps(min(cfg.sigma)) // cfg.sim.record_stride + 1
+    if samples < FIT_MIN_SAMPLES:
+        raise ConfigError(f"the run records {samples} samples; fitting the decay rate "
+                          f"needs at least {FIT_MIN_SAMPLES}")
+    bundle, out = _design_and_certify(args, cfg)
     _say(args, pipeline.report_text(bundle))
     if not bundle.certified and not args.uncertified:
         _say(args, "certification failed; pass --uncertified to simulate anyway")
         return EXIT_CERTIFICATION
-    samples = cfg.sim.steps(bundle.gains.sigma) // cfg.sim.record_stride + 1
-    if samples < FIT_MIN_SAMPLES:
-        raise ConfigError(f"the run records {samples} samples; fitting the decay rate "
-                          f"needs at least {FIT_MIN_SAMPLES}")
     traj = pipeline.simulate(bundle)
     if not bundle.certified:
         traj.certified = False

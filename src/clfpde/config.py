@@ -259,8 +259,3 @@ def config_to_text(cfg):
         lines.append(f"out_dir = {cfg.out_dir}")
     lines.append(f"seed = {cfg.seed}")
     return "\n".join(lines) + "\n"
-
-
-def write_config(cfg, path):
-    with open(path, "w") as fh:
-        fh.write(config_to_text(cfg))

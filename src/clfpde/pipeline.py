@@ -34,10 +34,10 @@ from .reduced import (
 from .semilinear import (
     GAIN_INVERSE_TOL,
     build_semilinear_design,
-    check_linear_admissible,
-    check_nonlinear_admissible,
+    linear_admissibility_margins,
     lyapunov_value_and_rate,
     max_growth_bound,
+    nonlinear_admissibility_margins,
     semilinear_loop,
 )
 from .shapes import (
@@ -90,10 +90,10 @@ def design(cfg):
     return DesignBundle(cfg, grid, eigsys, shapes, model, gains, params, law, sl_design)
 
 
-def random_states(eigsys, j, count, seed, max_mode=40):
+def random_states(eigsys, j, count, seed):
     """Seeded smooth random states within the computed modal span."""
     rng = np.random.default_rng(seed)
-    n = min(eigsys.K, max_mode)
+    n = min(eigsys.K, 40)
     decay = 1.0 / np.arange(1, n + 1) ** 2
     states = []
     for _ in range(count):
@@ -103,7 +103,7 @@ def random_states(eigsys, j, count, seed, max_mode=40):
     return states
 
 
-def certify(bundle, states=None):
+def certify(bundle):
     """Compute the verdict list for a design bundle and store it."""
     cfg = bundle.config
     eig = bundle.eigsys
@@ -181,8 +181,7 @@ def certify(bundle, states=None):
     verdicts.append(Verdict("clf_kernel_truncation", trunc_m >= 0.0, trunc_m,
                             f"M={params.M}"))
 
-    if states is None:
-        states = random_states(eig, shapes.j, SPOT_CHECK_STATES, cfg.seed)
+    states = random_states(eig, shapes.j, SPOT_CHECK_STATES, cfg.seed)
     lo, hi = coercivity_constants(params, gains)
     dual_dev = 0.0
     coer_margin = np.inf
@@ -219,13 +218,14 @@ def certify(bundle, states=None):
                                 lbar_max - sl.lbar, f"lbar_max={lbar_max!r}"))
         if np.isfinite(sl.kappa):
             if sl.controller_kind == "nonlinear":
-                rep = check_nonlinear_admissible(sl)
-                margin = min(float(np.min(rep.margins["y"])), rep.margins["tail"])
+                margins = nonlinear_admissibility_margins(
+                    sl.mus, sl.norms_sq, sl.g, sl.lambda_next, sl.lbar, sl.kappa)
             else:
-                rep = check_linear_admissible(sl)
-                margin = min(rep.margins["head"], rep.margins["tail"],
-                             float(np.min(rep.margins["y"])))
-            verdicts.append(Verdict("semilinear_admissibility", rep.passed, margin,
+                margins = linear_admissibility_margins(
+                    sl.lambdas, sl.mus, sl.norms_sq, sl.g, sl.lambda_next,
+                    sl.sigma, sl.lbar, sl.kappa)
+            margin = min(float(np.min(m)) for m in margins)
+            verdicts.append(Verdict("semilinear_admissibility", margin > 0.0, margin,
                                     f"kappa={sl.kappa!r}"))
         else:
             verdicts.append(Verdict("semilinear_admissibility", False, -1.0,

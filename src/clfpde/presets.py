@@ -20,6 +20,7 @@ from .sim import SimConfig
 from .spectral import Coefficient, SLProblem
 
 PRESET_IDS = ("2.4", "3.3")
+TAIL_SUM_TERMS = 2_000_000
 
 
 def dirichlet_problem(p, q):
@@ -119,12 +120,12 @@ def single_mode_kernel_closed_form(x, p, q, sigma, gamma, L, M):
     return k
 
 
-def single_mode_tail_sum(M, terms=2_000_000):
+def single_mode_tail_sum(M):
     """sum_{n=M+1}^inf n^2 / (25 - 4 n^2)^2 to machine convergence.
 
     Evaluated by direct summation plus an integral remainder bound; the
     terms decay like 1/(16 n^2).
     """
-    n = np.arange(M + 1, M + 1 + terms, dtype=float)
+    n = np.arange(M + 1, M + 1 + TAIL_SUM_TERMS, dtype=float)
     s = float(np.sum(n ** 2 / (25.0 - 4.0 * n ** 2) ** 2))
-    return s + 1.0 / (16.0 * (M + terms))
+    return s + 1.0 / (16.0 * (M + TAIL_SUM_TERMS))

@@ -47,10 +47,6 @@ class ReproduceReport:
     def add(self, name, computed, reference):
         self.rows.append(ReproduceRow(name, float(computed), float(reference)))
 
-    def max_rel_err(self, prefix):
-        errs = [r.rel_err for r in self.rows if r.name.startswith(prefix)]
-        return max(errs) if errs else 0.0
-
     def text(self):
         w = max(len(r.name) for r in self.rows) + 2
         lines = [f"benchmark {self.preset_id}: computed vs reference",

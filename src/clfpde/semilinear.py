@@ -10,11 +10,16 @@ with c_m = <phi_m, w> and f_m = <phi_m, F(u)>.  The cancellation controller
 makes the first N modal derivatives exactly -sigma c_n; the domination
 controller leaves the projected nonlinearity in place and is admissible for
 a strictly smaller set of growth bounds when all retained modes are unstable.
+
+Each controller's admissibility inequalities in (lbar, kappa) are stated once,
+in nonlinear_admissibility_margins and linear_admissibility_margins; both
+broadcast over an array of kappa, so the design's kappa search, the certify
+verdict and the tests' scans are one call each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,8 +72,8 @@ class NonlinearitySpec:
             return self.scale * np.clip(s, -1.0, 1.0)
         return np.interp(s, self.table_s, self.table_f)
 
-    def validate(self, samples=2001):
-        s = np.linspace(-10.0, 10.0, samples)
+    def validate(self):
+        s = np.linspace(-10.0, 10.0, 2001)
         f = self.evaluate(s)
         if abs(float(self.evaluate(np.zeros(1))[0])) > 1e-14:
             raise ValueError("nonlinearity must vanish at 0")
@@ -158,80 +163,51 @@ def max_growth_bound(mus, norms_sq, g, lambda_next):
     return float(np.sqrt(lsq))
 
 
-@dataclass
-class AdmissibilityReport:
-    passed: bool
-    margins: dict = field(default_factory=dict)
-
-
 def nonlinear_admissibility_margins(mus, norms_sq, g, lambda_next, lbar, kappa):
-    """Margins of the two cancellation-controller inequalities at a given kappa."""
+    """Margins of the two cancellation-controller inequalities.
+
+    Broadcasts over an array of kappa: returns (y margins of shape
+    kappa.shape + (N,), tail margins of shape kappa.shape).
+    """
     mus = np.asarray(mus, dtype=float)
     norms_sq = np.asarray(norms_sq, dtype=float)
+    kappa = np.asarray(kappa, dtype=float)
     N = mus.size
     gsq_rows = np.sum(np.asarray(g) ** 2, axis=1)
-    y_margins = mus ** 2 - 2.0 * N * lbar ** 2 * (1.0 + 1.0 / kappa) * norms_sq * gsq_rows
+    y_margins = mus ** 2 - 2.0 * N * lbar ** 2 * (1.0 + 1.0 / kappa[..., None]) \
+        * norms_sq * gsq_rows
     tail = lambda_next ** 2 - lbar ** 2 * (1.0 + kappa * N) * \
         (1.0 + 2.0 * N * float(norms_sq @ gsq_rows))
-    return y_margins, float(tail)
-
-
-def check_nonlinear_admissible(design, lbar=None, kappa=None):
-    lbar = design.lbar if lbar is None else lbar
-    kappa = design.kappa if kappa is None else kappa
-    y_m, tail_m = nonlinear_admissibility_margins(
-        design.mus, design.norms_sq, design.g, design.lambda_next, lbar, kappa)
-    passed = bool(np.all(y_m > 0.0) and tail_m > 0.0)
-    return AdmissibilityReport(passed, {"y": y_m, "tail": tail_m})
+    return y_margins, tail
 
 
 def linear_admissibility_margins(lambdas, mus, norms_sq, g, lambda_next, sigma, lbar, kappa):
-    """Margins of the three domination-controller inequalities at a given kappa."""
+    """Margins of the three domination-controller inequalities.
+
+    Broadcasts over an array of kappa: returns (head, tail, y margins) of
+    shapes kappa.shape, kappa.shape and kappa.shape + (N,).  Where the head
+    inequality fails (head <= 0) the tail and y margins are -inf.
+    """
     lambdas = np.asarray(lambdas, dtype=float)
     mus = np.asarray(mus, dtype=float)
     norms_sq = np.asarray(norms_sq, dtype=float)
     g = np.asarray(g, dtype=float)
+    kappa = np.asarray(kappa, dtype=float)
     N = mus.size
     head = sigma ** 2 - lbar ** 2 * (1.0 + kappa * N)
-    if head <= 0.0:
-        nan = np.full(N, -np.inf)
-        return float(head), -np.inf, nan
     gsl = g ** 2 * ((sigma - lambdas) ** 2)[None, :]
     rows = np.sum(gsl, axis=1)
-    tail = lambda_next ** 2 - lbar ** 2 * (1.0 + kappa * N) * \
-        (1.0 + 2.0 * N * float(norms_sq @ rows) / head)
-    y_margins = mus ** 2 - 2.0 * N * lbar ** 2 * (1.0 + 1.0 / kappa) * norms_sq * rows / head
-    return float(head), float(tail), y_margins
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = lambda_next ** 2 - lbar ** 2 * (1.0 + kappa * N) * \
+            (1.0 + 2.0 * N * float(norms_sq @ rows) / head)
+        y_margins = mus ** 2 - 2.0 * N * lbar ** 2 * (1.0 + 1.0 / kappa[..., None]) \
+            * norms_sq * rows / head[..., None]
+    ok = head > 0.0
+    return head, np.where(ok, tail, -np.inf), np.where(ok[..., None], y_margins, -np.inf)
 
 
-def check_linear_admissible(design, lbar=None, kappa=None, sigma=None):
-    lbar = design.lbar if lbar is None else lbar
-    kappa = design.kappa if kappa is None else kappa
-    sigma = design.sigma if sigma is None else sigma
-    head, tail, y_m = linear_admissibility_margins(
-        design.lambdas, design.mus, design.norms_sq, design.g,
-        design.lambda_next, sigma, lbar, kappa)
-    passed = bool(head > 0.0 and tail > 0.0 and np.all(y_m > 0.0))
-    return AdmissibilityReport(passed, {"head": head, "tail": tail, "y": y_m})
-
-
-def kappa_grid(n=KAPPA_GRID_SIZE):
-    return np.logspace(-4.0, 4.0, n)
-
-
-def best_kappa(margin_fn, grid=None):
-    """Grid kappa maximizing the normalized admissibility margin (None if all fail).
-
-    A first-feasible point sits at the edge of the feasible interval and
-    would cascade into near-vacuous functional parameters, so the design
-    path optimizes the margin instead.
-    """
-    grid = kappa_grid() if grid is None else grid
-    margins = np.array([margin_fn(k) for k in grid])
-    k = int(np.argmax(margins))
-    if margins[k] <= 0.0:
-        return None
-    return float(grid[k])
+def kappa_grid():
+    return np.logspace(-4.0, 4.0, KAPPA_GRID_SIZE)
 
 
 def _search_grid():
@@ -248,10 +224,8 @@ def _search_grid():
     return np.concatenate([uniform, extension])
 
 
-def _zeta_margins(design, zeta, lbar=None, kappa=None):
-    lbar = design.lbar if lbar is None else lbar
-    kappa = design.kappa if kappa is None else kappa
-    N = design.N
+def _zeta_margins(design, zeta):
+    lbar, kappa, N = design.lbar, design.kappa, design.N
     h = 2.0 * zeta / ((1.0 - zeta) * (1.0 + lbar ** 2) * (1.0 + kappa * N))
     gsl = design.g ** 2 * ((design.sigma - design.lambdas) ** 2)[None, :]
     T = np.sum(gsl, axis=1)
@@ -263,19 +237,16 @@ def _zeta_margins(design, zeta, lbar=None, kappa=None):
     return h, y_m, float(tail_m)
 
 
-def select_nonlinear_clf_params(design, lbar=None, kappa=None, grid=None):
+def select_nonlinear_clf_params(design):
     """Constructive functional parameters for the cancellation controller.
 
     Searches an ascending grid for the smallest feasible zeta, then applies
     the proof's closed-form selections for (beta, epsilon, gamma, R, omega_i)
     and reports the resulting strictly positive dissipation coefficient theta.
     """
-    lbar = design.lbar if lbar is None else lbar
-    kappa = design.kappa if kappa is None else kappa
-    N = design.N
-    grid = _search_grid() if grid is None else grid
-    for zeta in grid:
-        h, y_m, tail_m = _zeta_margins(design, zeta, lbar, kappa)
+    lbar, kappa, N = design.lbar, design.kappa, design.N
+    for zeta in _search_grid():
+        h, y_m, tail_m = _zeta_margins(design, zeta)
         if not (np.all(y_m > SEARCH_MARGIN) and tail_m > SEARCH_MARGIN):
             continue
         R = N * (1.0 + lbar ** 2) * (1.0 + kappa * N) / design.sigma
@@ -296,10 +267,8 @@ def select_nonlinear_clf_params(design, lbar=None, kappa=None, grid=None):
     )
 
 
-def _a_margins(design, a, lbar=None, kappa=None, epsilon=0.0):
-    lbar = design.lbar if lbar is None else lbar
-    kappa = design.kappa if kappa is None else kappa
-    N = design.N
+def _a_margins(design, a):
+    lbar, kappa, N = design.lbar, design.kappa, design.N
     head = design.sigma ** 2 - a - lbar ** 2 * (1.0 + kappa * N)
     if head <= SEARCH_MARGIN:
         return None
@@ -307,25 +276,21 @@ def _a_margins(design, a, lbar=None, kappa=None, epsilon=0.0):
     T = np.sum(gsl, axis=1)
     U = float(design.norms_sq @ T)
     y_m = design.mus ** 2 - (1.0 + 1.0 / kappa) * 2.0 * N * lbar ** 2 \
-        * design.norms_sq * (epsilon + T) / head
+        * design.norms_sq * T / head
     tail_m = design.lambda_next ** 2 - lbar ** 2 * (1.0 + kappa * N) * (1.0 + 2.0 * N * U / head)
     return head, y_m, float(tail_m), T, U
 
 
-def select_linear_clf_params(design, lbar=None, kappa=None, grid=None):
+def select_linear_clf_params(design):
     """Constructive functional parameters for the domination controller.
 
     The epsilon appearing in the proof's selection formulas is never defined
     for this controller; it is set to 0, consistent with the admissibility
     conditions, and the choice is recorded on the result.
     """
-    lbar = design.lbar if lbar is None else lbar
-    kappa = design.kappa if kappa is None else kappa
-    N = design.N
-    epsilon = 0.0
-    grid = _search_grid() if grid is None else grid
-    for a in grid:
-        m = _a_margins(design, a, lbar, kappa, epsilon)
+    lbar, kappa, N = design.lbar, design.kappa, design.N
+    for a in _search_grid():
+        m = _a_margins(design, a)
         if m is None:
             continue
         head, y_m, tail_m, T, U = m
@@ -334,14 +299,14 @@ def select_linear_clf_params(design, lbar=None, kappa=None, grid=None):
         beta = head / (2.0 * N)
         gamma = beta * design.lambda_next / (beta + U)
         R = design.sigma
-        omegas = beta * design.mus / (epsilon + T)
+        omegas = beta * design.mus / T
         theta = min(a / 2.0,
-                    0.5 * float(np.min(head * design.mus ** 2 / (2.0 * N * (epsilon + T))
+                    0.5 * float(np.min(head * design.mus ** 2 / (2.0 * N * T)
                                        - (1.0 + 1.0 / kappa) * lbar ** 2 * design.norms_sq)),
                     0.5 * (design.lambda_next ** 2 / (1.0 + 2.0 * N * U / head)
                            - lbar ** 2 * (1.0 + kappa * N)))
         return SemilinearCLF(R=float(R), gamma=float(gamma), omegas=omegas,
-                             theta=float(theta), beta=float(beta), epsilon=epsilon,
+                             theta=float(theta), beta=float(beta), epsilon=0.0,
                              a=float(a),
                              epsilon_convention_note="epsilon set to 0 by convention")
     raise NoAdmissibleA(
@@ -349,13 +314,12 @@ def select_linear_clf_params(design, lbar=None, kappa=None, grid=None):
     )
 
 
-def build_semilinear_design(model, shapes, lbar, sigma, controller_kind,
-                            kappa=None, kappa_points=None):
+def build_semilinear_design(model, shapes, lbar, sigma, controller_kind, kappa=None):
     """Assemble a SemilinearDesign, searching kappa and selecting CLF parameters.
 
-    If no kappa on the grid certifies the requested controller, the design is
-    returned uncertified (clf=None) so that exploratory simulation remains
-    possible.
+    If no kappa on the grid (or the given kappa) certifies the requested
+    controller, the design is returned uncertified (clf=None) so that
+    exploratory simulation remains possible.
     """
     g = gain_inverse(model)
     design = SemilinearDesign(
@@ -365,35 +329,30 @@ def build_semilinear_design(model, shapes, lbar, sigma, controller_kind,
         lambda_next=model.lambda_next,
     )
 
+    # A first-feasible kappa sits at the edge of the feasible interval and
+    # would cascade into near-vacuous functional parameters, so the search
+    # maximizes the margin, normalized per inequality, instead.
+    grid = kappa_grid() if kappa is None else np.array([float(kappa)])
     if controller_kind == "nonlinear":
-        def margin(k):
-            y_m, t_m = nonlinear_admissibility_margins(
-                design.mus, design.norms_sq, g, design.lambda_next, lbar, k)
-            return min(float(np.min(y_m / design.mus ** 2)),
-                       t_m / design.lambda_next ** 2)
+        y_m, tail = nonlinear_admissibility_margins(
+            design.mus, design.norms_sq, g, design.lambda_next, design.lbar, grid)
+        margins = np.minimum(np.min(y_m / design.mus ** 2, axis=-1),
+                             tail / design.lambda_next ** 2)
+        select_params = select_nonlinear_clf_params
     elif controller_kind == "linear":
-        def margin(k):
-            head, tail, y_m = linear_admissibility_margins(
-                design.lambdas, design.mus, design.norms_sq, g,
-                design.lambda_next, sigma, lbar, k)
-            return min(head / sigma ** 2, tail / design.lambda_next ** 2,
-                       float(np.min(y_m / design.mus ** 2)))
+        head, tail, y_m = linear_admissibility_margins(
+            design.lambdas, design.mus, design.norms_sq, g, design.lambda_next,
+            design.sigma, design.lbar, grid)
+        margins = np.minimum(np.minimum(head / design.sigma ** 2, tail / design.lambda_next ** 2),
+                             np.min(y_m / design.mus ** 2, axis=-1))
+        select_params = select_linear_clf_params
     else:
         raise ValueError(f"unknown controller kind {controller_kind!r}")
-
-    grid = kappa_grid() if kappa_points is None else kappa_points
-    if kappa is None:
-        kappa = best_kappa(margin, grid)
-    elif margin(float(kappa)) <= 0.0:
-        kappa = None
-    if kappa is None:
-        design.certified = False
+    k = int(np.argmax(margins))
+    if margins[k] <= 0.0:
         return design
-    design.kappa = kappa
-    if controller_kind == "nonlinear":
-        design.clf = select_nonlinear_clf_params(design)
-    else:
-        design.clf = select_linear_clf_params(design)
+    design.kappa = float(grid[k])
+    design.clf = select_params(design)
     design.certified = design.clf.theta > 0.0
     return design
 

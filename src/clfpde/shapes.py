@@ -58,7 +58,7 @@ class MuVerdict:
         return self.positive and self.off_spectrum
 
 
-def validate_mu_set(mus, eigsys, rel_gap=MU_GAP_REL):
+def validate_mu_set(mus, eigsys):
     """Per-mu admissibility report (positivity and distance to the spectrum)."""
     out = []
     for mu in np.atleast_1d(mus):
@@ -70,14 +70,14 @@ def validate_mu_set(mus, eigsys, rel_gap=MU_GAP_REL):
             nearest_mode=n + 1,
             nearest_lambda=float(eigsys.lambdas[n]),
             gap=float(gaps[n]),
-            off_spectrum=gaps[n] > rel_gap * (1.0 + abs(mu)),
+            off_spectrum=gaps[n] > MU_GAP_REL * (1.0 + abs(mu)),
         ))
     return out
 
 
-def check_mu(mu, eigsys, rel_gap=MU_GAP_REL):
+def check_mu(mu, eigsys):
     """Validate positivity and spectral separation of one mu."""
-    v = validate_mu_set(mu, eigsys, rel_gap)[0]
+    v = validate_mu_set(mu, eigsys)[0]
     if not v.positive:
         raise MuNotPositive(f"mu={mu!r} must be > 0")
     if not v.off_spectrum:
@@ -87,7 +87,7 @@ def check_mu(mu, eigsys, rel_gap=MU_GAP_REL):
         )
 
 
-def solve_shape_bvp(problem, eigsys, mu, grid, ordering="forward", correction_sweeps=1):
+def solve_shape_bvp(problem, eigsys, mu, grid, ordering="forward"):
     """Solve the shape boundary-value problem for one mu.
 
     Reuses the finite-volume discretization of the eigensolver as a single
@@ -130,12 +130,10 @@ def solve_shape_bvp(problem, eigsys, mu, grid, ordering="forward", correction_sw
 
     vol = np.full(n, h)
     vol[0] = vol[-1] = h / 2
-    for _ in range(correction_sweeps):
-        res = bvp_residual_function(problem, grid, mu, phi)
-        corr = np.zeros(n)
-        corr[idx] = banded_solve((res * vol)[idx])
-        phi = phi + corr
-    return phi
+    res = bvp_residual_function(problem, grid, mu, phi)
+    corr = np.zeros(n)
+    corr[idx] = banded_solve((res * vol)[idx])
+    return phi + corr
 
 
 def bvp_residual_function(problem, grid, mu, phi):
@@ -179,12 +177,12 @@ class OrthogonalityReport:
     max_offdiag: float
 
 
-def check_orthogonality(shapes, tol=ORTHOGONALITY_TOL):
+def check_orthogonality(shapes):
     """Mutual-orthogonality test on the shape set (vacuous for j=1)."""
     gram = shapes.gram()
     if shapes.j < 2:
         return OrthogonalityReport(True, gram, 0.0)
     off = gram - np.diag(np.diag(gram))
     max_off = float(np.max(np.abs(off)))
-    return OrthogonalityReport(max_off <= tol, gram, max_off)
+    return OrthogonalityReport(max_off <= ORTHOGONALITY_TOL, gram, max_off)
 

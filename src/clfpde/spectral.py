@@ -346,8 +346,8 @@ def _boundary_rows(problem, n, h):
     return bc0, bcn
 
 
-def _refine_eigenvectors(problem, grid, lambdas, phis, steps=2):
-    """Inverse-iteration polish against a fourth-order discretization.
+def _refine_eigenvectors(problem, grid, lambdas, phis):
+    """Two inverse-iteration steps against a fourth-order discretization.
 
     Boundary conditions are imposed as exact matrix rows, so refined
     vectors satisfy them to rounding; interior accuracy improves from the
@@ -376,7 +376,7 @@ def _refine_eigenvectors(problem, grid, lambdas, phis, steps=2):
             lu = spla.splu((L4 - shift * B).tocsc())
         except RuntimeError:
             lu = spla.splu((L4 - shift * (1.0 + 1e-11) * B).tocsc())
-        for _ in range(steps):
+        for _ in range(2):
             v = lu.solve(B @ v)
             norm = np.linalg.norm(v)
             if not np.isfinite(norm) or norm == 0.0:
@@ -395,7 +395,7 @@ def _normalize(phis, grid, r):
     return phis / norms[:, None]
 
 
-def eigensolve(problem, grid, K, richardson=True, refine="auto"):
+def eigensolve(problem, grid, K, richardson=True):
     """Compute the lowest K eigenpairs of the Sturm-Liouville operator.
 
     Eigenvalues come from Sturm-sequence bisection + inverse iteration on the
@@ -425,11 +425,9 @@ def eigensolve(problem, grid, K, richardson=True, refine="auto"):
         lam_c, _ = _tridiagonal_eigs(problem, grid.x[::2], K)
         lambdas = (4.0 * lam_f - lam_c) / 3.0
 
-    if refine == "auto":
-        refine = not (problem.constant_coefficients
-                      and problem.left_dirichlet and problem.right_dirichlet)
     phis = np.ascontiguousarray(phi.T)     # C order: reloaded artifacts are C order too
-    if refine:
+    if not (problem.constant_coefficients
+            and problem.left_dirichlet and problem.right_dirichlet):
         phis = _refine_eigenvectors(problem, grid, lambdas, phis)
 
     r = problem.r(grid.x)

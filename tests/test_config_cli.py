@@ -14,7 +14,7 @@ from clfpde.artifact import (
     save_artifact,
 )
 from clfpde.cli import main as cli_main
-from clfpde.config import config_from_text, config_to_text, load_config, write_config
+from clfpde.config import config_from_text, config_to_text, load_config
 from clfpde.errors import ConfigError
 from clfpde.presets import preset_config
 from clfpde.reproduce import reproduce
@@ -153,7 +153,7 @@ def quick_config(tmp_path, name="quick.cfg"):
     cfg.sim.t_final = 1.0
     cfg.sim.n_modes = 32
     path = tmp_path / name
-    write_config(cfg, path)
+    path.write_text(config_to_text(cfg))
     return path
 
 
@@ -208,7 +208,7 @@ def test_cli_instability_exit_code(tmp_path):
     cfg.sim.n_modes = 24
     cfg.sim.dt = 0.1
     cfgpath = tmp_path / "coarse_dt.cfg"
-    write_config(cfg, cfgpath)
+    cfgpath.write_text(config_to_text(cfg))
     assert cli_main(["simulate", "--config", str(cfgpath),
                      "--out", str(tmp_path / "blow"), "--quiet"]) == 4
 
@@ -219,7 +219,7 @@ def test_cli_semilinear_exports_controller_table(tmp_path):
     cfg.sim.n_modes = 24
     cfg.sim.dt = 5e-4
     cfgpath = tmp_path / "semi.cfg"
-    write_config(cfg, cfgpath)
+    cfgpath.write_text(config_to_text(cfg))
     out = tmp_path / "semi_out"
     assert cli_main(["simulate", "--config", str(cfgpath), "--out", str(out),
                      "--quiet"]) == 0
@@ -305,6 +305,15 @@ def _damaged_artifact(table, damage):
     return prepare
 
 
+def _design_key(section, key, value):
+    """design.txt with one key of one section set to value (None deletes it)."""
+    def damage(lines):
+        start = lines.index(f"[{section}]")
+        i = next(n for n in range(start, len(lines)) if lines[n].startswith(f"{key} ="))
+        return lines[:i] + ([] if value is None else [f"{key} = {value}"]) + lines[i + 1:]
+    return _damaged_artifact("design.txt", damage)
+
+
 def _edited_config(name, old, new):
     def prepare(tmp_path, request):
         text = (CONFIGS / name).read_text()
@@ -340,9 +349,16 @@ def _edited_config(name, old, new):
      _edited_config("two_mode_semilinear.cfg", "kind = sine_type", "kind = cubic")),
     (["simulate", "--config", "bad.cfg"], "exceeds lbar",
      _edited_config("two_mode_semilinear.cfg", "scale = 0.29", "scale = 0.5")),
+    (["check", "--artifact", "artifact"], "design.txt: [gains] key 'sigma'",
+     _design_key("gains", "sigma", "abc")),
+    (["check", "--artifact", "artifact"], "design.txt: [law] M = 9999",
+     _design_key("law", "M", "9999")),
+    (["check", "--artifact", "artifact"], "design.txt: no key 'K_row_1' in [gains]",
+     _design_key("gains", "K_row_1", None)),
 ], ids=["too_few_steps", "modes_below_M", "too_few_samples", "dt_nan", "seed_negative",
         "stride_0", "traj_empty", "traj_ragged", "traj_not_numeric", "eigen_rows_missing",
-        "shapes_row_short", "t_final_abc", "kappa_abc", "kind_cubic", "scale_above_lbar"])
+        "shapes_row_short", "t_final_abc", "kappa_abc", "kind_cubic", "scale_above_lbar",
+        "design_sigma_abc", "design_M_9999", "design_K_row_missing"])
 def test_cli_invalid_input_exits_2(tmp_path, capsys, monkeypatch, request, args, message,
                                    prepare):
     monkeypatch.chdir(tmp_path)
@@ -356,6 +372,21 @@ def test_cli_invalid_input_exits_2(tmp_path, capsys, monkeypatch, request, args,
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("t_final", ["8.0", "auto"])
+@pytest.mark.parametrize("dt, message", [("1.0", "at least 100 steps"),
+                                         ("0.05", "needs at least 20")])
+def test_cli_rejects_step_counts_before_writing(tmp_path, capsys, t_final, dt, message):
+    cfgpath = tmp_path / "run.cfg"
+    cfgpath.write_text((CONFIGS / "single_mode.cfg").read_text()
+                       .replace("t_final = 8.0", f"t_final = {t_final}"))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfgpath), "--dt", dt,
+                     "--out", str(out), "--quiet"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "report.txt").exists()
+    assert not (out / "artifact").exists()
 
 
 def test_cli_env_out_dir(tmp_path, monkeypatch):
@@ -383,10 +414,10 @@ def test_cli_overrides(tmp_path):
 def test_reproduce_reports(tmp_path):
     rep = reproduce("3.3", out_dir=str(tmp_path))
     assert (tmp_path / "reproduce_3.3.csv").exists()
-    assert rep.max_rel_err("lambda_") <= 1e-6
-    assert rep.max_rel_err("B_1") <= 1e-6
+    assert max(r.rel_err for r in rep.rows if r.name.startswith("lambda_")) <= 1e-6
+    assert max(r.rel_err for r in rep.rows if r.name.startswith("B_1")) <= 1e-6
     rep2 = reproduce("2.4")
-    assert rep2.max_rel_err("kernel_at") <= 1e-6
+    assert max(r.rel_err for r in rep2.rows if r.name.startswith("kernel_at")) <= 1e-6
     with pytest.raises(KeyError):
         reproduce("1.1")
 

@@ -12,11 +12,10 @@ from clfpde.lyapunov import (
     lyapunov_value,
 )
 from clfpde.reduced import GainDesign, ReducedModel
+from clfpde import semilinear
 from clfpde.semilinear import (
     NonlinearitySpec,
     build_semilinear_design,
-    check_linear_admissible,
-    check_nonlinear_admissible,
     gain_inverse,
     kappa_grid,
     linear_admissibility_margins,
@@ -177,12 +176,9 @@ def test_growth_bound_bracket_oracle(two_mode_bundle):
     dense = np.logspace(-4, 4, 16384)
 
     def feasible(lbar):
-        for kappa in dense:
-            y_m, t_m = nonlinear_admissibility_margins(
-                sl.mus, sl.norms_sq, sl.g, sl.lambda_next, lbar, kappa)
-            if np.all(y_m > 0) and t_m > 0:
-                return True
-        return False
+        y_m, t_m = nonlinear_admissibility_margins(
+            sl.mus, sl.norms_sq, sl.g, sl.lambda_next, lbar, dense)
+        return bool(np.any(np.all(y_m > 0, axis=1) & (t_m > 0)))
 
     assert feasible(0.999 * lb)
     assert not feasible(1.001 * lb)
@@ -195,13 +191,9 @@ def test_growth_bound_grid_supremum_consistency(two_mode_bundle):
     lo, hi = 0.5 * lb, 1.5 * lb
     for _ in range(40):           # bisect the grid-feasible supremum
         mid = 0.5 * (lo + hi)
-        ok = False
-        for kappa in dense:
-            y_m, t_m = nonlinear_admissibility_margins(
-                sl.mus, sl.norms_sq, sl.g, sl.lambda_next, mid, kappa)
-            if np.all(y_m > 0) and t_m > 0:
-                ok = True
-                break
+        y_m, t_m = nonlinear_admissibility_margins(
+            sl.mus, sl.norms_sq, sl.g, sl.lambda_next, mid, dense)
+        ok = np.any(np.all(y_m > 0, axis=1) & (t_m > 0))
         lo, hi = (mid, hi) if ok else (lo, mid)
     assert abs(lo - lb) / lb <= 0.01
 
@@ -228,24 +220,72 @@ def test_growth_bound_degenerate_inputs(two_mode_bundle):
 
 # -- admissibility -----------------------------------------------------------------
 
+def nonlinear_passes(sl, lbar, kappa):
+    y_m, t_m = nonlinear_admissibility_margins(
+        sl.mus, sl.norms_sq, sl.g, sl.lambda_next, lbar, kappa)
+    return np.all(y_m > 0, axis=-1) & (t_m > 0)
+
+
+def linear_passes(sl, sigma, lbar, kappa):
+    head, tail, y_m = linear_admissibility_margins(
+        sl.lambdas, sl.mus, sl.norms_sq, sl.g, sl.lambda_next, sigma, lbar, kappa)
+    return (head > 0) & (tail > 0) & np.all(y_m > 0, axis=-1)
+
+
 def test_nonlinear_admissibility_cases(two_mode_bundle):
     sl = two_mode_bundle.sl_design
-    assert check_nonlinear_admissible(sl, lbar=0.0, kappa=1.0).passed
-    grid = kappa_grid()
-    pass29 = any(check_nonlinear_admissible(sl, lbar=0.29, kappa=k).passed
-                 for k in grid)
-    pass31 = any(check_nonlinear_admissible(sl, lbar=0.31, kappa=k).passed
-                 for k in grid)
-    assert pass29 and not pass31
+    assert nonlinear_passes(sl, 0.0, 1.0)
+    assert np.any(nonlinear_passes(sl, 0.29, kappa_grid()))
+    assert not np.any(nonlinear_passes(sl, 0.31, kappa_grid()))
 
 
 def test_linear_admissibility_cases(two_mode_bundle):
     sl = two_mode_bundle.sl_design
-    rep = check_linear_admissible(sl, lbar=0.0, kappa=1.0, sigma=1.0)
-    assert rep.passed
+    assert linear_passes(sl, 1.0, 0.0, 1.0)
     # violating the head inequality sigma^2 > lbar^2 (1 + kappa N) fails
-    rep2 = check_linear_admissible(sl, lbar=1.0, kappa=1.0, sigma=1.0)
-    assert not rep2.passed and rep2.margins["head"] <= 0.0
+    head, tail, y_m = linear_admissibility_margins(
+        sl.lambdas, sl.mus, sl.norms_sq, sl.g, sl.lambda_next, 1.0, 1.0, 1.0)
+    assert head <= 0.0 and tail == -np.inf and np.all(y_m == -np.inf)
+    assert not linear_passes(sl, 1.0, 1.0, 1.0)
+
+
+def test_admissibility_margins_broadcast_over_kappa(two_mode_bundle):
+    # one call on a kappa array equals the scalar calls bit for bit, including
+    # the head <= 0 points of the linear check (sigma = 1, lbar = 0.29)
+    sl = two_mode_bundle.sl_design
+    kappas = np.logspace(-4, 4, 64)
+    y_m, t_m = nonlinear_admissibility_margins(
+        sl.mus, sl.norms_sq, sl.g, sl.lambda_next, 0.29, kappas)
+    lin = [linear_admissibility_margins(sl.lambdas, sl.mus, sl.norms_sq, sl.g,
+                                        sl.lambda_next, sigma, 0.29, kappas)
+           for sigma in (1.0, 50.0)]
+    assert np.any(lin[0][0] <= 0.0) and np.any(lin[0][0] > 0.0)
+    for i, k in enumerate(kappas):
+        y1, t1 = nonlinear_admissibility_margins(
+            sl.mus, sl.norms_sq, sl.g, sl.lambda_next, 0.29, float(k))
+        assert np.array_equal(y1, y_m[i]) and t1 == t_m[i]
+        for sigma, (head, tail, ly_m) in zip((1.0, 50.0), lin):
+            h1, t1, ly1 = linear_admissibility_margins(
+                sl.lambdas, sl.mus, sl.norms_sq, sl.g, sl.lambda_next, sigma, 0.29, float(k))
+            assert h1 == head[i] and t1 == tail[i] and np.array_equal(ly1, ly_m[i])
+
+
+@pytest.mark.parametrize("kind, lbar, sigma", [("nonlinear", 0.29, 1.0),
+                                               ("linear", 0.02, 50.0)])
+def test_kappa_search_is_one_margin_evaluation(two_mode_bundle, monkeypatch, kind, lbar, sigma):
+    name = f"{kind}_admissibility_margins"
+    margin_fn = getattr(semilinear, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return margin_fn(*args)
+
+    monkeypatch.setattr(semilinear, name, counted)
+    design = build_semilinear_design(two_mode_bundle.model, two_mode_bundle.shapes,
+                                     lbar=lbar, sigma=sigma, controller_kind=kind)
+    assert design.certified
+    assert len(calls) == 1
 
 
 def test_containment_of_admissible_sets(two_mode_bundle):
@@ -256,33 +296,17 @@ def test_containment_of_admissible_sets(two_mode_bundle):
     assert np.all(sl.lambdas < 0.0)
     sigma = 50.0
     lbars = np.linspace(0.025, 0.35, 14)
-    kappas = kappa_grid(256)
+    kappas = np.logspace(-4.0, 4.0, 256)
     linear_pass = 0
     converse_gap = False
     for lbar in lbars:
-        nl_any = False
-        for kappa in kappas:
-            y_m, t_m = nonlinear_admissibility_margins(
-                sl.mus, sl.norms_sq, sl.g, sl.lambda_next, lbar, kappa)
-            nl_ok = bool(np.all(y_m > 0) and t_m > 0)
-            nl_any = nl_any or nl_ok
-            head, tail, ly_m = linear_admissibility_margins(
-                sl.lambdas, sl.mus, sl.norms_sq, sl.g, sl.lambda_next,
-                sigma, lbar, kappa)
-            lin_ok = bool(head > 0 and tail > 0 and np.all(ly_m > 0))
-            if lin_ok:
-                linear_pass += 1
-                assert nl_ok            # containment
-        if nl_any:
-            # does the domination controller fail everywhere at this lbar?
-            lin_any = any(
-                (lambda m: m[0] > 0 and m[1] > 0 and np.all(m[2] > 0))(
-                    linear_admissibility_margins(
-                        sl.lambdas, sl.mus, sl.norms_sq, sl.g,
-                        sl.lambda_next, sigma, lbar, kappa))
-                for kappa in kappas)
-            if not lin_any:
-                converse_gap = True
+        nl_ok = nonlinear_passes(sl, lbar, kappas)
+        lin_ok = linear_passes(sl, sigma, lbar, kappas)
+        linear_pass += int(np.sum(lin_ok))
+        assert np.all(nl_ok[lin_ok])        # containment
+        if np.any(nl_ok) and not np.any(lin_ok):
+            # the domination controller fails everywhere at this lbar
+            converse_gap = True
     assert linear_pass > 0              # the scan is not vacuous
     assert converse_gap
 
@@ -291,7 +315,7 @@ def test_containment_of_admissible_sets(two_mode_bundle):
 
 def test_zeta_selection_zero_growth(two_mode_bundle):
     sl = two_mode_bundle.sl_design
-    clf = select_nonlinear_clf_params(sl, lbar=0.0, kappa=1.0)
+    clf = select_nonlinear_clf_params(replace(sl, lbar=0.0, kappa=1.0))
     assert abs(clf.zeta - 1.0 / 65.0) < 1e-15     # smallest uniform grid point
     assert clf.theta > 0.0
     assert clf.epsilon == 1.0 / (2.0 * sl.N * clf.zeta)
@@ -302,8 +326,6 @@ def test_zeta_selection_certified_growth(two_mode_bundle):
     clf = sl.clf
     assert sl.controller_kind == "nonlinear"
     assert clf.theta > 0.0
-    with pytest.raises(NoAdmissibleZeta):
-        select_nonlinear_clf_params(sl, grid=[0.995])
     assert clf.zeta < 0.99
     # R and beta follow the constructive formulas
     N = sl.N
@@ -316,12 +338,12 @@ def test_zeta_selection_certified_growth(two_mode_bundle):
 def test_zeta_infeasible_raises(two_mode_bundle):
     sl = two_mode_bundle.sl_design
     with pytest.raises(NoAdmissibleZeta):
-        select_nonlinear_clf_params(sl, lbar=0.31, kappa=sl.kappa)
+        select_nonlinear_clf_params(replace(sl, lbar=0.31))
 
 
 def test_a_selection_linear_controller(two_mode_bundle):
     sl = two_mode_bundle.sl_design
-    clf = select_linear_clf_params(sl, lbar=0.0, kappa=1.0)
+    clf = select_linear_clf_params(replace(sl, lbar=0.0, kappa=1.0))
     assert clf.R == sl.sigma                     # R := sigma exactly
     assert abs(clf.a - 1.0 / 65.0) < 1e-15
     beta_expect = (sl.sigma ** 2 - clf.a - 0.0) / (2.0 * sl.N)
@@ -329,7 +351,6 @@ def test_a_selection_linear_controller(two_mode_bundle):
     assert clf.beta > 0.0 and clf.theta > 0.0
     assert clf.epsilon == 0.0
     assert "epsilon" in clf.epsilon_convention_note
-    assert select_linear_clf_params(sl, lbar=0.0, kappa=1.0, grid=[clf.a]).a == clf.a
 
 
 def test_linear_design_certifies_small_growth(two_mode_bundle):
