@@ -18,7 +18,7 @@ from clfpde.semilinear import (
     build_semilinear_design,
     max_growth_bound,
 )
-from clfpde.sim import SimConfig, fit_decay_rate, simulate_semilinear
+from clfpde.sim import fit_decay_rate, simulate_semilinear
 
 
 def main():
@@ -48,9 +48,8 @@ def main():
             design = build_semilinear_design(bundle.model, bundle.shapes, lbar,
                                              sigma=1.0, controller_kind="nonlinear")
             F = NonlinearitySpec.make("sine_type", scale=lbar)
-            cfg = SimConfig(n_modes=48, dt=2e-4, t_final=6.0, record_stride=10)
             traj = simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.model,
-                                       design, F, w0, y0, cfg)
+                                       design, F, w0, y0, bundle.config.sim)
             fit = fit_decay_rate(traj)
             print(f"  lbar={lbar:.4f} certified={traj.certified} "
                   f"fitted rate={fit.rate:.4f} r2={fit.r_squared:.4f}")

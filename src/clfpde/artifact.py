@@ -16,7 +16,7 @@ re-certification reproduces every verdict margin.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -28,7 +28,70 @@ from .reduced import GainDesign, ReducedModel
 from .semilinear import SemilinearCLF, SemilinearDesign
 from .shapes import ShapeSet
 from .spectral import EigenSystem, Grid, make_grid
-from .textio import floats, parse_sections, read_csv, vec, write_csv
+from .textio import (
+    BOOL,
+    FLOAT,
+    FLOATS,
+    INT,
+    STR,
+    parse_sections,
+    parse_value,
+    read_csv,
+    row_key,
+    write_csv,
+)
+
+# design.txt, one row list per section: (key, attribute, kind, sizes).  An INT
+# row reads a size symbol; its sizes bound it (1 <= M <= K), and a symbol read
+# twice must agree.  The sizes of a vector row give its length; those of a
+# matrix row its row count and width, one vec() row per key_row_<i> line.
+META_ROWS = [("version", "version", STR, ())]
+EIGEN_ROWS = [("K", "K", INT, ()),
+              ("lambdas", "lambdas", FLOATS, ("K",)),
+              ("dphi0", "dphi0", FLOATS, ("K",)),
+              ("dphi1", "dphi1", FLOATS, ("K",))]
+REDUCED_ROWS = [("N", "N", INT, ("K",)),
+                ("j", "j", INT, ()),
+                ("lambda_next", "lambda_next", FLOAT, ()),
+                ("lambdas", "lambdas", FLOATS, ("N",)),
+                ("mus", "mus", FLOATS, ("j",)),
+                ("B", "B", FLOATS, ("N", "j"))]
+GAINS_ROWS = [("mode", "mode", STR, ()),
+              ("sigma", "sigma", FLOAT, ()),
+              ("c1", "c1", FLOAT, ()),
+              ("c2", "c2", FLOAT, ()),
+              ("K", "K", FLOATS, ("j", "N")),
+              ("R", "R", FLOATS, ("N", "N"))]
+CLF_ROWS = [("omegas", "omegas", FLOATS, ("j",)),
+            ("gamma", "gamma", FLOAT, ()),
+            ("sigma", "sigma", FLOAT, ()),
+            ("M", "M", INT, ("K",)),
+            ("Ls", "Ls", FLOATS, ("j",))]
+LAW_ROWS = [("M", "M", INT, ("K",)),
+            ("N", "N", INT, ("K",)),
+            ("y_gains", "y_gains", FLOATS, ("j",)),
+            ("mus", "mus", FLOATS, ("j",)),
+            ("kernel_coeffs", "kernel_coeffs", FLOATS, ("j", "M"))]
+SEMILINEAR_ROWS = [("controller", "controller_kind", STR, ()),
+                   ("sigma", "sigma", FLOAT, ()),
+                   ("kappa", "kappa", FLOAT, ()),
+                   ("lbar", "lbar", FLOAT, ()),
+                   ("lambda_next", "lambda_next", FLOAT, ()),
+                   ("lambdas", "lambdas", FLOATS, ("N",)),
+                   ("mus", "mus", FLOATS, ("N",)),
+                   ("norms_sq", "norms_sq", FLOATS, ("N",)),
+                   ("certified", "certified", BOOL, ()),
+                   ("g", "g", FLOATS, ("N", "N"))]
+# the [semilinear] keys of its CLF; None or empty values are left out
+SEMILINEAR_CLF_ROWS = [("clf_R", "R", FLOAT, ()),
+                       ("clf_gamma", "gamma", FLOAT, ()),
+                       ("clf_omegas", "omegas", FLOATS, ("N",)),
+                       ("clf_theta", "theta", FLOAT, ()),
+                       ("clf_beta", "beta", FLOAT, ()),
+                       ("clf_epsilon", "epsilon", FLOAT, ()),
+                       ("clf_zeta", "zeta", FLOAT, ()),
+                       ("clf_a", "a", FLOAT, ()),
+                       ("clf_epsilon_note", "epsilon_convention_note", STR, ())]
 
 
 @dataclass
@@ -68,8 +131,15 @@ class DesignBundle:
         return all(v.passed for v in self.verdicts)
 
 
-def _matrix_lines(name, M):
-    return [f"{name}_row_{i + 1} = {vec(M[i])}" for i in range(M.shape[0])]
+def _lines(rows, obj):
+    lines = []
+    for key, attr, kind, sizes in rows:
+        value = getattr(obj, attr)
+        if len(sizes) == 2:
+            lines += [f"{row_key(key, i)} = {kind.format(row)}" for i, row in enumerate(value)]
+        elif sizes or value not in (None, ""):        # a None or '' scalar is left out
+            lines.append(f"{key} = {kind.format(value)}")
+    return lines
 
 
 def save_artifact(bundle, out_dir):
@@ -77,56 +147,24 @@ def save_artifact(bundle, out_dir):
     with open(os.path.join(out_dir, "config.cfg"), "w") as fh:
         fh.write(config_to_text(bundle.config))
 
-    lines = ["[meta]", f"version = {bundle.version}"]
-    eig = bundle.eigsys
-    lines += ["", "[eigen]", f"K = {eig.K}",
-              f"lambdas = {vec(eig.lambdas)}",
-              f"dphi0 = {vec(eig.dphi0)}",
-              f"dphi1 = {vec(eig.dphi1)}"]
-    model = bundle.model
-    lines += ["", "[reduced]", f"N = {model.N}", f"j = {model.j}",
-              f"lambda_next = {model.lambda_next!r}",
-              f"lambdas = {vec(model.lambdas)}",
-              f"mus = {vec(model.mus)}"]
-    lines += _matrix_lines("B", model.B)
-    gains = bundle.gains
-    lines += ["", "[gains]", f"mode = {gains.mode}", f"sigma = {gains.sigma!r}",
-              f"c1 = {gains.c1!r}", f"c2 = {gains.c2!r}"]
-    lines += _matrix_lines("K", gains.K)
-    lines += _matrix_lines("R", gains.R)
-    params = bundle.params
-    lines += ["", "[clf]", f"omegas = {vec(params.omegas)}",
-              f"gamma = {params.gamma!r}", f"sigma = {params.sigma!r}",
-              f"M = {params.M}", f"Ls = {vec(params.Ls)}"]
-    law = bundle.law
-    lines += ["", "[law]", f"M = {law.M}", f"N = {law.N}",
-              f"y_gains = {vec(law.y_gains)}", f"mus = {vec(law.mus)}"]
-    lines += _matrix_lines("kernel_coeffs", law.kernel_coeffs)
-    if bundle.sl_design is not None:
-        sl = bundle.sl_design
-        lines += ["", "[semilinear]", f"controller = {sl.controller_kind}",
-                  f"sigma = {sl.sigma!r}", f"kappa = {sl.kappa!r}", f"lbar = {sl.lbar!r}",
-                  f"lambda_next = {sl.lambda_next!r}",
-                  f"lambdas = {vec(sl.lambdas)}", f"mus = {vec(sl.mus)}",
-                  f"norms_sq = {vec(sl.norms_sq)}",
-                  f"certified = {'true' if sl.certified else 'false'}"]
-        lines += _matrix_lines("g", sl.g)
-        if sl.clf is not None:
-            clf = sl.clf
-            lines += [f"clf_R = {clf.R!r}", f"clf_gamma = {clf.gamma!r}",
-                      f"clf_omegas = {vec(clf.omegas)}", f"clf_theta = {clf.theta!r}",
-                      f"clf_beta = {clf.beta!r}", f"clf_epsilon = {clf.epsilon!r}"]
-            if clf.zeta is not None:
-                lines.append(f"clf_zeta = {clf.zeta!r}")
-            if clf.a is not None:
-                lines.append(f"clf_a = {clf.a!r}")
-            if clf.epsilon_convention_note:
-                lines.append(f"clf_epsilon_note = {clf.epsilon_convention_note}")
-    lines += ["", "[verdicts]"]
-    lines += [v.line() for v in bundle.verdicts]
+    sl = bundle.sl_design
+    lines = []
+    for name, rows, obj in (("meta", META_ROWS, bundle),
+                            ("eigen", EIGEN_ROWS, bundle.eigsys),
+                            ("reduced", REDUCED_ROWS, bundle.model),
+                            ("gains", GAINS_ROWS, bundle.gains),
+                            ("clf", CLF_ROWS, bundle.params),
+                            ("law", LAW_ROWS, bundle.law),
+                            ("semilinear", SEMILINEAR_ROWS, sl)):
+        if obj is not None:
+            lines += ["", f"[{name}]"] + _lines(rows, obj)
+    if sl is not None and sl.clf is not None:
+        lines += _lines(SEMILINEAR_CLF_ROWS, sl.clf)
+    lines += ["", "[verdicts]"] + [v.line() for v in bundle.verdicts]
     with open(os.path.join(out_dir, "design.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines[1:]) + "\n")
 
+    eig, law = bundle.eigsys, bundle.law
     samples = [f"x{i}" for i in range(bundle.grid.n_points)]
     write_csv(os.path.join(out_dir, "eigen.csv"), ["n", "lambda"] + samples,
               ([n + 1, float(eig.lambdas[n])] + eig.phis[n].tolist() for n in range(eig.K)))
@@ -139,109 +177,83 @@ def save_artifact(bundle, out_dir):
               (row.tolist() for row in np.column_stack([bundle.grid.x, law.kernels.T])))
 
 
-def _parse_verdict_lines(section):
-    out = []
-    for name, value in section.items():
-        parts = value.split()
-        passed = parts[0] == "pass"
-        margin = 0.0
-        note = ""
-        for part in parts[1:]:
-            if part.startswith("margin="):
-                margin = float(part[len("margin="):])
-            elif part.startswith("note="):
-                note = value.split("note=", 1)[1]
-                break
-        out.append(Verdict(name, passed, margin, note))
-    return out
+def _parse_verdict(text):
+    status, _, rest = text.partition(" margin=")
+    margin, _, note = rest.partition(" note=")
+    return status == "pass", float(margin), note
+
+
+def _parse_verdict_lines(section, path="design.txt"):
+    return [Verdict(name, *parse_value(_parse_verdict, text, f"{path}: [verdicts] {name}"))
+            for name, text in section.items()]
 
 
 def load_artifact(out_dir):
     cfg = load_config(os.path.join(out_dir, "config.cfg"))
     grid = make_grid(cfg.n_points)
-    design_path = os.path.join(out_dir, "design.txt")
-    with open(design_path) as fh:
-        sec = parse_sections(fh.read())
+    path = os.path.join(out_dir, "design.txt")
+    with open(path) as fh:
+        sections = parse_sections(fh.read())
+    sizes = {"n_points": grid.n_points}
 
-    def get(section, key, parse=float):
-        """One design.txt value; a missing or unparsable one is a ConfigError."""
-        try:
-            return parse(sec[section][key])
-        except KeyError as exc:
-            raise ConfigError(f"{design_path}: no key {key!r} in [{section}]") from exc
-        except ValueError as exc:
-            raise ConfigError(f"{design_path}: [{section}] key {key!r}: {exc}") from exc
+    def check(where, shape, dims):
+        """Every loaded shape is checked here, against the sizes read so far."""
+        if tuple(shape) != tuple(sizes[d] for d in dims):
+            raise ConfigError(f"{where}: {' x '.join(map(str, shape))} samples, needs "
+                              + " x ".join(f"{d} = {sizes[d]}" for d in dims))
 
-    def array(section, key):
-        return np.array(get(section, key, floats))
+    def get(section, key, kind, dims):
+        if len(dims) == 2:
+            return np.array([get(section, row_key(key, i), kind, dims[1:])
+                             for i in range(sizes[dims[0]])])
+        text = sections.get(section, {}).get(key)
+        if text is None:
+            raise ConfigError(f"{path}: no key {key!r} in [{section}]")
+        where = f"{path}: [{section}] {key}"
+        value = parse_value(kind.parse, text, f"{path}: [{section}] key {key!r}")
+        if kind is INT:
+            if not 1 <= value <= min([sizes[d] for d in dims], default=value):
+                raise ConfigError(f"{where} = {value} needs 1 <= {key}"
+                                  + "".join(f" <= {d} = {sizes[d]}" for d in dims))
+            if sizes.setdefault(key, value) != value:
+                raise ConfigError(f"{where} = {value} differs from {key} = {sizes[key]} above")
+        elif dims:
+            check(where, (len(value),), dims)
+            value = np.array(value)
+        return value
 
-    def matrix(section, name, rows):
-        return np.array([get(section, f"{name}_row_{i + 1}", floats) for i in range(rows)])
-
-    N, j = get("reduced", "N", int), get("reduced", "j", int)
+    def read(section, rows, cls, **values):
+        """cls from one section; only a row written as None or '' may be absent."""
+        defaults = {f.name: f.default for f in fields(cls)}
+        for key, attr, kind, dims in rows:
+            if key in sections.get(section, {}) or defaults.get(attr, MISSING) not in (None, ""):
+                value = get(section, key, kind, dims)
+                if attr in defaults:
+                    values[attr] = value
+        return cls(**values)
 
     # C-ordered sample rows: BLAS then sums in the order the design did
     _, eigen = read_csv(os.path.join(out_dir, "eigen.csv"))
+    eigsys = read("eigen", EIGEN_ROWS, EigenSystem, problem=cfg.problem, grid=grid,
+                  phis=np.ascontiguousarray(eigen[:, 2:]), r_samples=cfg.problem.r(grid.x))
+    check(os.path.join(out_dir, "eigen.csv"), eigsys.phis.shape, ("K", "n_points"))
+    model = read("reduced", REDUCED_ROWS, ReducedModel)
     _, shape_rows = read_csv(os.path.join(out_dir, "shapes.csv"))
-    phis = np.ascontiguousarray(eigen[:, 2:])
-    varphis = np.ascontiguousarray(shape_rows[:, 3:])
-    for name, samples, rows in (("eigen.csv", phis, get("eigen", "K", int)),
-                                ("shapes.csv", varphis, j)):
-        if samples.shape != (rows, grid.n_points):
-            raise ConfigError(f"{name}: {samples.shape[0]} x {samples.shape[1]} samples, "
-                              f"design.txt and config.cfg need {rows} x {grid.n_points}")
-    eigsys = EigenSystem(cfg.problem, grid, array("eigen", "lambdas"), phis,
-                         array("eigen", "dphi0"), array("eigen", "dphi1"),
-                         cfg.problem.r(grid.x))
-    shapes = ShapeSet(shape_rows[:, 1].copy(), varphis, shape_rows[:, 2].copy(), grid,
-                      eigsys.r_samples)
-
-    model = ReducedModel(array("reduced", "lambdas"), matrix("reduced", "B", N),
-                         array("reduced", "mus"), get("reduced", "lambda_next"))
-
-    gains = GainDesign(matrix("gains", "K", j), matrix("gains", "R", N),
-                       get("gains", "sigma"), get("gains", "c1"), get("gains", "c2"),
-                       get("gains", "mode", str))
-
-    params = CLFParams(array("clf", "omegas"), get("clf", "gamma"), get("clf", "sigma"),
-                       get("clf", "M", int), array("clf", "Ls"))
-
-    M = get("law", "M", int)
-    kernel_coeffs = matrix("law", "kernel_coeffs", j)
-    if not 1 <= M <= eigsys.K or kernel_coeffs.shape != (j, M):
-        raise ConfigError(f"{design_path}: [law] M = {M} needs 1 <= M <= K = {eigsys.K} "
-                          f"and {j} x M kernel_coeffs, got {kernel_coeffs.shape}")
-    kernels = kernel_coeffs @ eigsys.phis[:M]
-    law = FeedbackLaw(kernels, kernel_coeffs, array("law", "y_gains"),
-                      array("law", "mus"), M, get("law", "N", int))
-
-    sl_design = None
-    if "semilinear" in sec:
-        sl = sec["semilinear"]
-        clf = None
-        if "clf_R" in sl:
-            clf = SemilinearCLF(
-                R=get("semilinear", "clf_R"), gamma=get("semilinear", "clf_gamma"),
-                omegas=array("semilinear", "clf_omegas"),
-                theta=get("semilinear", "clf_theta"), beta=get("semilinear", "clf_beta"),
-                epsilon=get("semilinear", "clf_epsilon"),
-                zeta=get("semilinear", "clf_zeta") if "clf_zeta" in sl else None,
-                a=get("semilinear", "clf_a") if "clf_a" in sl else None,
-                epsilon_convention_note=sl.get("clf_epsilon_note", ""),
-            )
-        sl_design = SemilinearDesign(
-            g=matrix("semilinear", "g", N), sigma=get("semilinear", "sigma"),
-            kappa=get("semilinear", "kappa"), lbar=get("semilinear", "lbar"),
-            controller_kind=get("semilinear", "controller", str),
-            lambdas=array("semilinear", "lambdas"), mus=array("semilinear", "mus"),
-            norms_sq=array("semilinear", "norms_sq"),
-            lambda_next=get("semilinear", "lambda_next"), clf=clf,
-            certified=sl["certified"] == "true",
-        )
-
-    verdicts = _parse_verdict_lines(sec.get("verdicts", {}))
-    return DesignBundle(cfg, grid, eigsys, shapes, model, gains, params, law,
-                        sl_design, verdicts, get("meta", "version", str))
+    shapes = ShapeSet(shape_rows[:, 1].copy(), np.ascontiguousarray(shape_rows[:, 3:]),
+                      shape_rows[:, 2].copy(), grid, eigsys.r_samples)
+    check(os.path.join(out_dir, "shapes.csv"), shapes.varphis.shape, ("j", "n_points"))
+    gains = read("gains", GAINS_ROWS, GainDesign)
+    params = read("clf", CLF_ROWS, CLFParams)
+    law = read("law", LAW_ROWS, FeedbackLaw, kernels=None)
+    law.kernels = law.kernel_coeffs @ eigsys.phis[:law.M]
+    sl = sections.get("semilinear")
+    has_clf = sl and SEMILINEAR_CLF_ROWS[0][0] in sl     # the clf_* rows come all or none
+    clf = read("semilinear", SEMILINEAR_CLF_ROWS, SemilinearCLF) if has_clf else None
+    sl_design = read("semilinear", SEMILINEAR_ROWS, SemilinearDesign, clf=clf) if sl else None
+    verdicts = _parse_verdict_lines(sections.get("verdicts", {}), path)
+    return read("meta", META_ROWS, DesignBundle, config=cfg, grid=grid, eigsys=eigsys,
+                shapes=shapes, model=model, gains=gains, params=params, law=law,
+                sl_design=sl_design, verdicts=verdicts)
 
 
 def compare_verdicts(a, b, tol=1e-12):

@@ -13,7 +13,7 @@ reproduces the run bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -21,66 +21,48 @@ from .errors import ConfigError
 from .semilinear import NonlinearitySpec
 from .sim import SimConfig
 from .spectral import Coefficient, SLProblem
-from .textio import floats, parse_sections, vec
+from .textio import BOOL, FLOAT, FLOATS, INT, STR, Kind, floats, parse_sections, parse_value, vec
 
 
-def _parse_coefficient(text, name):
-    text = text.strip()
-    try:
-        if text.startswith("poly:"):
-            return Coefficient.polynomial([float(v) for v in text[5:].split()])
-        if text.startswith("table"):
-            head, _, body = text.partition(":")
-            order = 3
-            if "(" in head:
-                inner = head[head.index("(") + 1:head.rindex(")")]
-                for part in inner.split(","):
-                    k, _, v = part.partition("=")
-                    if k.strip() == "order":
-                        order = int(v)
-            xs_txt, _, ys_txt = body.partition("|")
-            xs = [float(v) for v in xs_txt.split()]
-            ys = [float(v) for v in ys_txt.split()]
-            if len(xs) != len(ys) or len(xs) < 2:
-                raise ValueError("table needs matching x and y samples")
-            return Coefficient.table(xs, ys, order)
-        return Coefficient.constant(float(text))
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"coefficient {name}: cannot parse {text!r} ({exc})") from exc
+def _parse_coefficient(text):
+    if text.startswith("poly:"):
+        return Coefficient.polynomial(floats(text[5:]))
+    if text.startswith("table"):
+        head, _, body = text.partition(":")
+        order = 3
+        if "(" in head:
+            option, _, value = head[head.index("(") + 1:head.rindex(")")].partition("=")
+            if option.strip() != "order":
+                raise ValueError(f"unknown table option {option.strip()!r}")
+            order = int(value)
+        xs_txt, _, ys_txt = body.partition("|")
+        xs, ys = floats(xs_txt), floats(ys_txt)
+        if len(xs) != len(ys) or len(xs) < 2:
+            raise ValueError("table needs matching x and y samples")
+        return Coefficient.table(xs, ys, order)
+    return Coefficient.constant(float(text))
 
 
-def _get(section, key, cast, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    raw = section[key]
-    try:
-        return cast(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r} ({exc})") from exc
+def _format_coefficient(c):
+    if c.kind == "constant":
+        return repr(c.values[0])
+    if c.kind == "polynomial":
+        return "poly: " + vec(c.values)
+    return f"table(order={c.order}): {vec(c.table_x)} | {vec(c.table_y)}"
 
 
-def _float_or_auto(raw):
-    return None if raw.strip().lower() == "auto" else float(raw)
-
-
-def _bool(raw):
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+COEFFICIENT = Kind(_parse_coefficient, _format_coefficient)
+AUTO = Kind(lambda text: None if text.lower() == "auto" else float(text),
+            lambda value: "auto" if value is None else repr(value))
 
 
 @dataclass
 class SemilinearSettings:
     kind: str
-    scale: float
     lbar: float
-    controller: str             # 'nonlinear' | 'linear'
-    kappa: float | None         # None: search the grid
+    scale: float = 0.0
+    controller: str = "nonlinear"   # 'nonlinear' | 'linear'
+    kappa: float | None = None      # None: search the grid
 
     def nonlinearity(self):
         return NonlinearitySpec.make(self.kind, scale=self.scale, lbar=self.lbar)
@@ -89,12 +71,12 @@ class SemilinearSettings:
 @dataclass
 class RunConfig:
     problem: SLProblem
+    N: int
+    j: int
+    mus: list
     n_points: int = 2049
     modes: int = 96
     richardson: bool = True
-    N: int = 1
-    j: int = 1
-    mus: list = field(default_factory=list)
     sigma: list = field(default_factory=lambda: [1.0])   # per-mode targets or one value
     gain_mode: str = "closed_form"
     Ls: list = field(default_factory=list)
@@ -103,9 +85,12 @@ class RunConfig:
     semilinear: SemilinearSettings | None = None
     sim: SimConfig = field(default_factory=SimConfig)
     w0_modes: list = field(default_factory=lambda: [1.0])
-    y0: list = field(default_factory=lambda: [0.0])
+    y0: list = field(default_factory=list)               # empty: j zeros
     out_dir: str | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        self.y0 = self.y0 or [0.0] * self.j
 
     def validate(self):
         if self.N < 1 or self.j < 1:
@@ -114,6 +99,8 @@ class RunConfig:
             raise ConfigError(f"need {self.j} mu values, got {len(self.mus)}")
         if self.Ls and len(self.Ls) != self.j:
             raise ConfigError(f"need {self.j} L values, got {len(self.Ls)}")
+        if not all(L >= 0.0 for L in self.Ls):
+            raise ConfigError("Ls values must be >= 0")
         if len(self.sigma) not in (1, self.N):
             raise ConfigError(f"sigma needs 1 or {self.N} values, got {len(self.sigma)}")
         if any(s <= 0.0 for s in self.sigma):
@@ -135,6 +122,10 @@ class RunConfig:
             raise ConfigError("spectral modes must be at least N + 20")
         if self.sim.n_modes > self.modes:
             raise ConfigError("sim n_modes cannot exceed computed spectral modes")
+        if len(self.w0_modes) > self.modes:
+            raise ConfigError(f"w0_modes has {len(self.w0_modes)} values; modes = {self.modes}")
+        if not 0.0 < self.safety < np.inf:
+            raise ConfigError(f"safety must be positive and finite, got {self.safety!r}")
         if len(self.y0) != self.j:
             raise ConfigError(f"y0 needs {self.j} values, got {len(self.y0)}")
         if not self.sim.dt > 0.0:
@@ -150,112 +141,96 @@ class RunConfig:
 
 def load_config(path):
     with open(path) as fh:
-        text = fh.read()
-    return config_from_text(text)
+        return config_from_text(fh.read())
+
+
+# Every config key, in file order: (section, key, attribute, kind).  The
+# attribute is on RunConfig or, dotted, on its problem, semilinear or sim part.
+# A key left out of a file keeps its field's default; one whose field has no
+# default is required.
+CONFIG_ROWS = [("problem", "p", "problem.p", COEFFICIENT),
+               ("problem", "q", "problem.q", COEFFICIENT),
+               ("problem", "r", "problem.r", COEFFICIENT),
+               ("problem", "b1", "problem.b1", FLOAT),
+               ("problem", "b2", "problem.b2", FLOAT),
+               ("problem", "a1", "problem.a1", FLOAT),
+               ("problem", "a2", "problem.a2", FLOAT),
+               ("grid", "n_points", "n_points", INT),
+               ("spectral", "modes", "modes", INT),
+               ("spectral", "richardson", "richardson", BOOL),
+               ("design", "N", "N", INT),
+               ("design", "j", "j", INT),
+               ("design", "mus", "mus", FLOATS),
+               ("design", "sigma", "sigma", FLOATS),
+               ("design", "gain_mode", "gain_mode", STR),
+               ("design", "Ls", "Ls", FLOATS),
+               ("clf", "safety", "safety", FLOAT),
+               ("clf", "M_max", "m_max", INT),
+               ("semilinear", "kind", "semilinear.kind", STR),
+               ("semilinear", "scale", "semilinear.scale", FLOAT),
+               ("semilinear", "lbar", "semilinear.lbar", FLOAT),
+               ("semilinear", "controller", "semilinear.controller", STR),
+               ("semilinear", "kappa", "semilinear.kappa", AUTO),
+               ("sim", "n_modes", "sim.n_modes", INT),
+               ("sim", "dt", "sim.dt", FLOAT),
+               ("sim", "t_final", "sim.t_final", AUTO),
+               ("sim", "integrator", "sim.integrator", STR),
+               ("sim", "record_stride", "sim.record_stride", INT),
+               ("sim", "max_steps", "sim.max_steps", INT),
+               ("sim", "w0_modes", "w0_modes", FLOATS),
+               ("sim", "y0", "y0", FLOATS),
+               ("output", "out_dir", "out_dir", STR),
+               ("output", "seed", "seed", INT)]
+
+
+def _default(part, name):
+    """The default of a dataclass field of part (a class or an instance), or MISSING."""
+    f = next(f for f in fields(part) if f.name == name)
+    return f.default if f.default_factory is MISSING else f.default_factory()
+
+
+def _build(cls, part, sections, **values):
+    """cls from one part's rows ("" for RunConfig itself); keys in the file override values."""
+    for section, key, attr, kind in CONFIG_ROWS:
+        owner, _, name = attr.rpartition(".")
+        if owner != part:
+            continue
+        text = sections.get(section, {}).get(key)
+        if text is not None:
+            where = f"coefficient {key}" if kind is COEFFICIENT else f"key {key!r}"
+            values[name] = parse_value(kind.parse, text, where)
+        elif name not in values and _default(cls, name) is MISSING:
+            raise ConfigError(f"missing required key {key!r}")
+    return cls(**values)
 
 
 def config_from_text(text):
     sections = parse_sections(text)
     if "problem" not in sections:
         raise ConfigError("missing [problem] section")
-    prob = sections["problem"]
     try:
-        problem = SLProblem(
-            p=_parse_coefficient(prob.get("p", "1.0"), "p"),
-            q=_parse_coefficient(prob.get("q", "0.0"), "q"),
-            r=_parse_coefficient(prob.get("r", "1.0"), "r"),
-            b1=_get(prob, "b1", float, required=True),
-            b2=_get(prob, "b2", float, required=True),
-            a1=_get(prob, "a1", float, required=True),
-            a2=_get(prob, "a2", float, required=True),
-        )
+        # without coefficients the plant is u_t = u_xx
+        problem = _build(SLProblem, "problem", sections, p=Coefficient.constant(1.0),
+                         q=Coefficient.constant(0.0), r=Coefficient.constant(1.0))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    grid = sections.get("grid", {})
-    spectral = sections.get("spectral", {})
-    design = sections.get("design", {})
-    clf = sections.get("clf", {})
-    out = sections.get("output", {})
-    simsec = sections.get("sim", {})
-
-    sim = SimConfig(
-        n_modes=_get(simsec, "n_modes", int, 64),
-        dt=_get(simsec, "dt", float, 1e-4),
-        t_final=_get(simsec, "t_final", _float_or_auto),
-        integrator=_get(simsec, "integrator", str, "exponential_midpoint"),
-        record_stride=_get(simsec, "record_stride", int, 10),
-        max_steps=_get(simsec, "max_steps", int, 2_000_000),
-    )
-
-    semilinear = None
-    if "semilinear" in sections:
-        sl = sections["semilinear"]
-        semilinear = SemilinearSettings(
-            kind=_get(sl, "kind", str, required=True),
-            scale=_get(sl, "scale", float, 0.0),
-            lbar=_get(sl, "lbar", float, required=True),
-            controller=_get(sl, "controller", str, "nonlinear"),
-            kappa=_get(sl, "kappa", _float_or_auto),
-        )
-
-    cfg = RunConfig(
-        problem=problem,
-        n_points=_get(grid, "n_points", int, 2049),
-        modes=_get(spectral, "modes", int, 96),
-        richardson=_get(spectral, "richardson", _bool, True),
-        N=_get(design, "N", int, required=True),
-        j=_get(design, "j", int, required=True),
-        mus=_get(design, "mus", floats, required=True),
-        sigma=_get(design, "sigma", floats, [1.0]),
-        gain_mode=_get(design, "gain_mode", str, "closed_form"),
-        Ls=_get(design, "Ls", floats, []),
-        safety=_get(clf, "safety", float, 2.0),
-        m_max=_get(clf, "M_max", int, 512),
-        semilinear=semilinear,
-        sim=sim,
-        w0_modes=_get(simsec, "w0_modes", floats, [1.0]),
-        y0=_get(simsec, "y0", floats, None) or [0.0] * _get(design, "j", int, required=True),
-        out_dir=out.get("out_dir"),
-        seed=_get(out, "seed", int, 0),
-    )
-    return cfg.validate()
-
-
-def _coef_text(coef):
-    return coef.spec_string()
+    return _build(RunConfig, "", sections, problem=problem, sim=_build(SimConfig, "sim", sections),
+                  semilinear=_build(SemilinearSettings, "semilinear", sections)
+                  if "semilinear" in sections else None).validate()
 
 
 def config_to_text(cfg):
     """Canonical full-precision serialization (round-trips through load)."""
-    lines = ["[problem]"]
-    pr = cfg.problem
-    lines += [f"p = {_coef_text(pr.p)}", f"q = {_coef_text(pr.q)}", f"r = {_coef_text(pr.r)}",
-              f"b1 = {pr.b1!r}", f"b2 = {pr.b2!r}", f"a1 = {pr.a1!r}", f"a2 = {pr.a2!r}"]
-    lines += ["", "[grid]", f"n_points = {cfg.n_points}"]
-    lines += ["", "[spectral]", f"modes = {cfg.modes}",
-              f"richardson = {'true' if cfg.richardson else 'false'}"]
-    lines += ["", "[design]", f"N = {cfg.N}", f"j = {cfg.j}",
-              f"mus = {vec(cfg.mus)}",
-              f"sigma = {vec(cfg.sigma)}",
-              f"gain_mode = {cfg.gain_mode}"]
-    if cfg.Ls:
-        lines.append(f"Ls = {vec(cfg.Ls)}")
-    lines += ["", "[clf]", f"safety = {cfg.safety!r}", f"M_max = {cfg.m_max}"]
-    if cfg.semilinear is not None:
-        sl = cfg.semilinear
-        lines += ["", "[semilinear]", f"kind = {sl.kind}", f"scale = {sl.scale!r}",
-                  f"lbar = {sl.lbar!r}", f"controller = {sl.controller}",
-                  f"kappa = {'auto' if sl.kappa is None else repr(sl.kappa)}"]
-    sim = cfg.sim
-    lines += ["", "[sim]", f"n_modes = {sim.n_modes}", f"dt = {sim.dt!r}",
-              f"t_final = {'auto' if sim.t_final is None else repr(sim.t_final)}",
-              f"integrator = {sim.integrator}", f"record_stride = {sim.record_stride}",
-              f"max_steps = {sim.max_steps}",
-              f"w0_modes = {vec(cfg.w0_modes)}",
-              f"y0 = {vec(cfg.y0)}"]
-    lines += ["", "[output]"]
-    if cfg.out_dir is not None:
-        lines.append(f"out_dir = {cfg.out_dir}")
-    lines.append(f"seed = {cfg.seed}")
-    return "\n".join(lines) + "\n"
+    lines = []
+    for section, key, attr, kind in CONFIG_ROWS:
+        owner, _, name = attr.rpartition(".")
+        part = getattr(cfg, owner) if owner else cfg
+        if part is None:
+            continue                        # no [semilinear] section
+        value = getattr(part, name)
+        if value in (None, []) and kind is not AUTO and value == _default(part, name):
+            continue                        # left at an empty default: no Ls, no out_dir
+        if f"[{section}]" not in lines:
+            lines += ["", f"[{section}]"]
+        lines.append(f"{key} = {kind.format(value)}")
+    return "\n".join(lines[1:]) + "\n"

@@ -29,7 +29,6 @@ from .errors import KernelTruncationExceedsModes, RemainderTooLarge, TailBoundFa
 from .spectral import project
 
 REMAINDER_ENERGY_REL = 1e-6
-M_MAX_DEFAULT = 512
 
 
 @dataclass
@@ -189,7 +188,7 @@ def weight_inequality_margins(params, design, shapes, eigsys, coupling=None):
     return y_margins, float(tail_margin), float(trunc_margin)
 
 
-def select_clf_params(design, shapes, eigsys, Ls, safety=2.0, m_max=M_MAX_DEFAULT):
+def select_clf_params(design, shapes, eigsys, Ls, safety, m_max):
     """Saturate the weight inequalities with a safety factor and search for M.
 
     omega_i = sigma mu_i / (2 safety j |K_i|^2)  (or sigma mu_i when the gain

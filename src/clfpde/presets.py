@@ -37,9 +37,8 @@ def single_mode_config(p=1.0, q=-2.0 * np.pi ** 2, sigma=1.0, L=0.0, seed=0):
     mu = p * 25.0 * np.pi ** 2 / 4.0 + q
     return RunConfig(
         problem=dirichlet_problem(p, q),
-        n_points=2049, modes=96, richardson=True,
-        N=1, j=1, mus=[mu], sigma=[sigma], gain_mode="closed_form", Ls=[L],
-        sim=SimConfig(n_modes=64, dt=1e-4, t_final=8.0, record_stride=10),
+        N=1, j=1, mus=[mu], sigma=[sigma], Ls=[L],
+        sim=SimConfig(t_final=8.0),
         w0_modes=[1.0, 0.5], y0=[0.3], seed=seed,
     ).validate()
 
@@ -49,15 +48,14 @@ def two_mode_config(sigma=1.0, lbar=0.29, scale=None, controller="nonlinear",
     """Benchmark "3.3": two retained modes, two inputs, semilinear plant."""
     semilinear = SemilinearSettings(
         kind=kind, scale=lbar if scale is None else scale,
-        lbar=lbar, controller=controller, kappa=None,
+        lbar=lbar, controller=controller,
     )
     return RunConfig(
         problem=dirichlet_problem(1.0, -5.0 * np.pi ** 2),
-        n_points=2049, modes=96, richardson=True,
         N=2, j=2, mus=[5.0 * np.pi ** 2 / 4.0, 29.0 * np.pi ** 2 / 4.0],
-        sigma=[sigma], gain_mode="closed_form", Ls=[0.0, 0.0],
+        sigma=[sigma], Ls=[0.0, 0.0],
         semilinear=semilinear,
-        sim=SimConfig(n_modes=48, dt=2e-4, t_final=6.0, record_stride=10),
+        sim=SimConfig(n_modes=48, dt=2e-4, t_final=6.0),
         w0_modes=[1.0, 0.5, 0.25], y0=[0.2, -0.1], seed=seed,
     ).validate()
 

@@ -36,28 +36,21 @@ SEARCH_MARGIN = 1e-9
 class NonlinearitySpec:
     """Pointwise nonlinearity f(s) with declared growth constant lbar.
 
-    Supported kinds: zero, linear_gain, sine_type, saturation, user_table.
+    Supported kinds: zero, linear_gain, sine_type, saturation.
     All satisfy f(0) = 0 and |f(s)| <= lbar |s|.
     """
 
     kind: str
     lbar: float
     scale: float = 0.0
-    table_s: tuple = ()
-    table_f: tuple = ()
 
     @staticmethod
-    def make(kind, scale=0.0, lbar=None, table_s=(), table_f=()):
+    def make(kind, scale=0.0, lbar=None):
         if kind == "zero":
             return NonlinearitySpec("zero", 0.0)
         if kind in ("linear_gain", "sine_type", "saturation"):
             return NonlinearitySpec(kind, abs(scale) if lbar is None else float(lbar),
                                     float(scale))
-        if kind == "user_table":
-            if lbar is None:
-                raise ValueError("user_table nonlinearity needs an explicit lbar")
-            return NonlinearitySpec(kind, float(lbar), 0.0,
-                                    tuple(map(float, table_s)), tuple(map(float, table_f)))
         raise ValueError(f"unknown nonlinearity kind {kind!r}")
 
     def evaluate(self, s):
@@ -68,9 +61,7 @@ class NonlinearitySpec:
             return self.scale * s
         if self.kind == "sine_type":
             return self.scale * np.sin(s)
-        if self.kind == "saturation":
-            return self.scale * np.clip(s, -1.0, 1.0)
-        return np.interp(s, self.table_s, self.table_f)
+        return self.scale * np.clip(s, -1.0, 1.0)      # saturation
 
     def validate(self):
         s = np.linspace(-10.0, 10.0, 2001)

@@ -76,16 +76,6 @@ class Coefficient:
             return True
         return self.kind == "polynomial" and len(self.values) == 1
 
-    def spec_string(self):
-        """Round-trippable text form used in configs and artifacts."""
-        if self.kind == "constant":
-            return repr(self.values[0])
-        if self.kind == "polynomial":
-            return "poly: " + " ".join(repr(c) for c in self.values)
-        xs = " ".join(repr(v) for v in self.table_x)
-        ys = " ".join(repr(v) for v in self.table_y)
-        return f"table(order={self.order}): {xs} | {ys}"
-
 
 @dataclass(frozen=True)
 class SLProblem:

@@ -6,11 +6,14 @@ Two kinds of file:
     CSV tables                         a header row, then one row per record
 
 Floats are written as their shortest round-trip repr, so every value reads
-back bit for bit.  Table lines end in CRLF; a table loads with
-np.loadtxt(path, delimiter=",", skiprows=1).
+back bit for bit.  A Kind reads and writes one kind of value; a matrix is one
+vec() row per row_key(key, i) line.  Table lines end in CRLF; a table loads
+with np.loadtxt(path, delimiter=",", skiprows=1).
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -48,6 +51,37 @@ def vec(values):
 def floats(text):
     """Parse a vec() string (commas are accepted as separators) into a float list."""
     return [float(v) for v in text.replace(",", " ").split()]
+
+
+def parse_bool(text):
+    low = text.strip().lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+# how one kind of value reads from (parse) and writes to (format) its text
+Kind = namedtuple("Kind", "parse format")
+INT = Kind(int, str)
+FLOAT = Kind(float, repr)
+STR = Kind(str, str)
+BOOL = Kind(parse_bool, lambda value: "true" if value else "false")
+FLOATS = Kind(floats, vec)
+
+
+def parse_value(parse, text, where):
+    """parse(text); text that does not parse is a ConfigError naming where."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: cannot parse {text!r} ({exc})") from exc
+
+
+def row_key(key, i):
+    """The key of row i (from 0) of a matrix written one vec() per line."""
+    return f"{key}_row_{i + 1}"
 
 
 def write_csv(path, header, rows):

@@ -62,6 +62,12 @@ mus = 5.0
     ("N = 0", "N and j"),
     ("n_points = 2048", "odd"),
     ("mus = 1.0 2.0", "mu values"),
+    ("Ls = -1.0", "Ls values must be >= 0"),
+    ("p = table(foo=1): 0.0 1.0 | 1.0 1.0", "unknown table option 'foo'"),
+    pytest.param("[sim]\nw0_modes = " + " ".join(["0.5"] * 97), "w0_modes has 97 values",
+                 id="w0_modes_beyond_modes"),
+    pytest.param("[clf]\nsafety = 0.0", "safety must be positive", id="safety_zero"),
+    pytest.param("[clf]\nsafety = -2.0", "safety must be positive", id="safety_negative"),
 ])
 def test_config_validation_errors(mutation, message_part):
     base = """
@@ -110,6 +116,10 @@ def test_artifact_roundtrip_reverifies(tmp_path, two_mode_bundle):
     loaded = load_artifact(out)
     stored = list(loaded.verdicts)
     assert len(stored) == len(two_mode_bundle.verdicts)
+    again = tmp_path / "again"
+    save_artifact(loaded, again)
+    for name in ("config.cfg", "design.txt", "eigen.csv", "shapes.csv", "kernels.csv"):
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name
     pipeline.certify(loaded)
     assert compare_verdicts(stored, loaded.verdicts, tol=1e-12)
     assert loaded.certified
@@ -297,21 +307,29 @@ def _table(text):
     return prepare
 
 
-def _damaged_artifact(table, damage):
+def _damaged_artifact(table, damage, bundle="single_mode_bundle"):
     def prepare(tmp_path, request):
-        save_artifact(request.getfixturevalue("single_mode_bundle"), tmp_path / "artifact")
+        save_artifact(request.getfixturevalue(bundle), tmp_path / "artifact")
         path = tmp_path / "artifact" / table
         path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
     return prepare
 
 
-def _design_key(section, key, value):
-    """design.txt with one key of one section set to value (None deletes it)."""
+def _design_key(section, key, value, bundle="single_mode_bundle"):
+    """design.txt with one key of one section set to value (None deletes it).
+
+    A callable value maps the written value to the damaged one.
+    """
     def damage(lines):
         start = lines.index(f"[{section}]")
         i = next(n for n in range(start, len(lines)) if lines[n].startswith(f"{key} ="))
-        return lines[:i] + ([] if value is None else [f"{key} = {value}"]) + lines[i + 1:]
-    return _damaged_artifact("design.txt", damage)
+        new = value(lines[i].split(" = ", 1)[1]) if callable(value) else value
+        return lines[:i] + ([] if new is None else [f"{key} = {new}"]) + lines[i + 1:]
+    return _damaged_artifact("design.txt", damage, bundle)
+
+
+def _extra_value(text):
+    return text + " 1.0"
 
 
 def _edited_config(name, old, new):
@@ -355,10 +373,21 @@ def _edited_config(name, old, new):
      _design_key("law", "M", "9999")),
     (["check", "--artifact", "artifact"], "design.txt: no key 'K_row_1' in [gains]",
      _design_key("gains", "K_row_1", None)),
+    (["check", "--artifact", "artifact"],
+     "design.txt: [semilinear] g_row_1: 3 samples, needs N = 2",
+     _design_key("semilinear", "g_row_1", _extra_value, "two_mode_bundle")),
+    (["check", "--artifact", "artifact"], "design.txt: [eigen] lambdas: 97 samples, needs K = 96",
+     _design_key("eigen", "lambdas", _extra_value)),
+    (["check", "--artifact", "artifact"], "design.txt: [reduced] mus: 3 samples, needs j = 2",
+     _design_key("reduced", "mus", _extra_value, "two_mode_bundle")),
+    (["check", "--artifact", "artifact"], "design.txt: [verdicts] eigen_orthonormality",
+     _design_key("verdicts", "eigen_orthonormality",
+                 lambda text: text.split(" margin=")[0] + " margin=abc")),
 ], ids=["too_few_steps", "modes_below_M", "too_few_samples", "dt_nan", "seed_negative",
         "stride_0", "traj_empty", "traj_ragged", "traj_not_numeric", "eigen_rows_missing",
         "shapes_row_short", "t_final_abc", "kappa_abc", "kind_cubic", "scale_above_lbar",
-        "design_sigma_abc", "design_M_9999", "design_K_row_missing"])
+        "design_sigma_abc", "design_M_9999", "design_K_row_missing", "design_g_row_long",
+        "design_lambdas_long", "design_mus_long", "design_margin_abc"])
 def test_cli_invalid_input_exits_2(tmp_path, capsys, monkeypatch, request, args, message,
                                    prepare):
     monkeypatch.chdir(tmp_path)

@@ -76,7 +76,7 @@ def test_truncation_index_against_closed_form(single_mode_bundle_L1):
 def test_tail_bound_failure(single_mode_bundle):
     with pytest.raises(TailBoundFailed):
         select_clf_params(single_mode_bundle.gains, single_mode_bundle.shapes,
-                          single_mode_bundle.eigsys, [1e12], m_max=16)
+                          single_mode_bundle.eigsys, [1e12], safety=2.0, m_max=16)
 
 
 def test_omega_default_for_zero_gain(two_mode_bundle):
@@ -85,7 +85,7 @@ def test_omega_default_for_zero_gain(two_mode_bundle):
     zero = GainDesign(np.zeros_like(gains.K), gains.R, gains.sigma,
                       gains.c1, gains.c2, gains.mode)
     params = select_clf_params(zero, two_mode_bundle.shapes,
-                               two_mode_bundle.eigsys, [0.0, 0.0])
+                               two_mode_bundle.eigsys, [0.0, 0.0], safety=2.0, m_max=512)
     assert np.allclose(params.omegas, gains.sigma * two_mode_bundle.shapes.mus)
     assert params.gamma > 0.0
 
