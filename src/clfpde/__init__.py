@@ -23,7 +23,7 @@ from .spectral import (            # noqa: F401
 from .shapes import (              # noqa: F401
     ShapeSet,
     build_shape_set,
-    check_orthogonality,
+    orthogonality_defect,
     solve_shape_bvp,
     validate_mu_set,
 )

@@ -195,6 +195,7 @@ def load_artifact(out_dir):
     with open(path) as fh:
         sections = parse_sections(fh.read())
     sizes = {"n_points": grid.n_points}
+    read_keys = set()
 
     def check(where, shape, dims):
         """Every loaded shape is checked here, against the sizes read so far."""
@@ -209,6 +210,7 @@ def load_artifact(out_dir):
         text = sections.get(section, {}).get(key)
         if text is None:
             raise ConfigError(f"{path}: no key {key!r} in [{section}]")
+        read_keys.add((section, key))
         where = f"{path}: [{section}] {key}"
         value = parse_value(kind.parse, text, f"{path}: [{section}] key {key!r}")
         if kind is INT:
@@ -247,13 +249,18 @@ def load_artifact(out_dir):
     law = read("law", LAW_ROWS, FeedbackLaw, kernels=None)
     law.kernels = law.kernel_coeffs @ eigsys.phis[:law.M]
     sl = sections.get("semilinear")
-    has_clf = sl and SEMILINEAR_CLF_ROWS[0][0] in sl     # the clf_* rows come all or none
+    has_clf = sl and any(row[0] in sl for row in SEMILINEAR_CLF_ROWS)   # read() names a missing one
     clf = read("semilinear", SEMILINEAR_CLF_ROWS, SemilinearCLF) if has_clf else None
     sl_design = read("semilinear", SEMILINEAR_ROWS, SemilinearDesign, clf=clf) if sl else None
     verdicts = _parse_verdict_lines(sections.get("verdicts", {}), path)
-    return read("meta", META_ROWS, DesignBundle, config=cfg, grid=grid, eigsys=eigsys,
-                shapes=shapes, model=model, gains=gains, params=params, law=law,
-                sl_design=sl_design, verdicts=verdicts)
+    bundle = read("meta", META_ROWS, DesignBundle, config=cfg, grid=grid, eigsys=eigsys,
+                  shapes=shapes, model=model, gains=gains, params=params, law=law,
+                  sl_design=sl_design, verdicts=verdicts)
+    for section, keys in sections.items():
+        for key in keys:
+            if section != "verdicts" and (section, key) not in read_keys:
+                raise ConfigError(f"{path}: [{section}] undeclared key {key!r}")
+    return bundle
 
 
 def compare_verdicts(a, b, tol=1e-12):

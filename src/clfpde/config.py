@@ -51,8 +51,20 @@ def _format_coefficient(c):
     return f"table(order={c.order}): {vec(c.table_x)} | {vec(c.table_y)}"
 
 
+def _finite(parse):
+    """parse, then reject nan and inf: every float of a config is finite ('auto' aside)."""
+    def parse_finite(text):
+        value = parse(text)
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError("must be finite")
+        return value
+    return parse_finite
+
+
 COEFFICIENT = Kind(_parse_coefficient, _format_coefficient)
-AUTO = Kind(lambda text: None if text.lower() == "auto" else float(text),
+REAL = Kind(_finite(FLOAT.parse), FLOAT.format)
+REALS = Kind(_finite(FLOATS.parse), FLOATS.format)
+AUTO = Kind(_finite(lambda text: None if text.lower() == "auto" else float(text)),
             lambda value: "auto" if value is None else repr(value))
 
 
@@ -112,6 +124,8 @@ class RunConfig:
                 raise ConfigError("semilinear controllers require j == N")
             if self.semilinear.controller not in ("nonlinear", "linear"):
                 raise ConfigError(f"unknown controller {self.semilinear.controller!r}")
+            if not (self.semilinear.kappa is None or self.semilinear.kappa > 0.0):
+                raise ConfigError(f"kappa must be auto or > 0, got {self.semilinear.kappa!r}")
             try:
                 self.semilinear.nonlinearity().validate()
             except ValueError as exc:
@@ -151,34 +165,34 @@ def load_config(path):
 CONFIG_ROWS = [("problem", "p", "problem.p", COEFFICIENT),
                ("problem", "q", "problem.q", COEFFICIENT),
                ("problem", "r", "problem.r", COEFFICIENT),
-               ("problem", "b1", "problem.b1", FLOAT),
-               ("problem", "b2", "problem.b2", FLOAT),
-               ("problem", "a1", "problem.a1", FLOAT),
-               ("problem", "a2", "problem.a2", FLOAT),
+               ("problem", "b1", "problem.b1", REAL),
+               ("problem", "b2", "problem.b2", REAL),
+               ("problem", "a1", "problem.a1", REAL),
+               ("problem", "a2", "problem.a2", REAL),
                ("grid", "n_points", "n_points", INT),
                ("spectral", "modes", "modes", INT),
                ("spectral", "richardson", "richardson", BOOL),
                ("design", "N", "N", INT),
                ("design", "j", "j", INT),
-               ("design", "mus", "mus", FLOATS),
-               ("design", "sigma", "sigma", FLOATS),
+               ("design", "mus", "mus", REALS),
+               ("design", "sigma", "sigma", REALS),
                ("design", "gain_mode", "gain_mode", STR),
-               ("design", "Ls", "Ls", FLOATS),
-               ("clf", "safety", "safety", FLOAT),
+               ("design", "Ls", "Ls", REALS),
+               ("clf", "safety", "safety", REAL),
                ("clf", "M_max", "m_max", INT),
                ("semilinear", "kind", "semilinear.kind", STR),
-               ("semilinear", "scale", "semilinear.scale", FLOAT),
-               ("semilinear", "lbar", "semilinear.lbar", FLOAT),
+               ("semilinear", "scale", "semilinear.scale", REAL),
+               ("semilinear", "lbar", "semilinear.lbar", REAL),
                ("semilinear", "controller", "semilinear.controller", STR),
                ("semilinear", "kappa", "semilinear.kappa", AUTO),
                ("sim", "n_modes", "sim.n_modes", INT),
-               ("sim", "dt", "sim.dt", FLOAT),
+               ("sim", "dt", "sim.dt", REAL),
                ("sim", "t_final", "sim.t_final", AUTO),
                ("sim", "integrator", "sim.integrator", STR),
                ("sim", "record_stride", "sim.record_stride", INT),
                ("sim", "max_steps", "sim.max_steps", INT),
-               ("sim", "w0_modes", "w0_modes", FLOATS),
-               ("sim", "y0", "y0", FLOATS),
+               ("sim", "w0_modes", "w0_modes", REALS),
+               ("sim", "y0", "y0", REALS),
                ("output", "out_dir", "out_dir", STR),
                ("output", "seed", "seed", INT)]
 
@@ -208,6 +222,13 @@ def config_from_text(text):
     sections = parse_sections(text)
     if "problem" not in sections:
         raise ConfigError("missing [problem] section")
+    for section, keys in sections.items():
+        known = [key for row_section, key, _, _ in CONFIG_ROWS if row_section == section]
+        if not known:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in keys:
+            if key not in known:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
     try:
         # without coefficients the plant is u_t = u_xx
         problem = _build(SLProblem, "problem", sections, p=Coefficient.constant(1.0),

@@ -153,18 +153,22 @@ def coupling_table(shapes, eigsys, n_max):
     return (eigsys.phis[:n_max] * wr) @ shapes.varphis.T
 
 
-def shape_tail_energy_bound(coupling, M, K):
-    """Upper bound on sum_{n > M} <phi_n, varphi_i>^2 per shape.
+def truncation_margin(coupling, M, N, gamma, Ls, lambdas):
+    """Margin of the kernel-truncation inequality at truncation index M.
 
-    Computed coefficients cover n <= K; the residue beyond K is bounded by
+    4 (lambda_{M+1} - lambda_{N+1}) - gamma sum_i L_i T_i(M), with T_i(M) an
+    upper bound on sum_{n > M} <phi_n, varphi_i>^2: the computed coefficients
+    cover n <= K = lambdas.size, and the residue beyond K is bounded by
     alpha^2 / K using the O(1/n) coefficient decay, with alpha estimated
     from the last computed quarter.
     """
+    K = lambdas.size
     tail_sq = np.sum(coupling[M:K] ** 2, axis=0)
     lo = max(1, 3 * K // 4)
     ns = np.arange(lo + 1, K + 1)
     alpha = np.max(np.abs(coupling[lo:K]) * ns[:, None], axis=0)
-    return tail_sq + alpha ** 2 / K
+    tails = tail_sq + alpha ** 2 / K
+    return float(4.0 * (lambdas[M] - lambdas[N]) - gamma * float(np.sum(Ls * tails)))
 
 
 def weight_inequality_margins(params, design, shapes, eigsys, coupling=None):
@@ -172,7 +176,7 @@ def weight_inequality_margins(params, design, shapes, eigsys, coupling=None):
 
     Returns (per-input margins sigma mu_i - 2 j omega_i |K_i|^2,
              tail margin sigma lambda_{N+1} - 2 j gamma sum ||varphi_i||^2 |K_i|^2,
-             truncation margin 4 (lambda_{M+1} - lambda_{N+1}) - gamma sum L_i T_i(M)).
+             truncation margin of truncation_margin).
     """
     j = params.j
     N = design.K.shape[1]
@@ -182,10 +186,9 @@ def weight_inequality_margins(params, design, shapes, eigsys, coupling=None):
         2.0 * j * params.gamma * float(np.sum(shapes.norms_sq * ksq))
     if coupling is None:
         coupling = coupling_table(shapes, eigsys, eigsys.K)
-    tails = shape_tail_energy_bound(coupling, params.M, eigsys.K)
-    trunc_margin = 4.0 * (eigsys.lambdas[params.M] - eigsys.lambdas[N]) - \
-        params.gamma * float(np.sum(params.Ls * tails))
-    return y_margins, float(tail_margin), float(trunc_margin)
+    trunc_margin = truncation_margin(coupling, params.M, N, params.gamma, params.Ls,
+                                     eigsys.lambdas)
+    return y_margins, float(tail_margin), trunc_margin
 
 
 def select_clf_params(design, shapes, eigsys, Ls, safety, m_max):
@@ -214,9 +217,7 @@ def select_clf_params(design, shapes, eigsys, Ls, safety, m_max):
     coupling = coupling_table(shapes, eigsys, eigsys.K)
     m_cap = min(m_max, eigsys.K - 1)
     for M in range(N + 1, m_cap + 1):
-        tails = shape_tail_energy_bound(coupling, M, eigsys.K)
-        lhs = 4.0 * (eigsys.lambdas[M] - eigsys.lambdas[N])
-        if lhs >= gamma * float(np.sum(Ls * tails)):
+        if truncation_margin(coupling, M, N, gamma, Ls, eigsys.lambdas) >= 0.0:
             return CLFParams(omegas, float(gamma), float(sigma), M, Ls)
     raise TailBoundFailed(f"no admissible truncation index M <= {m_cap}")
 

@@ -1,8 +1,9 @@
 """Pipeline orchestration: design -> certify -> simulate -> report.
 
-Certification re-derives every contract the design relies on and records a
-margin per check; the artifact stores the verdict list so that re-loading
-and re-verifying must reproduce it.
+Certification re-checks every contract the design relies on, through the
+same functions as the design's guards, and records a margin per check; the
+artifact stores the verdict list so that re-loading and re-verifying must
+reproduce it.
 """
 
 from __future__ import annotations
@@ -25,14 +26,15 @@ from .lyapunov import (
 from .reduced import (
     B_ENTRY_MIN,
     GAIN_INEQUALITY_TOL,
+    GAIN_INVERSE_TOL,
     build_reduced_model,
     check_controllability,
     closed_form_B,
     design_gains,
     gain_inequality_residual,
+    gain_inverse_error,
 )
 from .semilinear import (
-    GAIN_INVERSE_TOL,
     build_semilinear_design,
     linear_admissibility_margins,
     lyapunov_value_and_rate,
@@ -43,23 +45,21 @@ from .semilinear import (
 from .shapes import (
     BOUNDARY_RESIDUAL_TOL as SHAPE_BC_TOL,
     BVP_RESIDUAL_TOL,
-    MU_GAP_REL,
     ORTHOGONALITY_TOL,
     build_shape_set,
-    check_orthogonality,
+    orthogonality_defect,
     shape_residuals,
     validate_mu_set,
 )
 from .sim import simulate_linear, simulate_semilinear
 from .spectral import (
     BOUNDARY_RESIDUAL_TOL,
-    OPERATOR_RESIDUAL_TOL,
     ORTHONORMALITY_TOL,
     boundary_residuals,
     check_assumption_h,
+    eigen_contracts,
     eigensolve,
     make_grid,
-    operator_residuals,
     project,
 )
 
@@ -114,8 +114,7 @@ def certify(bundle):
     law = bundle.law
     verdicts = []
 
-    n_check = max(1, eig.K // 2)
-    gram_dev = float(np.max(np.abs(eig.gram()[:n_check, :n_check] - np.eye(n_check))))
+    gram_dev, res, tol = eigen_contracts(eig)
     verdicts.append(Verdict("eigen_orthonormality", gram_dev <= ORTHONORMALITY_TOL,
                             ORTHONORMALITY_TOL - gram_dev))
 
@@ -124,19 +123,16 @@ def certify(bundle):
     verdicts.append(Verdict("eigen_boundary_residual", bc_dev <= BOUNDARY_RESIDUAL_TOL,
                             BOUNDARY_RESIDUAL_TOL - bc_dev))
 
-    res = operator_residuals(cfg.problem, bundle.grid, eig.lambdas, eig.phis)
-    tol = OPERATOR_RESIDUAL_TOL * (1.0 + np.abs(eig.lambdas))
-    op_margin = float(np.min(tol[:n_check] - res[:n_check]))
+    op_margin = float(np.min(tol - res))
     verdicts.append(Verdict("eigen_operator_residual", op_margin >= 0.0, op_margin))
 
-    hrep = check_assumption_h(eig, cfg.N)
-    verdicts.append(Verdict("assumption_H", hrep.hard_pass, hrep.lambda_next,
-                            f"tail_slope={hrep.tail_slope:.3f}"))
+    lambda_next, tail_slope = check_assumption_h(eig, cfg.N)
+    verdicts.append(Verdict("assumption_H", lambda_next > 0.0, lambda_next,
+                            f"tail_slope={tail_slope:.3f}"))
 
-    mu_verdicts = validate_mu_set(shapes.mus, eig)
-    mu_margin = min(v.gap - MU_GAP_REL * (1.0 + abs(v.mu)) for v in mu_verdicts)
+    mu_verdicts = validate_mu_set(shapes.mus, eig.lambdas)
     verdicts.append(Verdict("mu_admissibility", all(v.passed for v in mu_verdicts),
-                            float(mu_margin)))
+                            min(v.margin for v in mu_verdicts)))
 
     worst_res, worst_bc = 0.0, 0.0
     for i in range(shapes.j):
@@ -149,9 +145,9 @@ def certify(bundle):
     verdicts.append(Verdict("shape_boundary_residual", worst_bc <= SHAPE_BC_TOL,
                             SHAPE_BC_TOL - worst_bc))
 
-    orth = check_orthogonality(shapes)
-    verdicts.append(Verdict("shape_orthogonality", orth.passed,
-                            ORTHOGONALITY_TOL - orth.max_offdiag))
+    max_offdiag = orthogonality_defect(shapes)
+    verdicts.append(Verdict("shape_orthogonality", max_offdiag <= ORTHOGONALITY_TOL,
+                            ORTHOGONALITY_TOL - max_offdiag))
 
     b_min = float(np.min(np.abs(model.B)))
     verdicts.append(Verdict("input_matrix_entries", b_min > B_ENTRY_MIN,
@@ -210,7 +206,7 @@ def certify(bundle):
 
     if bundle.sl_design is not None:
         sl = bundle.sl_design
-        gb_err = float(np.max(np.abs(sl.g @ model.B + np.eye(model.N))))
+        gb_err = gain_inverse_error(model.B, sl.g)
         verdicts.append(Verdict("semilinear_gain_inverse", gb_err <= GAIN_INVERSE_TOL,
                                 GAIN_INVERSE_TOL - gb_err))
         lbar_max = max_growth_bound(sl.mus, sl.norms_sq, sl.g, sl.lambda_next)

@@ -82,10 +82,7 @@ def two_mode_reference():
         "lambda": lambdas,
         "B": B,
         "g": g,
-        "controls_coef": np.sqrt(2.0) * g,     # coefficients on plain-sine data
         "lbar_quote": 0.299,
-        "mus": np.array([5.0 * pi ** 2 / 4.0, 29.0 * pi ** 2 / 4.0]),
-        "shape_norms_sq": np.array([0.5, 0.5]),
     }
 
 
@@ -97,7 +94,6 @@ def single_mode_reference(p, q, sigma):
         "lambda": lambda n: p * n ** 2 * pi ** 2 + q,
         "B11": 4.0 * s2 / (21.0 * pi),
         "K": -(21.0 * pi / (4.0 * s2)) * (sigma - p * pi ** 2 - q),
-        "mu": p * 25.0 * pi ** 2 / 4.0 + q,
         "shape_norm_sq": 0.5,
     }
 

@@ -23,8 +23,10 @@ from .errors import (
     PlacementFailed,
     SingularB,
 )
+from .shapes import validate_mu_set
 
 B_ENTRY_MIN = 1e-10
+GAIN_INVERSE_TOL = 1e-10       # floor of |det B| and bound on max |gB + I| for g = -B^-1
 RANK_REL_TOL = 1e-10
 GAIN_INEQUALITY_TOL = 1e-9
 
@@ -71,8 +73,7 @@ def input_vector_closed_form(problem, eigsys, mu, N):
     Independent of the quadrature route; uses the stored fourth-order
     endpoint derivatives.
     """
-    gaps = np.abs(eigsys.lambdas[:N] - mu)
-    if np.min(gaps) <= 1e-6 * (1.0 + abs(mu)):
+    if not validate_mu_set(mu, eigsys.lambdas[:N])[0].off_spectrum:
         raise MuCollidesWithSpectrum(f"mu={mu!r} too close to an eigenvalue")
     p1 = float(problem.p(np.array([1.0]))[0])
     num = problem.a2 * eigsys.phis[:N, -1] - problem.a1 * eigsys.dphi1[:N]
@@ -83,6 +84,25 @@ def closed_form_B(problem, eigsys, mus, N):
     """Full closed-form input matrix (columns over the mu values)."""
     cols = [input_vector_closed_form(problem, eigsys, mu, N) for mu in np.atleast_1d(mus)]
     return np.column_stack(cols)
+
+
+def gain_inverse_error(B, g):
+    """max |g B + I|, the distance of g from -B^-1."""
+    return float(np.max(np.abs(g @ B + np.eye(B.shape[0]))))
+
+
+def gain_inverse(model):
+    """g = -B^-1 behind the invertibility guard; g B = -I within GAIN_INVERSE_TOL."""
+    if model.j != model.N:
+        raise SingularB(f"need a square input matrix, got {model.N}x{model.j}")
+    det = np.linalg.det(model.B)
+    if abs(det) <= GAIN_INVERSE_TOL:
+        raise SingularB(f"|det B| = {abs(det):.3e} too small")
+    g = -np.linalg.inv(model.B)
+    err = gain_inverse_error(model.B, g)
+    if err > GAIN_INVERSE_TOL:
+        raise SingularB(f"inverse verification failed: max |gB + I| = {err:.3e}")
+    return g
 
 
 @dataclass
@@ -108,12 +128,8 @@ def check_controllability(model):
     decision is invariant to the eigenvalue scale.
     """
     N = model.N
-    C = model.C
     b = model.B[:, 0]
-    cols = [b.copy()]
-    for _ in range(N - 1):
-        cols.append(C @ cols[-1])
-    Q = np.column_stack(cols)
+    Q = _kalman_matrix(model.C, b)
     scale = np.linalg.norm(Q, axis=0)
     sv = np.linalg.svd(Q / np.where(scale > 0.0, scale, 1.0), compute_uv=False)
     rank = int(np.sum(sv > RANK_REL_TOL * sv[0])) if sv[0] > 0 else 0
@@ -155,13 +171,18 @@ def gain_inequality_residual(model, K, R, sigma):
     return float(np.max(np.linalg.eigvalsh(0.5 * (S + S.T))))
 
 
+def _kalman_matrix(C, b):
+    """[b, C b, ..., C^(N-1) b] of the single-input pair (C, b)."""
+    cols = [b.copy()]
+    for _ in range(b.size - 1):
+        cols.append(C @ cols[-1])
+    return np.column_stack(cols)
+
+
 def _ackermann(C, b, poles):
     """Single-input pole placement (handles repeated target poles)."""
     N = b.size
-    cols = [b.copy()]
-    for _ in range(N - 1):
-        cols.append(C @ cols[-1])
-    Q = np.column_stack(cols)
+    Q = _kalman_matrix(C, b)
     chi = np.real(np.poly(poles))            # desired characteristic polynomial
     acc = np.zeros((N, N))
     P = np.eye(N)
@@ -200,13 +221,7 @@ def design_gains(model, sigma_targets, mode="closed_form"):
     sigma = float(np.min(sigmas))
 
     if mode == "closed_form":
-        if model.j != model.N:
-            raise SingularB(f"closed-form gains need j == N, got j={model.j}, N={model.N}")
-        det = np.linalg.det(model.B)
-        if abs(det) <= B_ENTRY_MIN:
-            raise SingularB(f"|det B| = {abs(det):.3e} too small")
-        g = -np.linalg.inv(model.B)
-        K = g * (sigmas - model.lambdas)[None, :]
+        K = gain_inverse(model) * (sigmas - model.lambdas)[None, :]
         R = np.eye(model.N)
     elif mode == "pole_placement":
         report = check_controllability(model)

@@ -22,6 +22,7 @@ from .presets import (
     single_mode_tail_sum,
     two_mode_reference,
 )
+from .reduced import closed_form_B
 from .semilinear import max_growth_bound
 from .textio import write_csv
 
@@ -86,7 +87,6 @@ def _reproduce_two_mode():
     for n in range(2):
         for i in range(2):
             report.add(f"B_{n + 1}{i + 1}", bundle.model.B[n, i], ref["B"][n, i])
-    from .reduced import closed_form_B
     B_cf = closed_form_B(cfg.problem, bundle.eigsys, bundle.shapes.mus, 2)
     report.add("B_route_agreement", float(np.max(np.abs(bundle.model.B - B_cf))), 0.0)
 

@@ -14,7 +14,9 @@ a strictly smaller set of growth bounds when all retained modes are unstable.
 Each controller's admissibility inequalities in (lbar, kappa) are stated once,
 in nonlinear_admissibility_margins and linear_admissibility_margins; both
 broadcast over an array of kappa, so the design's kappa search, the certify
-verdict and the tests' scans are one call each.
+verdict and the tests' scans are one call each.  The linear one also
+broadcasts over the shift a of its head margin, which makes the domination
+controller's a search one more call.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, NoAdmissibleA, NoAdmissibleZeta, SingularB
+from .errors import DegenerateDenominator, NoAdmissibleA, NoAdmissibleZeta
 from .lyapunov import ClosedLoop, coupling_table, modal_state, transform_state
+from .reduced import gain_inverse
 from .textio import write_csv
 
-GAIN_INVERSE_TOL = 1e-10
 KAPPA_GRID_SIZE = 1024
 SEARCH_MARGIN = 1e-9
 
@@ -113,20 +115,6 @@ class SemilinearDesign:
         return self.lambdas.size
 
 
-def gain_inverse(model):
-    """g = -B^-1 with the invertibility guard; g B = -I to rounding."""
-    if model.j != model.N:
-        raise SingularB(f"need a square input matrix, got {model.N}x{model.j}")
-    det = np.linalg.det(model.B)
-    if abs(det) <= GAIN_INVERSE_TOL:
-        raise SingularB(f"|det B| = {abs(det):.3e} too small")
-    g = -np.linalg.inv(model.B)
-    err = np.max(np.abs(g @ model.B + np.eye(model.N)))
-    if err > GAIN_INVERSE_TOL:
-        raise SingularB(f"inverse verification failed: max |gB + I| = {err:.3e}")
-    return g
-
-
 def max_growth_bound(mus, norms_sq, g, lambda_next):
     """Largest admissible growth constant for the cancellation controller.
 
@@ -172,12 +160,15 @@ def nonlinear_admissibility_margins(mus, norms_sq, g, lambda_next, lbar, kappa):
     return y_margins, tail
 
 
-def linear_admissibility_margins(lambdas, mus, norms_sq, g, lambda_next, sigma, lbar, kappa):
+def linear_admissibility_margins(lambdas, mus, norms_sq, g, lambda_next, sigma, lbar, kappa,
+                                 a=0.0):
     """Margins of the three domination-controller inequalities.
 
-    Broadcasts over an array of kappa: returns (head, tail, y margins) of
-    shapes kappa.shape, kappa.shape and kappa.shape + (N,).  Where the head
-    inequality fails (head <= 0) the tail and y margins are -inf.
+    Broadcasts over arrays of kappa and of the shift a of the head margin
+    (the proof's search variable; 0 for admissibility itself): returns (head,
+    tail, y margins) of shapes s, s and s + (N,), s the broadcast shape of
+    kappa and a.  Where the head inequality fails (head <= 0) the tail and y
+    margins are -inf.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     mus = np.asarray(mus, dtype=float)
@@ -185,7 +176,7 @@ def linear_admissibility_margins(lambdas, mus, norms_sq, g, lambda_next, sigma, 
     g = np.asarray(g, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
     N = mus.size
-    head = sigma ** 2 - lbar ** 2 * (1.0 + kappa * N)
+    head = sigma ** 2 - np.asarray(a, dtype=float) - lbar ** 2 * (1.0 + kappa * N)
     gsl = g ** 2 * ((sigma - lambdas) ** 2)[None, :]
     rows = np.sum(gsl, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -215,94 +206,80 @@ def _search_grid():
     return np.concatenate([uniform, extension])
 
 
-def _zeta_margins(design, zeta):
-    lbar, kappa, N = design.lbar, design.kappa, design.N
-    h = 2.0 * zeta / ((1.0 - zeta) * (1.0 + lbar ** 2) * (1.0 + kappa * N))
-    gsl = design.g ** 2 * ((design.sigma - design.lambdas) ** 2)[None, :]
-    T = np.sum(gsl, axis=1)
-    S = np.sum(design.g ** 2, axis=1)
-    y_m = design.mus ** 2 / (h * T + 2.0 * S) \
-        - N * lbar ** 2 * (1.0 + 1.0 / kappa) * design.norms_sq
-    denom = 1.0 + N * h * float(design.norms_sq @ T) + 2.0 * N * float(design.norms_sq @ S)
-    tail_m = design.lambda_next ** 2 / denom - lbar ** 2 * (1.0 + kappa * N)
-    return h, y_m, float(tail_m)
-
-
 def select_nonlinear_clf_params(design):
     """Constructive functional parameters for the cancellation controller.
 
-    Searches an ascending grid for the smallest feasible zeta, then applies
-    the proof's closed-form selections for (beta, epsilon, gamma, R, omega_i)
-    and reports the resulting strictly positive dissipation coefficient theta.
+    Takes the first feasible zeta of the search grid, then applies the
+    proof's closed-form selections for (beta, epsilon, gamma, R, omega_i) and
+    reports the resulting strictly positive dissipation coefficient theta.
     """
     lbar, kappa, N = design.lbar, design.kappa, design.N
-    for zeta in _search_grid():
-        h, y_m, tail_m = _zeta_margins(design, zeta)
-        if not (np.all(y_m > SEARCH_MARGIN) and tail_m > SEARCH_MARGIN):
-            continue
-        R = N * (1.0 + lbar ** 2) * (1.0 + kappa * N) / design.sigma
-        beta = (1.0 - zeta) * design.sigma * R / N
-        epsilon = 1.0 / (2.0 * N * zeta)
-        gsl = design.g ** 2 * ((design.sigma - design.lambdas) ** 2)[None, :]
-        per_input = np.sum(gsl, axis=1) / beta + np.sum(design.g ** 2, axis=1) / zeta
-        gamma = design.lambda_next / (epsilon + float(design.norms_sq @ per_input))
-        omegas = design.mus / per_input
-        theta = min(zeta * N * (1.0 + kappa * N),
-                    float(zeta * np.min(y_m)),
-                    N * zeta * tail_m)
-        return SemilinearCLF(R=float(R), gamma=float(gamma), omegas=omegas,
-                             theta=float(theta), beta=float(beta),
-                             epsilon=float(epsilon), zeta=float(zeta))
-    raise NoAdmissibleZeta(
-        "no feasible zeta found; check the admissibility margins for this lbar/kappa"
-    )
-
-
-def _a_margins(design, a):
-    lbar, kappa, N = design.lbar, design.kappa, design.N
-    head = design.sigma ** 2 - a - lbar ** 2 * (1.0 + kappa * N)
-    if head <= SEARCH_MARGIN:
-        return None
-    gsl = design.g ** 2 * ((design.sigma - design.lambdas) ** 2)[None, :]
-    T = np.sum(gsl, axis=1)
-    U = float(design.norms_sq @ T)
-    y_m = design.mus ** 2 - (1.0 + 1.0 / kappa) * 2.0 * N * lbar ** 2 \
-        * design.norms_sq * T / head
-    tail_m = design.lambda_next ** 2 - lbar ** 2 * (1.0 + kappa * N) * (1.0 + 2.0 * N * U / head)
-    return head, y_m, float(tail_m), T, U
+    T = np.sum(design.g ** 2 * ((design.sigma - design.lambdas) ** 2)[None, :], axis=1)
+    S = np.sum(design.g ** 2, axis=1)
+    zetas = _search_grid()
+    h = 2.0 * zetas / ((1.0 - zetas) * (1.0 + lbar ** 2) * (1.0 + kappa * N))
+    y_ms = design.mus ** 2 / (h[:, None] * T + 2.0 * S) \
+        - N * lbar ** 2 * (1.0 + 1.0 / kappa) * design.norms_sq
+    denom = 1.0 + N * h * float(design.norms_sq @ T) + 2.0 * N * float(design.norms_sq @ S)
+    tail_ms = design.lambda_next ** 2 / denom - lbar ** 2 * (1.0 + kappa * N)
+    ok = np.all(y_ms > SEARCH_MARGIN, axis=1) & (tail_ms > SEARCH_MARGIN)
+    if not np.any(ok):
+        raise NoAdmissibleZeta(
+            "no feasible zeta found; check the admissibility margins for this lbar/kappa"
+        )
+    k = int(np.argmax(ok))
+    zeta, y_m, tail_m = zetas[k], y_ms[k], tail_ms[k]
+    R = N * (1.0 + lbar ** 2) * (1.0 + kappa * N) / design.sigma
+    beta = (1.0 - zeta) * design.sigma * R / N
+    epsilon = 1.0 / (2.0 * N * zeta)
+    per_input = T / beta + S / zeta
+    gamma = design.lambda_next / (epsilon + float(design.norms_sq @ per_input))
+    omegas = design.mus / per_input
+    theta = min(zeta * N * (1.0 + kappa * N),
+                float(zeta * np.min(y_m)),
+                N * zeta * tail_m)
+    return SemilinearCLF(R=float(R), gamma=float(gamma), omegas=omegas,
+                         theta=float(theta), beta=float(beta),
+                         epsilon=float(epsilon), zeta=float(zeta))
 
 
 def select_linear_clf_params(design):
     """Constructive functional parameters for the domination controller.
 
-    The epsilon appearing in the proof's selection formulas is never defined
-    for this controller; it is set to 0, consistent with the admissibility
+    Takes the first a of the search grid at which the admissibility margins
+    with the head shifted by a all exceed SEARCH_MARGIN.  The epsilon
+    appearing in the proof's selection formulas is never defined for this
+    controller; it is set to 0, consistent with the admissibility
     conditions, and the choice is recorded on the result.
     """
     lbar, kappa, N = design.lbar, design.kappa, design.N
-    for a in _search_grid():
-        m = _a_margins(design, a)
-        if m is None:
-            continue
-        head, y_m, tail_m, T, U = m
-        if not (np.all(y_m > SEARCH_MARGIN) and tail_m > SEARCH_MARGIN):
-            continue
-        beta = head / (2.0 * N)
-        gamma = beta * design.lambda_next / (beta + U)
-        R = design.sigma
-        omegas = beta * design.mus / T
-        theta = min(a / 2.0,
-                    0.5 * float(np.min(head * design.mus ** 2 / (2.0 * N * T)
-                                       - (1.0 + 1.0 / kappa) * lbar ** 2 * design.norms_sq)),
-                    0.5 * (design.lambda_next ** 2 / (1.0 + 2.0 * N * U / head)
-                           - lbar ** 2 * (1.0 + kappa * N)))
-        return SemilinearCLF(R=float(R), gamma=float(gamma), omegas=omegas,
-                             theta=float(theta), beta=float(beta), epsilon=0.0,
-                             a=float(a),
-                             epsilon_convention_note="epsilon set to 0 by convention")
-    raise NoAdmissibleA(
-        "no feasible a found; check the admissibility margins for this lbar/kappa"
-    )
+    grid = _search_grid()
+    heads, tail_ms, y_ms = linear_admissibility_margins(
+        design.lambdas, design.mus, design.norms_sq, design.g, design.lambda_next,
+        design.sigma, lbar, kappa, a=grid)
+    ok = (heads > SEARCH_MARGIN) & np.all(y_ms > SEARCH_MARGIN, axis=1) \
+        & (tail_ms > SEARCH_MARGIN)
+    if not np.any(ok):
+        raise NoAdmissibleA(
+            "no feasible a found; check the admissibility margins for this lbar/kappa"
+        )
+    k = int(np.argmax(ok))
+    a, head = grid[k], heads[k]
+    T = np.sum(design.g ** 2 * ((design.sigma - design.lambdas) ** 2)[None, :], axis=1)
+    U = float(design.norms_sq @ T)
+    beta = head / (2.0 * N)
+    gamma = beta * design.lambda_next / (beta + U)
+    R = design.sigma
+    omegas = beta * design.mus / T
+    theta = min(a / 2.0,
+                0.5 * float(np.min(head * design.mus ** 2 / (2.0 * N * T)
+                                   - (1.0 + 1.0 / kappa) * lbar ** 2 * design.norms_sq)),
+                0.5 * (design.lambda_next ** 2 / (1.0 + 2.0 * N * U / head)
+                       - lbar ** 2 * (1.0 + kappa * N)))
+    return SemilinearCLF(R=float(R), gamma=float(gamma), omegas=omegas,
+                         theta=float(theta), beta=float(beta), epsilon=0.0,
+                         a=float(a),
+                         epsilon_convention_note="epsilon set to 0 by convention")
 
 
 def build_semilinear_design(model, shapes, lbar, sigma, controller_kind, kappa=None):

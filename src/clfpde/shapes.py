@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import MuCollidesWithSpectrum, MuNotPositive
-from .spectral import _assemble_pencil, derivative_4th, endpoint_derivatives, inner_product
+from .spectral import _assemble_pencil, derivative_4th, inner_product, sl_apply
 
 MU_GAP_REL = 1e-6
 BVP_RESIDUAL_TOL = 1e-5
@@ -49,35 +49,31 @@ class MuVerdict:
     mu: float
     positive: bool
     nearest_mode: int
-    nearest_lambda: float
-    gap: float
-    off_spectrum: bool
+    margin: float            # gap to the nearest eigenvalue less MU_GAP_REL (1 + |mu|)
+
+    @property
+    def off_spectrum(self):
+        return self.margin > 0.0
 
     @property
     def passed(self):
         return self.positive and self.off_spectrum
 
 
-def validate_mu_set(mus, eigsys):
-    """Per-mu admissibility report (positivity and distance to the spectrum)."""
+def validate_mu_set(mus, lambdas):
+    """Per-mu admissibility report: positivity and distance to the eigenvalues lambdas."""
     out = []
     for mu in np.atleast_1d(mus):
-        gaps = np.abs(eigsys.lambdas - mu)
+        gaps = np.abs(lambdas - mu)
         n = int(np.argmin(gaps))
-        out.append(MuVerdict(
-            mu=float(mu),
-            positive=mu > 0.0,
-            nearest_mode=n + 1,
-            nearest_lambda=float(eigsys.lambdas[n]),
-            gap=float(gaps[n]),
-            off_spectrum=gaps[n] > MU_GAP_REL * (1.0 + abs(mu)),
-        ))
+        out.append(MuVerdict(float(mu), mu > 0.0, n + 1,
+                             float(gaps[n] - MU_GAP_REL * (1.0 + abs(mu)))))
     return out
 
 
 def check_mu(mu, eigsys):
     """Validate positivity and spectral separation of one mu."""
-    v = validate_mu_set(mu, eigsys)[0]
+    v = validate_mu_set(mu, eigsys.lambdas)[0]
     if not v.positive:
         raise MuNotPositive(f"mu={mu!r} must be > 0")
     if not v.off_spectrum:
@@ -138,11 +134,7 @@ def solve_shape_bvp(problem, eigsys, mu, grid, ordering="forward"):
 
 def bvp_residual_function(problem, grid, mu, phi):
     """Pointwise residual (p phi')' - q phi + mu r phi via fourth-order stencils."""
-    p = problem.p(grid.x)
-    q = problem.q(grid.x)
-    r = problem.r(grid.x)
-    d = derivative_4th(phi, grid.h)
-    return derivative_4th(p * d, grid.h) - q * phi + mu * r * phi
+    return mu * problem.r(grid.x) * phi - sl_apply(problem, grid, phi)
 
 
 def shape_residuals(problem, grid, mu, phi):
@@ -151,7 +143,7 @@ def shape_residuals(problem, grid, mu, phi):
     res = bvp_residual_function(problem, grid, mu, phi)
     sl = slice(4, grid.n_points - 4)
     rnorm = float(np.sqrt(np.sum((grid.weights * r)[sl] * res[sl] ** 2)))
-    d0, d1 = endpoint_derivatives(phi, grid.h)
+    d0, d1 = derivative_4th(phi, grid.h)[[0, -1]]
     left = abs(problem.b1 * phi[0] + problem.b2 * d0)
     right = abs(problem.a1 * phi[-1] + problem.a2 * d1 - 1.0)
     return rnorm, left, right
@@ -170,19 +162,9 @@ def build_shape_set(problem, eigsys, mus, grid):
     return ShapeSet(mus, varphis, norms, grid, r)
 
 
-@dataclass
-class OrthogonalityReport:
-    passed: bool
-    gram: np.ndarray
-    max_offdiag: float
-
-
-def check_orthogonality(shapes):
-    """Mutual-orthogonality test on the shape set (vacuous for j=1)."""
-    gram = shapes.gram()
+def orthogonality_defect(shapes):
+    """Largest off-diagonal entry of the shape Gram matrix (0 for j = 1)."""
     if shapes.j < 2:
-        return OrthogonalityReport(True, gram, 0.0)
-    off = gram - np.diag(np.diag(gram))
-    max_off = float(np.max(np.abs(off)))
-    return OrthogonalityReport(max_off <= ORTHOGONALITY_TOL, gram, max_off)
-
+        return 0.0
+    gram = shapes.gram()
+    return float(np.max(np.abs(gram - np.diag(np.diag(gram)))))

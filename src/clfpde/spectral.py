@@ -20,6 +20,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
+    ConfigError,
     CutoffExceedsComputedModes,
     DimensionMismatch,
     GridTooCoarse,
@@ -107,11 +108,15 @@ class SLProblem:
         return all(c.is_constant for c in (self.p, self.q, self.r))
 
     def validate_on_grid(self, grid):
-        p, r = self.p(grid.x), self.r(grid.x)
-        if np.min(p) <= 0.0:
-            raise NonPositiveCoefficient(f"p(x) <= 0 at x={grid.x[np.argmin(p)]:.6g}")
-        if np.min(r) <= 0.0:
-            raise NonPositiveCoefficient(f"r(x) <= 0 at x={grid.x[np.argmin(r)]:.6g}")
+        samples = {name: getattr(self, name)(grid.x) for name in "pqr"}
+        for name, f in samples.items():
+            if not np.all(np.isfinite(f)):
+                raise ConfigError(
+                    f"{name}(x) is not finite at x={grid.x[np.argmin(np.isfinite(f))]:.6g}")
+        for name in "pr":
+            if np.min(samples[name]) <= 0.0:
+                raise NonPositiveCoefficient(
+                    f"{name}(x) <= 0 at x={grid.x[np.argmin(samples[name])]:.6g}")
 
 
 @dataclass(frozen=True)
@@ -157,8 +162,8 @@ class EigenSystem:
 
     phis[n] is the n-th eigenfunction sampled on grid.x, normalized to unit
     r-weighted norm, with sign fixed by phi'(0) > 0 for a Dirichlet left end
-    and phi(0) > 0 otherwise.  dphi0/dphi1 hold one-sided fourth-order
-    endpoint derivatives.
+    and phi(0) > 0 otherwise.  dphi0/dphi1 hold the one-sided fourth-order
+    endpoint derivatives (the end rows of derivative_4th).
     """
 
     problem: SLProblem
@@ -179,9 +184,10 @@ class EigenSystem:
     def norm_sq(self, f):
         return self.inner(f, f)
 
-    def gram(self):
-        wphi = self.phis * (self.grid.weights * self.r_samples)
-        return wphi @ self.phis.T
+    def gram(self, n=None):
+        """Quadrature Gram matrix of the first n eigenfunctions (all by default)."""
+        phis = self.phis[:n]
+        return (phis * (self.grid.weights * self.r_samples)) @ phis.T
 
 
 # -- finite-volume discretization -------------------------------------------
@@ -253,13 +259,6 @@ def derivative_4th(f, h):
         g[row] = np.tensordot(st, f[:5], axes=(0, 0)) / h
         g[-1 - row] = -np.tensordot(st, f[-5:][::-1], axes=(0, 0)) / h
     return g
-
-
-def endpoint_derivatives(f, h):
-    """One-sided fourth-order derivative estimates at x=0 and x=1."""
-    d0 = np.tensordot(_FWD0, f[:5], axes=(0, 0)) / h
-    d1 = -np.tensordot(_FWD0, f[-5:][::-1], axes=(0, 0)) / h
-    return d0, d1
 
 
 def sl_apply(problem, grid, f):
@@ -398,10 +397,9 @@ def eigensolve(problem, grid, K, richardson=True):
     other problems get an inverse-iteration polish against a fourth-order
     operator whose boundary rows impose the boundary conditions exactly.
 
-    The quantitative contracts (operator residual within 1e-5 * (1 + |lambda|),
-    quadrature orthonormality within 1e-8) are enforced for the lower half of
-    the computed modes; the upper half serves as guard modes for tail
-    estimates.  Violations raise GridTooCoarse.
+    The quantitative contracts of eigen_contracts (operator residual within
+    1e-5 * (1 + |lambda|), quadrature orthonormality within 1e-8) are
+    enforced; violations raise GridTooCoarse.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -424,7 +422,7 @@ def eigensolve(problem, grid, K, richardson=True):
     phis = _normalize(phis, grid, r)
 
     # sign convention
-    d0, d1 = endpoint_derivatives(phis.T, grid.h)
+    d0, d1 = derivative_4th(phis.T, grid.h)[[0, -1]]
     anchor = d0 if problem.left_dirichlet else phis[:, 0]
     flip = np.sign(anchor)
     flip[flip == 0.0] = 1.0
@@ -436,23 +434,32 @@ def eigensolve(problem, grid, K, richardson=True):
         raise GridTooCoarse("computed eigenvalues are not strictly increasing")
 
     eig = EigenSystem(problem, grid, lambdas, phis, d0, d1, r)
-
-    n_check = max(1, K // 2)
-    gram_dev = np.max(np.abs(eig.gram()[:n_check, :n_check] - np.eye(n_check)))
-    if gram_dev > ORTHONORMALITY_TOL:
+    defect, res, tol = eigen_contracts(eig)
+    if defect > ORTHONORMALITY_TOL:
         raise GridTooCoarse(
-            f"quadrature orthonormality defect {gram_dev:.3e} exceeds {ORTHONORMALITY_TOL:g}"
+            f"quadrature orthonormality defect {defect:.3e} exceeds {ORTHONORMALITY_TOL:g}"
         )
-
-    res = operator_residuals(problem, grid, lambdas, phis)
-    tol = OPERATOR_RESIDUAL_TOL * (1.0 + np.abs(lambdas))
-    bad = np.nonzero(res[:n_check] > tol[:n_check])[0]
+    bad = np.nonzero(res > tol)[0]
     if bad.size:
         raise GridTooCoarse(
             f"operator residual {res[bad[0]]:.3e} exceeds {tol[bad[0]]:.3e} "
             f"for mode {bad[0] + 1}; refine the grid or reduce K"
         )
     return eig
+
+
+def eigen_contracts(eigsys):
+    """The quantitative eigensystem contracts, over the lower half of the modes.
+
+    Returns (quadrature orthonormality defect max |Gram - I|, operator
+    residuals, their tolerances OPERATOR_RESIDUAL_TOL (1 + |lambda_n|)).  The
+    upper half of the computed modes serves as guard modes for tail estimates.
+    """
+    n = max(1, eigsys.K // 2)
+    defect = float(np.max(np.abs(eigsys.gram(n) - np.eye(n))))
+    lambdas = eigsys.lambdas[:n]
+    res = operator_residuals(eigsys.problem, eigsys.grid, lambdas, eigsys.phis[:n])
+    return defect, res, OPERATOR_RESIDUAL_TOL * (1.0 + np.abs(lambdas))
 
 
 def boundary_residuals(eigsys):
@@ -475,41 +482,19 @@ def project(w, eigsys, N):
     return coeffs, remainder
 
 
-@dataclass
-class AssumptionHReport:
-    """Numerical diagnostic for the spectral-tail summability assumption."""
-
-    N: int
-    lambda_next: float
-    hard_pass: bool                # lambda_{N+1} > 0
-    partial_sums: np.ndarray       # cumulative sums of lambda_n^-1 max|phi_n|
-    increments: np.ndarray
-    tail_slope: float              # log-log slope of increments over last half
-    summable_trend: bool
-
-    @property
-    def passed(self):
-        return self.hard_pass
-
-
 def check_assumption_h(eigsys, N):
-    """Diagnostic for the tail assumption: hard sign test plus trend indicator.
+    """Diagnostic for the tail assumption: (lambda_{N+1}, tail slope).
 
-    This is numerical evidence, not a proof: the partial sums of
-    lambda_n^-1 max|phi_n| over computed modes are reported together with
-    the decay slope of their increments (slope < -1 indicates summability).
+    lambda_{N+1} > 0 is the hard test.  The slope is numerical evidence, not
+    a proof: the log-log decay slope of lambda_n^-1 max|phi_n| over the last
+    half of the computed tail (slope < -1 indicates summability).
     """
     if eigsys.K < N + 20:
         raise ValueError(f"need at least N+20={N + 20} computed modes, have {eigsys.K}")
-    lambda_next = float(eigsys.lambdas[N])
-    hard_pass = lambda_next > 0.0
     tail = np.arange(N, eigsys.K)
     amps = np.max(np.abs(eigsys.phis[tail]), axis=1)
     increments = amps / np.abs(eigsys.lambdas[tail])
-    partial = np.cumsum(increments)
     half = tail.size // 2
     ns = np.arange(N + 1, eigsys.K + 1)[half:]
     slope = float(np.polyfit(np.log(ns), np.log(increments[half:]), 1)[0])
-    return AssumptionHReport(N, lambda_next, hard_pass, partial, increments,
-                             slope, slope < -1.0)
-
+    return float(eigsys.lambdas[N]), slope

@@ -68,6 +68,15 @@ mus = 5.0
                  id="w0_modes_beyond_modes"),
     pytest.param("[clf]\nsafety = 0.0", "safety must be positive", id="safety_zero"),
     pytest.param("[clf]\nsafety = -2.0", "safety must be positive", id="safety_negative"),
+    pytest.param("[clf]\nsafty = 0.5", "unknown key 'safty' in [clf]", id="key_unknown"),
+    pytest.param("[simm]\nt_final = 8.0", "unknown section [simm]", id="section_unknown"),
+    pytest.param("sigma = nan", "key 'sigma': cannot parse 'nan' (must be finite)",
+                 id="sigma_nan"),
+    pytest.param("[sim]\ny0 = nan", "key 'y0': cannot parse 'nan'", id="y0_nan"),
+    pytest.param("[semilinear]\nkind = sine_type\nlbar = 0.1\nscale = nan",
+                 "key 'scale': cannot parse 'nan'", id="scale_nan"),
+    pytest.param("[semilinear]\nkind = sine_type\nlbar = 0.1\nkappa = -1.0",
+                 "kappa must be auto or > 0", id="kappa_negative"),
 ])
 def test_config_validation_errors(mutation, message_part):
     base = """
@@ -328,6 +337,14 @@ def _design_key(section, key, value, bundle="single_mode_bundle"):
     return _damaged_artifact("design.txt", damage, bundle)
 
 
+def _added_design_line(section, line, bundle="single_mode_bundle"):
+    """design.txt with line added at the top of section."""
+    def damage(lines):
+        start = lines.index(f"[{section}]") + 1
+        return lines[:start] + [line] + lines[start:]
+    return _damaged_artifact("design.txt", damage, bundle)
+
+
 def _extra_value(text):
     return text + " 1.0"
 
@@ -383,11 +400,24 @@ def _edited_config(name, old, new):
     (["check", "--artifact", "artifact"], "design.txt: [verdicts] eigen_orthonormality",
      _design_key("verdicts", "eigen_orthonormality",
                  lambda text: text.split(" margin=")[0] + " margin=abc")),
+    (["check", "--artifact", "artifact"], "design.txt: [semilinear] undeclared key 'bogus_key'",
+     _added_design_line("semilinear", "bogus_key = 7", "two_mode_bundle")),
+    (["check", "--artifact", "artifact"], "design.txt: [semilinear] undeclared key 'g_row_3'",
+     _added_design_line("semilinear", "g_row_3 = 1.0 2.0", "two_mode_bundle")),
+    (["check", "--artifact", "artifact"], "design.txt: no key 'clf_R' in [semilinear]",
+     _design_key("semilinear", "clf_R", None, "two_mode_bundle")),
+    (["check", "--config", "bad.cfg"], "q(x) is not finite",
+     _edited_config("single_mode.cfg", "q = -19.739208802178716", "q = nan")),
+    (["check", "--config", "bad.cfg"], "q(x) is not finite",
+     _edited_config("single_mode.cfg", "q = -19.739208802178716", "q = inf")),
+    (["check", "--config", "bad.cfg"], "p(x) is not finite",
+     _edited_config("single_mode.cfg", "p = 1.0", "p = poly: 1.0 nan")),
 ], ids=["too_few_steps", "modes_below_M", "too_few_samples", "dt_nan", "seed_negative",
         "stride_0", "traj_empty", "traj_ragged", "traj_not_numeric", "eigen_rows_missing",
         "shapes_row_short", "t_final_abc", "kappa_abc", "kind_cubic", "scale_above_lbar",
         "design_sigma_abc", "design_M_9999", "design_K_row_missing", "design_g_row_long",
-        "design_lambdas_long", "design_mus_long", "design_margin_abc"])
+        "design_lambdas_long", "design_mus_long", "design_margin_abc", "design_bogus_key",
+        "design_g_row_3", "design_clf_R_missing", "q_nan", "q_inf", "p_poly_nan"])
 def test_cli_invalid_input_exits_2(tmp_path, capsys, monkeypatch, request, args, message,
                                    prepare):
     monkeypatch.chdir(tmp_path)

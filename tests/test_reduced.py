@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,3 +163,12 @@ def test_gain_rejects_bad_sigma(two_mode_bundle):
         design_gains(two_mode_bundle.model, [1.0, -2.0])
     with pytest.raises(ValueError):
         design_gains(two_mode_bundle.model, [1.0, 1.0, 1.0])
+
+
+def test_contracts_stated_once():
+    # -B^-1 is formed by reduced.gain_inverse alone, and certify reads the
+    # eigen contracts from spectral.eigen_contracts instead of restating them
+    src = Path(__file__).resolve().parents[1] / "src" / "clfpde"
+    assert sum(path.read_text().count("np.linalg.inv(") for path in src.glob("*.py")) == 1
+    pipeline = (src / "pipeline.py").read_text()
+    assert not re.search(r"\bgram\(|operator_residuals", pipeline)

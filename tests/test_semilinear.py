@@ -264,19 +264,27 @@ def test_admissibility_margins_broadcast_over_kappa(two_mode_bundle):
 @pytest.mark.parametrize("kind, lbar, sigma", [("nonlinear", 0.29, 1.0),
                                                ("linear", 0.02, 50.0)])
 def test_kappa_search_is_one_margin_evaluation(two_mode_bundle, monkeypatch, kind, lbar, sigma):
+    # the nonlinear design makes one call, over the kappa grid; the linear one
+    # makes a second, over the a search grid at the selected kappa
     name = f"{kind}_admissibility_margins"
     margin_fn = getattr(semilinear, name)
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return margin_fn(*args)
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return margin_fn(*args, **kwargs)
 
     monkeypatch.setattr(semilinear, name, counted)
     design = build_semilinear_design(two_mode_bundle.model, two_mode_bundle.shapes,
                                      lbar=lbar, sigma=sigma, controller_kind=kind)
     assert design.certified
-    assert len(calls) == 1
+    assert np.array_equal(calls[0][0][-1], kappa_grid())
+    if kind == "nonlinear":
+        assert len(calls) == 1
+    else:
+        assert len(calls) == 2
+        assert calls[1][0][-1] == design.kappa
+        assert np.array_equal(calls[1][1]["a"], semilinear._search_grid())
 
 
 def test_containment_of_admissible_sets(two_mode_bundle):

@@ -3,7 +3,7 @@ import pytest
 
 from clfpde.errors import MuCollidesWithSpectrum, MuNotPositive
 from clfpde.shapes import (
-    check_orthogonality,
+    orthogonality_defect,
     shape_residuals,
     solve_shape_bvp,
     validate_mu_set,
@@ -75,7 +75,7 @@ def test_mu_guards(two_mode_bundle, grid):
 def test_validate_mu_set_verdicts(single_mode_bundle):
     eig = single_mode_bundle.eigsys
     mu_good = single_mode_bundle.shapes.mus[0]
-    verdicts = validate_mu_set([mu_good, float(eig.lambdas[1]), -1.0], eig)
+    verdicts = validate_mu_set([mu_good, float(eig.lambdas[1]), -1.0], eig.lambdas)
     assert verdicts[0].passed
     assert not verdicts[1].passed and not verdicts[1].off_spectrum
     assert not verdicts[2].passed and not verdicts[2].positive
@@ -83,13 +83,11 @@ def test_validate_mu_set_verdicts(single_mode_bundle):
 
 
 def test_orthogonality_report(two_mode_bundle):
-    rep = check_orthogonality(two_mode_bundle.shapes)
-    assert rep.passed
-    assert rep.max_offdiag <= 1e-10
+    assert orthogonality_defect(two_mode_bundle.shapes) <= 1e-10
 
 
 def test_orthogonality_single_shape(single_mode_bundle):
-    assert check_orthogonality(single_mode_bundle.shapes).passed
+    assert orthogonality_defect(single_mode_bundle.shapes) == 0.0
 
 
 def test_orthogonality_duplicate_fails(two_mode_bundle):
@@ -98,9 +96,7 @@ def test_orthogonality_duplicate_fails(two_mode_bundle):
         mus=shapes.mus[[0, 0]], varphis=shapes.varphis[[0, 0]],
         norms_sq=shapes.norms_sq[[0, 0]], grid=shapes.grid,
         r_samples=shapes.r_samples)
-    rep = check_orthogonality(dup)
-    assert not rep.passed
-    assert rep.max_offdiag > 0.4      # equals the squared norm 1/2
+    assert orthogonality_defect(dup) > 0.4      # equals the squared norm 1/2
 
 
 def test_shape_csv_export(tmp_path, two_mode_bundle):

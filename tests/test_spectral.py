@@ -272,21 +272,19 @@ def test_project_cutoff_guard(varcoef_eigsys):
 # -- tail assumption diagnostic ----------------------------------------------
 
 def test_assumption_h_two_mode(two_mode_bundle):
-    rep = check_assumption_h(two_mode_bundle.eigsys, 2)
-    assert rep.hard_pass
-    assert abs(rep.lambda_next - 4.0 * PI ** 2) < 1e-6
-    assert rep.summable_trend
+    lambda_next, tail_slope = check_assumption_h(two_mode_bundle.eigsys, 2)
+    assert abs(lambda_next - 4.0 * PI ** 2) < 1e-6
+    assert tail_slope < -1.0           # summable trend
 
 
 def test_assumption_h_single_mode(single_mode_bundle):
-    rep = check_assumption_h(single_mode_bundle.eigsys, 1)
-    assert rep.hard_pass
-    assert abs(rep.lambda_next - 2.0 * PI ** 2) < 1e-6
+    lambda_next, _ = check_assumption_h(single_mode_bundle.eigsys, 1)
+    assert abs(lambda_next - 2.0 * PI ** 2) < 1e-6
 
 
 def test_assumption_h_hard_fail(two_mode_bundle):
-    rep = check_assumption_h(two_mode_bundle.eigsys, 1)   # lambda_2 < 0
-    assert not rep.hard_pass and not rep.passed
+    lambda_next, _ = check_assumption_h(two_mode_bundle.eigsys, 1)   # lambda_2 < 0
+    assert lambda_next <= 0.0
 
 
 def test_assumption_h_needs_tail_modes(varcoef_eigsys):
