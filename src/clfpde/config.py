@@ -109,6 +109,9 @@ class RunConfig:
             raise ConfigError("N and j must both be >= 1")
         if len(self.mus) != self.j:
             raise ConfigError(f"need {self.j} mu values, got {len(self.mus)}")
+        for mu in self.mus:
+            if not mu > 0.0:
+                raise ConfigError(f"mus must be > 0, got mu={float(mu)!r}")
         if self.Ls and len(self.Ls) != self.j:
             raise ConfigError(f"need {self.j} L values, got {len(self.Ls)}")
         if not all(L >= 0.0 for L in self.Ls):
@@ -134,6 +137,9 @@ class RunConfig:
             raise ConfigError("grid n_points must be odd and >= 129")
         if self.modes < self.N + 20:
             raise ConfigError("spectral modes must be at least N + 20")
+        if self.n_points < 8 * self.modes:
+            raise ConfigError(f"grid n_points must be >= 8 x modes = {8 * self.modes}, "
+                              f"got {self.n_points}")
         if self.sim.n_modes > self.modes:
             raise ConfigError("sim n_modes cannot exceed computed spectral modes")
         if len(self.w0_modes) > self.modes:

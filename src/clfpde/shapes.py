@@ -75,7 +75,7 @@ def check_mu(mu, eigsys):
     """Validate positivity and spectral separation of one mu."""
     v = validate_mu_set(mu, eigsys.lambdas)[0]
     if not v.positive:
-        raise MuNotPositive(f"mu={mu!r} must be > 0")
+        raise MuNotPositive(f"mu={float(mu)!r} must be > 0")
     if not v.off_spectrum:
         raise MuCollidesWithSpectrum(
             f"mu={mu!r} within tolerance of eigenvalue {v.nearest_mode} "

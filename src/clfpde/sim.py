@@ -11,12 +11,12 @@ Under the default integrator ('exponential_midpoint') a loop without a
 nonlinear coupling (linear, open loop, zero nonlinearity) is linear and
 time-invariant, z = (c, y), z' = A z with A = ClosedLoop.matrix(): it
 advances by the exact propagator expm(A dt record_stride), one mat-vec per
-recorded sample.  A nonzero semilinear coupling applies the exact diagonal
-decay factor exp(-lambda_n dt) and treats the control / nonlinear coupling
-with an explicit midpoint rule (Strang arrangement), which keeps the
-O(n^2)-stiff tail stable at practical step sizes.  RK4 steps every loop
-explicitly, as a cross-check.  The recorded V is ClosedLoop.value, the same
-functional the certifier evaluates.
+recorded sample.  A nonzero semilinear coupling keeps all the stiffness in
+A and adds a non-stiff g(z), z' = A z + g(z); ETDRK4 (Cox & Matthews)
+treats A exactly through phi-functions and g explicitly, one step of
+h = dt record_stride per recorded sample, four quadratures of F each.  RK4
+steps every loop explicitly at dt, as a cross-check.  The recorded V is
+ClosedLoop.value, the same functional the certifier evaluates.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class SimConfig:
     dt: float = 1e-4
     t_final: float | None = None     # None: 5/sigma clipped to [1, 20], fallback 10
     # 'exponential_midpoint': exact expm on LTI loops (linear, open loop, zero
-    # nonlinearity), Strang exponential midpoint on a nonzero nonlinearity;
-    # 'rk4': explicit steps on every loop, a cross-check
+    # nonlinearity), ETDRK4 with h = dt record_stride on a nonzero
+    # nonlinearity; 'rk4': explicit steps of dt on every loop, a cross-check
     integrator: str = "exponential_midpoint"
     record_stride: int = 10
     max_steps: int = 2_000_000
@@ -126,46 +126,35 @@ def _check_growth(size, t, cap):
         )
 
 
-def _run_loop(loop, coupling_rhs, controls_fn, c, y, dt, steps, cfg):
-    """Per-step integrator core; returns the recorded (times, coeffs, ys, vs).
+def _rk4_records(loop, coupling_rhs, controls_fn, c, y, dt, steps, cfg):
+    """Recorded (times, coeffs, ys, vs) of explicit RK4 steps of size dt.
 
     coupling_rhs(c, y) -> (dc, dy) is the right-hand side without the
     diagonal decay -lambda c, -mu y.
     """
     lambdas, mus, stride = loop.lambdas, loop.mus, cfg.record_stride
+    lam_pos = float(np.max(lambdas)) if lambdas.size else 0.0
+    if lam_pos * dt > RK4_STABILITY:
+        raise StepSizeTooLarge(
+            f"dt={dt:g} violates RK4 stability: lambda_max*dt = {lam_pos * dt:.3g} > {RK4_STABILITY}"
+        )
     times = _record_times(dt, steps, stride)
     n_rec = times.size
     coeffs = np.empty((n_rec, c.size))
     ys = np.empty((n_rec, y.size))
     vs = np.empty((n_rec, y.size))
 
-    if cfg.integrator == "exponential_midpoint":
-        E = np.exp(-lambdas * dt / 2.0)
-        Ey = np.exp(-mus * dt / 2.0)
+    def full_rhs(c, y):
+        dc, dy = coupling_rhs(c, y)
+        return dc - lambdas * c, dy - mus * y
 
-        def step(c, y):
-            ac, ay = E * c, Ey * y
-            d1c, d1y = coupling_rhs(ac, ay)
-            d2c, d2y = coupling_rhs(ac + 0.5 * dt * d1c, ay + 0.5 * dt * d1y)
-            return E * (ac + dt * d2c), Ey * (ay + dt * d2y)
-    else:
-        lam_pos = float(np.max(lambdas)) if lambdas.size else 0.0
-        if lam_pos * dt > RK4_STABILITY:
-            raise StepSizeTooLarge(
-                f"dt={dt:g} violates RK4 stability: lambda_max*dt = {lam_pos * dt:.3g} > {RK4_STABILITY}"
-            )
-
-        def full_rhs(c, y):
-            dc, dy = coupling_rhs(c, y)
-            return dc - lambdas * c, dy - mus * y
-
-        def step(c, y):
-            k1c, k1y = full_rhs(c, y)
-            k2c, k2y = full_rhs(c + 0.5 * dt * k1c, y + 0.5 * dt * k1y)
-            k3c, k3y = full_rhs(c + 0.5 * dt * k2c, y + 0.5 * dt * k2y)
-            k4c, k4y = full_rhs(c + dt * k3c, y + dt * k3y)
-            return (c + dt / 6.0 * (k1c + 2 * k2c + 2 * k3c + k4c),
-                    y + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y))
+    def step(c, y):
+        k1c, k1y = full_rhs(c, y)
+        k2c, k2y = full_rhs(c + 0.5 * dt * k1c, y + 0.5 * dt * k1y)
+        k3c, k3y = full_rhs(c + 0.5 * dt * k2c, y + 0.5 * dt * k2y)
+        k4c, k4y = full_rhs(c + dt * k3c, y + dt * k3y)
+        return (c + dt / 6.0 * (k1c + 2 * k2c + 2 * k3c + k4c),
+                y + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y))
 
     cap = _growth_cap(c, y)
     rec = 0
@@ -181,11 +170,74 @@ def _run_loop(loop, coupling_rhs, controls_fn, c, y, dt, steps, cfg):
     return times, coeffs, ys, vs
 
 
+def _phi_functions(X, p):
+    """[phi_0(X), ..., phi_p(X)], phi_0 = expm, from one expm of the block matrix
+
+        [[X, I, 0, ..], [0, 0, I, ..], .., [0, .., 0]]    ((p + 1) x (p + 1) blocks)
+
+    whose top block row they are (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
+    """
+    m = X.shape[0]
+    W = np.zeros(((p + 1) * m, (p + 1) * m))
+    W[:m, :m] = X
+    W[np.arange(p * m), np.arange(m, (p + 1) * m)] = 1.0
+    top = expm(W)[:m]
+    return [top[:, k * m:(k + 1) * m] for k in range(p + 1)]
+
+
+def _etdrk4_records(loop, f_modal, c, y, dt, steps, cfg):
+    """Recorded (times, coeffs, ys, vs) of z' = A z + g(z) by ETDRK4.
+
+    z = (c, y), A = loop.matrix() and g(z) = (f - T dv, dv) with
+    f = f_modal(c, y) and dv = controls(c, y, f) - controls(c, y), the rest
+    of the right-hand side.  One Cox-Matthews step (J. Comput. Phys. 176,
+    2002) of h = dt record_stride per recorded sample treats the stiff
+    linear part exactly; its first stage evaluates f at the recorded state,
+    which also gives that sample's controls.
+    """
+    n = c.size
+    times = _record_times(dt, steps, cfg.record_stride)
+    h = dt * cfg.record_stride
+    A = loop.matrix()
+    E, P1, P2, P3 = _phi_functions(h * A, 3)
+    E2, P1_half = _phi_functions(0.5 * h * A, 1)
+    Q = 0.5 * h * P1_half
+    W1 = h * (P1 - 3.0 * P2 + 4.0 * P3)
+    W2 = 2.0 * h * (P2 - 2.0 * P3)
+    W3 = h * (4.0 * P3 - P2)
+
+    def g(z):
+        """(g(z), controls at z)."""
+        c, y = z[:n], z[n:]
+        f = f_modal(c, y)
+        v = loop.controls(c, y, f)
+        dv = v - loop.controls(c, y)
+        return np.concatenate([f - loop.T @ dv, dv]), v
+
+    Z = np.empty((times.size, n + y.size))
+    vs = np.empty((times.size, y.size))
+    Z[0, :n], Z[0, n:] = c, y
+    cap = _growth_cap(c, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(times.size):
+            z = Z[k]
+            _check_growth(np.sqrt(float(z[:n] @ z[:n])) + np.linalg.norm(z[n:]), times[k], cap)
+            gz, vs[k] = g(z)
+            if k + 1 < times.size:
+                a = E2 @ z + Q @ gz
+                ga, _ = g(a)
+                b = E2 @ z + Q @ ga
+                gb, _ = g(b)
+                gc, _ = g(E2 @ a + Q @ (2.0 * gb - gz))
+                Z[k + 1] = E @ z + W1 @ gz + W2 @ (ga + gb) + W3 @ gc
+    return times, Z[:, :n], Z[:, n:], vs
+
+
 def _lti_records(loop, c, y, dt, steps, cfg):
     """Recorded (times, coeffs, ys, vs) of the loop without a nonlinear coupling.
 
     'exponential_midpoint' samples the exact solution: one mat-vec with
-    P = expm(A dt record_stride) per record.  Other integrators step it.
+    P = expm(A dt record_stride) per record.  'rk4' steps it.
     """
     stride = cfg.record_stride
     if cfg.integrator != "exponential_midpoint":
@@ -193,7 +245,7 @@ def _lti_records(loop, c, y, dt, steps, cfg):
             v = loop.controls(c, y)
             return -loop.T @ v, v
 
-        return _run_loop(loop, coupling_rhs, loop.controls, c, y, dt, steps, cfg)
+        return _rk4_records(loop, coupling_rhs, loop.controls, c, y, dt, steps, cfg)
 
     n = c.size
     times = _record_times(dt, steps, stride)
@@ -252,9 +304,11 @@ def simulate_semilinear(eigsys, shapes, model, design, F, w0, y0, cfg):
     c, y = _initial_state(eigsys, w0, y0, n_modes)
     dt = cfg.dt
     steps = cfg.steps(design.sigma)
-    if 2 * steps > cfg.max_steps:
+    samples = steps // cfg.record_stride + 1
+    f_evals = 4 * steps + samples if cfg.integrator == "rk4" else 4 * (samples - 1) + 1
+    if f_evals > cfg.max_steps:
         raise QuadratureBudgetExceeded(
-            f"{steps} steps x 2 quadrature evaluations exceed max_steps={cfg.max_steps}"
+            f"{f_evals} quadrature evaluations of F exceed max_steps={cfg.max_steps}"
         )
     loop = semilinear_loop(eigsys, shapes, design, n_modes)
 
@@ -264,23 +318,22 @@ def simulate_semilinear(eigsys, shapes, model, design, F, w0, y0, cfg):
         Phi = eigsys.phis[:n_modes]                      # (n_modes, n_grid)
         Psi = shapes.varphis                              # (N, n_grid)
         Phi_w = Phi * (eigsys.grid.weights * eigsys.r_samples)
-        Kmat, G, T = loop.Kmat, loop.G, loop.T
 
         def f_modal(c, y):
             return Phi_w @ F.evaluate(c @ Phi + y @ Psi)
 
-        def coupling_rhs(c, y):
-            # loop.controls(c, y, f) spelled out: this runs twice per step
-            f = f_modal(c, y)
-            v = Kmat @ c
-            if G is not None:
-                v = v + G @ f[:N]
-            return -T @ v + f, v
+        if cfg.integrator == "rk4":
+            def coupling_rhs(c, y):
+                f = f_modal(c, y)
+                v = loop.controls(c, y, f)
+                return -loop.T @ v + f, v
 
-        def controls(c, y):
-            return loop.controls(c, y, f_modal(c, y))
+            def controls(c, y):
+                return loop.controls(c, y, f_modal(c, y))
 
-        records = _run_loop(loop, coupling_rhs, controls, c, y, dt, steps, cfg)
+            records = _rk4_records(loop, coupling_rhs, controls, c, y, dt, steps, cfg)
+        else:
+            records = _etdrk4_records(loop, f_modal, c, y, dt, steps, cfg)
     return _trajectory(records, loop, certified=design.certified,
                        design_N=N, kind="semilinear")
 

@@ -228,15 +228,20 @@ def _assemble_pencil(problem, x):
     return idx, diag, off, dvol
 
 
-def _tridiagonal_eigs(problem, x, K):
-    """Lowest K eigenpairs of the pencil by bisection + inverse iteration."""
+def _tridiagonal_eigs(problem, x, K, vectors=True):
+    """Lowest K eigenpairs of the pencil by bisection + inverse iteration.
+
+    vectors=False returns the eigenvalues alone and skips inverse iteration.
+    """
     idx, diag, off, dvol = _assemble_pencil(problem, x)
     if K > idx.size:
         raise GridTooCoarse(f"grid supports at most {idx.size} modes, requested {K}")
     s = np.sqrt(dvol)
-    lam, psi = eigh_tridiagonal(
-        diag / dvol, off / (s[:-1] * s[1:]), select="i", select_range=(0, K - 1)
-    )
+    out = eigh_tridiagonal(diag / dvol, off / (s[:-1] * s[1:]), eigvals_only=not vectors,
+                           select="i", select_range=(0, K - 1))
+    if not vectors:
+        return out
+    lam, psi = out
     phi = np.zeros((x.size, K))
     phi[idx] = psi / s[:, None]
     return lam, phi
@@ -410,7 +415,7 @@ def eigensolve(problem, grid, K, richardson=True):
     lam_f, phi = _tridiagonal_eigs(problem, grid.x, K)
     lambdas = lam_f
     if richardson:
-        lam_c, _ = _tridiagonal_eigs(problem, grid.x[::2], K)
+        lam_c = _tridiagonal_eigs(problem, grid.x[::2], K, vectors=False)
         lambdas = (4.0 * lam_f - lam_c) / 3.0
 
     phis = np.ascontiguousarray(phi.T)     # C order: reloaded artifacts are C order too

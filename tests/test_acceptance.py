@@ -151,15 +151,18 @@ def test_criterion_7_feedback_linearization_contraction():
         traj = simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.model,
                                    bundle.sl_design, F, w0, y0, cfg)
         c0, cT = traj.coeffs[0, :2], traj.coeffs[-1, :2]
-        return float(np.max(np.abs(cT - c0 * np.exp(-sigma * T))))
+        return float(np.max(np.abs(cT - c0 * np.exp(-sigma * T)))), float(np.max(np.abs(c0)))
 
+    # ETDRK4 treats the linear part exactly and its explicit part vanishes on
+    # the retained rows, so the identity holds to rounding at any step; the
+    # scheme's order is tested in test_sim
     base = 2e-4
-    d1, d2 = deviation(base), deviation(base / 2.0)
-    ratio = d1 / d2
+    (d1, size), (d2, _) = deviation(base), deviation(base / 2.0)
+    tol = 1e-12 * size
     dt, in_budget = elapsed_ok(t0, 60.0)
-    report(7, 2.5 <= ratio <= 6.0 and d1 < 1e-3 and in_budget,
-           f"modal contraction toward e^(-sigma dt): deviation {d1:.3e} at dt, "
-           f"{d2:.3e} at dt/2, ratio {ratio:.2f} (expect ~4), {dt:.1f}s (< 60s)")
+    report(7, max(d1, d2) <= tol and in_budget,
+           f"modal contraction c_n(t) = c_n(0) e^(-sigma t), n <= N: deviation {d1:.3e} "
+           f"at dt, {d2:.3e} at dt/2 (tol {tol:.3e} = 1e-12 max|c_n(0)|), {dt:.1f}s (< 60s)")
 
 
 def test_criterion_8_semilinear_stabilization_and_containment():

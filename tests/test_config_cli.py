@@ -77,6 +77,7 @@ mus = 5.0
                  "key 'scale': cannot parse 'nan'", id="scale_nan"),
     pytest.param("[semilinear]\nkind = sine_type\nlbar = 0.1\nkappa = -1.0",
                  "kappa must be auto or > 0", id="kappa_negative"),
+    pytest.param("mus = 0.0", "mus must be > 0, got mu=0.0", id="mus_zero"),
 ])
 def test_config_validation_errors(mutation, message_part):
     base = """
@@ -218,17 +219,16 @@ def test_cli_unstable_cutoff_fails_certification(tmp_path):
 
 
 def test_cli_instability_exit_code(tmp_path):
-    # a step far too large for the explicit midpoint coupling of a nonzero
-    # nonlinearity blows up a certified design; the pipeline reports it as
-    # instability, not failure (linear loops use the exact propagator, which
-    # has no step-size limit)
-    cfg = preset_config("3.3")
-    cfg.sim.t_final = 50.0
+    # f(s) = 60 s is far beyond the certified growth bound (0.2996): modes past
+    # the two retained ones grow, and a run forced with --uncertified blows up
+    # under any step size; the pipeline reports it as instability, not failure
+    cfg = preset_config("3.3", lbar=60.0, kind="linear_gain")
+    cfg.sim.t_final = 5.0
     cfg.sim.n_modes = 24
-    cfg.sim.dt = 0.1
-    cfgpath = tmp_path / "coarse_dt.cfg"
+    cfg.sim.dt = 1e-3
+    cfgpath = tmp_path / "linear_gain_60.cfg"
     cfgpath.write_text(config_to_text(cfg))
-    assert cli_main(["simulate", "--config", str(cfgpath),
+    assert cli_main(["simulate", "--config", str(cfgpath), "--uncertified",
                      "--out", str(tmp_path / "blow"), "--quiet"]) == 4
 
 
@@ -412,12 +412,17 @@ def _edited_config(name, old, new):
      _edited_config("single_mode.cfg", "q = -19.739208802178716", "q = inf")),
     (["check", "--config", "bad.cfg"], "p(x) is not finite",
      _edited_config("single_mode.cfg", "p = 1.0", "p = poly: 1.0 nan")),
+    (["check", "--config", "bad.cfg"], "mus must be > 0, got mu=-1.0",
+     _edited_config("single_mode.cfg", "mus = 41.94581870462977", "mus = -1.0")),
+    (["check", "--config", "bad.cfg"], "n_points must be >= 8 x modes = 768, got 129",
+     _edited_config("single_mode.cfg", "n_points = 2049", "n_points = 129")),
 ], ids=["too_few_steps", "modes_below_M", "too_few_samples", "dt_nan", "seed_negative",
         "stride_0", "traj_empty", "traj_ragged", "traj_not_numeric", "eigen_rows_missing",
         "shapes_row_short", "t_final_abc", "kappa_abc", "kind_cubic", "scale_above_lbar",
         "design_sigma_abc", "design_M_9999", "design_K_row_missing", "design_g_row_long",
         "design_lambdas_long", "design_mus_long", "design_margin_abc", "design_bogus_key",
-        "design_g_row_3", "design_clf_R_missing", "q_nan", "q_inf", "p_poly_nan"])
+        "design_g_row_3", "design_clf_R_missing", "q_nan", "q_inf", "p_poly_nan",
+        "mus_negative", "n_points_below_8_modes"])
 def test_cli_invalid_input_exits_2(tmp_path, capsys, monkeypatch, request, args, message,
                                    prepare):
     monkeypatch.chdir(tmp_path)

@@ -13,7 +13,9 @@ from clfpde.errors import (
 )
 from clfpde.lyapunov import linear_loop, lyapunov_value
 from clfpde.semilinear import NonlinearitySpec, lyapunov_value_and_rate, semilinear_loop
+from clfpde.presets import preset_config
 from clfpde.sim import (
+    INSTABILITY_FACTOR,
     SimConfig,
     Trajectory,
     fit_decay_rate,
@@ -267,6 +269,82 @@ def test_quadrature_budget_guard(two_mode_bundle):
                             bundle.eigsys.phis[0], [0.0, 0.0], cfg)
 
 
+def test_quadrature_budget_counts_f_evaluations(two_mode_bundle, monkeypatch):
+    # 100 ETDRK4 steps of 4 quadratures each, plus the last sample's controls
+    bundle = two_mode_bundle
+    w0, y0 = pipeline.initial_state(bundle)
+    F = NonlinearitySpec.make("sine_type", scale=0.29)
+    calls = []
+    evaluate = NonlinearitySpec.evaluate
+    monkeypatch.setattr(NonlinearitySpec, "evaluate",
+                        lambda self, s: calls.append(1) or evaluate(self, s))
+
+    def run(budget):
+        cfg = SimConfig(n_modes=16, dt=1e-3, t_final=1.0, record_stride=10,
+                        max_steps=budget)
+        return simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.model,
+                                   bundle.sl_design, F, w0, y0, cfg)
+
+    with pytest.raises(QuadratureBudgetExceeded, match="401 quadrature evaluations"):
+        run(400)
+    assert not calls
+    assert run(401).samples == 101
+    assert len(calls) == 401
+
+
+def semilinear_states(bundle, n_modes, t_final, dt, stride, integrator="exponential_midpoint"):
+    """(c, y) per recorded sample of the sine-type loop of the 3.3 preset."""
+    F = NonlinearitySpec.make("sine_type", scale=0.29)
+    w0, y0 = pipeline.initial_state(bundle)
+    cfg = SimConfig(n_modes=n_modes, dt=dt, t_final=t_final, record_stride=stride,
+                    integrator=integrator)
+    traj = simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.model,
+                               bundle.sl_design, F, w0, y0, cfg)
+    return np.hstack([traj.coeffs, traj.y])
+
+
+def test_etdrk4_fourth_order(two_mode_bundle):
+    # h = dt record_stride: steps of 0.016 and 0.008 against a run at 0.001,
+    # compared on the coarse run's samples; the error falls ~17x per halving
+    dt = 1e-4
+    ref = semilinear_states(two_mode_bundle, 32, 0.64, dt, 10)
+    errors = [np.max(np.abs(semilinear_states(two_mode_bundle, 32, 0.64, dt, stride)
+                            - ref[::stride // 10]))
+              for stride in (160, 80)]
+    assert errors[1] > 1e-8
+    assert errors[0] >= 8.0 * errors[1]
+
+
+def test_etdrk4_matches_fine_rk4(two_mode_bundle):
+    # ETDRK4 at h = 2e-3 (the shipped step) against RK4 at dt = 1e-4: 3.6e-7
+    etd = semilinear_states(two_mode_bundle, 32, 0.1, 1e-4, 20)
+    rk4 = semilinear_states(two_mode_bundle, 32, 0.1, 1e-4, 20, "rk4")
+    assert etd.shape == rk4.shape == (51, 34)
+    assert np.max(np.abs(etd - rk4)) <= 1e-6
+
+
+def test_semilinear_instability_guard_names_first_sample(two_mode_bundle):
+    # f(s) = 60 s, far beyond the certified growth bound 0.2996, leaves modes
+    # past the two retained ones unstable: the guard stops ETDRK4 at the first
+    # recorded sample past the cap, t = 0.22 (the sample before is inside it)
+    bundle = pipeline.design(preset_config("3.3", lbar=60.0, kind="linear_gain"))
+    F = bundle.config.semilinear.nonlinearity()
+    w0, y0 = pipeline.initial_state(bundle)
+
+    def run(t_final):
+        cfg = SimConfig(n_modes=24, dt=1e-3, t_final=t_final, record_stride=10)
+        return simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.model,
+                                   bundle.sl_design, F, w0, y0, cfg)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Instability, match=r"at t=0\.22 exceeds"):
+            run(5.0)
+        inside = run(0.21)
+    size = inside.norm_w + inside.norm_y
+    assert size[-1] <= INSTABILITY_FACTOR * size[0]
+
+
 # -- the simulator and the certifier share one loop ----------------------------------
 
 def assert_rate_matches_centred_difference(traj, h, rate_at, tol):
@@ -314,8 +392,8 @@ def test_semilinear_trajectory_V_is_the_certified_functional(two_mode_bundle):
         f = Phi_w @ F.evaluate(c @ Phi + y @ shapes.varphis)
         return loop.rate(c, y, traj.v[k], f)
 
-    # the midpoint step adds its own O(dt^2) to the difference (9e-5)
-    assert_rate_matches_centred_difference(traj, cfg.dt, rate_at, 1e-3)
+    # an ETDRK4 step of h = dt leaves only the O(h^2) error of the difference (1e-6)
+    assert_rate_matches_centred_difference(traj, cfg.dt, rate_at, 1e-4)
 
 
 # -- trajectory CSV ----------------------------------------------------------------
