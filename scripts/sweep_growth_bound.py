@@ -48,8 +48,8 @@ def main():
             design = build_semilinear_design(bundle.model, bundle.shapes, lbar,
                                              sigma=1.0, controller_kind="nonlinear")
             F = NonlinearitySpec.make("sine_type", scale=lbar)
-            traj = simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.model,
-                                       design, F, w0, y0, bundle.config.sim)
+            traj = simulate_semilinear(bundle.eigsys, bundle.shapes, design, F,
+                                       w0, y0, bundle.config.sim)
             fit = fit_decay_rate(traj)
             print(f"  lbar={lbar:.4f} certified={traj.certified} "
                   f"fitted rate={fit.rate:.4f} r2={fit.r_squared:.4f}")

@@ -95,10 +95,13 @@ def cmd_check(args):
 def cmd_simulate(args):
     cfg = _load_cfg(args)
     # both gain modes design sigma = min(cfg.sigma), so the counts need no design
-    samples = cfg.sim.steps(min(cfg.sigma)) // cfg.sim.record_stride + 1
+    sigma = min(cfg.sigma)
+    samples = cfg.sim.samples(sigma)
     if samples < FIT_MIN_SAMPLES:
         raise ConfigError(f"the run records {samples} samples; fitting the decay rate "
                           f"needs at least {FIT_MIN_SAMPLES}")
+    if cfg.semilinear is not None:
+        cfg.sim.check_quadrature_budget(cfg.semilinear.nonlinearity(), sigma)
     bundle, out = _design_and_certify(args, cfg)
     _say(args, pipeline.report_text(bundle))
     if not bundle.certified and not args.uncertified:

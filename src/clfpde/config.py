@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .semilinear import NonlinearitySpec
-from .sim import SimConfig
+from .sim import INTEGRATOR, SimConfig
 from .spectral import Coefficient, SLProblem
 from .textio import BOOL, FLOAT, FLOATS, INT, STR, Kind, floats, parse_sections, parse_value, vec
 
@@ -150,6 +150,9 @@ class RunConfig:
             raise ConfigError(f"y0 needs {self.j} values, got {len(self.y0)}")
         if not self.sim.dt > 0.0:
             raise ConfigError("dt must be positive")
+        if self.sim.integrator != INTEGRATOR:
+            raise ConfigError(f"key 'integrator' accepts only {INTEGRATOR!r}, "
+                              f"got {self.sim.integrator!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self

@@ -89,12 +89,8 @@ class Instability(ToolkitError):
     """Closed-loop trajectory norm grew beyond the safety factor."""
 
 
-class StepSizeTooLarge(ToolkitError):
-    """Explicit integrator step violates the stiffness stability bound."""
-
-
-class QuadratureBudgetExceeded(ToolkitError):
-    """Simulation would exceed the per-run quadrature evaluation budget."""
+class QuadratureBudgetExceeded(ConfigError):
+    """The run would exceed its configured budget of quadratures of F (max_steps)."""
 
 
 class DegenerateTrajectory(ToolkitError):

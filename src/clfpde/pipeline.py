@@ -262,8 +262,8 @@ def simulate(bundle):
     if cfg.semilinear is not None:
         F = cfg.semilinear.nonlinearity()
         F.validate()
-        return simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.model,
-                                   bundle.sl_design, F, w0, y0, cfg.sim)
+        return simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design,
+                                   F, w0, y0, cfg.sim)
     return simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains, bundle.params,
                            bundle.law, w0, y0, cfg.sim)
 

@@ -7,15 +7,13 @@ semilinear.semilinear_loop):
     c_n' = -lambda_n c_n - sum_i v_i <varphi_i, phi_n>  (+ <phi_n, F(u)>),
     y_i' = -mu_i y_i + v_i.
 
-Under the default integrator ('exponential_midpoint') a loop without a
-nonlinear coupling (linear, open loop, zero nonlinearity) is linear and
-time-invariant, z = (c, y), z' = A z with A = ClosedLoop.matrix(): it
-advances by the exact propagator expm(A dt record_stride), one mat-vec per
-recorded sample.  A nonzero semilinear coupling keeps all the stiffness in
-A and adds a non-stiff g(z), z' = A z + g(z); ETDRK4 (Cox & Matthews)
-treats A exactly through phi-functions and g explicitly, one step of
-h = dt record_stride per recorded sample, four quadratures of F each.  RK4
-steps every loop explicitly at dt, as a cross-check.  The recorded V is
+With z = (c, y) and A = ClosedLoop.matrix() the loop is z' = A z + g(z),
+and one exponential scheme advances it by h = dt record_stride per recorded
+sample.  Without a nonlinear coupling (linear, open loop, zero F) g = 0 and
+each sample is the exact image expm(h A) z of the one before.  A nonzero F
+leaves all the stiffness in A and a non-stiff g; ETDRK4 (Cox & Matthews,
+J. Comput. Phys. 176, 2002) treats A exactly through phi-functions and g
+explicitly, four quadratures of F per step.  The recorded V is
 ClosedLoop.value, the same functional the certifier evaluates.
 """
 
@@ -26,24 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import (
-    ConfigError,
-    DegenerateTrajectory,
-    Instability,
-    QuadratureBudgetExceeded,
-    StepSizeTooLarge,
-)
+from .errors import ConfigError, DegenerateTrajectory, Instability, QuadratureBudgetExceeded
 from .lyapunov import coupling_table  # noqa: F401  (perfbench/spans.py wraps this name)
 from .lyapunov import linear_loop, modal_state, transform_input
 from .semilinear import semilinear_loop
 from .textio import write_csv
 
 INSTABILITY_FACTOR = 1e6
-RK4_STABILITY = 2.78
 W0_REMAINDER_REL = 1e-8
 MIN_STEPS = 100
 FIT_MIN_SAMPLES = 20
-INTEGRATORS = ("exponential_midpoint", "rk4")
+INTEGRATOR = "exponential_midpoint"
 
 
 @dataclass
@@ -51,12 +42,11 @@ class SimConfig:
     n_modes: int = 64
     dt: float = 1e-4
     t_final: float | None = None     # None: 5/sigma clipped to [1, 20], fallback 10
-    # 'exponential_midpoint': exact expm on LTI loops (linear, open loop, zero
-    # nonlinearity), ETDRK4 with h = dt record_stride on a nonzero
-    # nonlinearity; 'rk4': explicit steps of dt on every loop, a cross-check
-    integrator: str = "exponential_midpoint"
+    # the one scheme (exact expm without F, ETDRK4 with F, step dt record_stride);
+    # the key stays for file compatibility and accepts only INTEGRATOR
+    integrator: str = INTEGRATOR
     record_stride: int = 10
-    max_steps: int = 2_000_000
+    max_steps: int = 2_000_000       # budget of quadratures of F; a zero F makes none
 
     def resolve_t_final(self, sigma=None):
         if self.t_final is not None:
@@ -67,8 +57,6 @@ class SimConfig:
 
     def steps(self, sigma=None):
         """Step count over the resolved horizon; ConfigError on unusable step settings."""
-        if self.integrator not in INTEGRATORS:
-            raise ConfigError(f"unknown integrator {self.integrator!r}")
         if not self.dt > 0.0:
             raise ConfigError("dt must be positive")
         if self.record_stride < 1:
@@ -80,6 +68,18 @@ class SimConfig:
         if steps < MIN_STEPS:
             raise ConfigError(f"t_final must cover at least {MIN_STEPS} steps")
         return steps
+
+    def samples(self, sigma=None):
+        return self.steps(sigma) // self.record_stride + 1
+
+    def check_quadrature_budget(self, F, sigma=None):
+        """At most max_steps quadratures of F: ETDRK4 makes four per step and
+        one for the last sample's controls, and a zero F (exact propagator) none."""
+        count = 0 if F.kind == "zero" else 4 * (self.samples(sigma) - 1) + 1
+        if count > self.max_steps:
+            raise QuadratureBudgetExceeded(
+                f"{count} quadrature evaluations of F exceed max_steps={self.max_steps}"
+            )
 
 
 @dataclass
@@ -110,64 +110,11 @@ def _initial_state(eigsys, w0, y0, n_modes):
     return c0, np.atleast_1d(np.asarray(y0, dtype=float)).copy()
 
 
-def _record_times(dt, steps, stride):
-    """t = k dt for the recorded steps k = 0, stride, 2 stride, ... <= steps."""
-    return np.arange(0, steps + 1, stride) * dt
-
-
-def _growth_cap(c, y):
-    return INSTABILITY_FACTOR * max(np.sqrt(float(c @ c)) + np.linalg.norm(y), 1e-12)
-
-
 def _check_growth(size, t, cap):
     if not np.isfinite(size) or size > cap:
         raise Instability(
             f"norm {size:.3e} at t={t:.4g} exceeds {INSTABILITY_FACTOR:g} x initial"
         )
-
-
-def _rk4_records(loop, coupling_rhs, controls_fn, c, y, dt, steps, cfg):
-    """Recorded (times, coeffs, ys, vs) of explicit RK4 steps of size dt.
-
-    coupling_rhs(c, y) -> (dc, dy) is the right-hand side without the
-    diagonal decay -lambda c, -mu y.
-    """
-    lambdas, mus, stride = loop.lambdas, loop.mus, cfg.record_stride
-    lam_pos = float(np.max(lambdas)) if lambdas.size else 0.0
-    if lam_pos * dt > RK4_STABILITY:
-        raise StepSizeTooLarge(
-            f"dt={dt:g} violates RK4 stability: lambda_max*dt = {lam_pos * dt:.3g} > {RK4_STABILITY}"
-        )
-    times = _record_times(dt, steps, stride)
-    n_rec = times.size
-    coeffs = np.empty((n_rec, c.size))
-    ys = np.empty((n_rec, y.size))
-    vs = np.empty((n_rec, y.size))
-
-    def full_rhs(c, y):
-        dc, dy = coupling_rhs(c, y)
-        return dc - lambdas * c, dy - mus * y
-
-    def step(c, y):
-        k1c, k1y = full_rhs(c, y)
-        k2c, k2y = full_rhs(c + 0.5 * dt * k1c, y + 0.5 * dt * k1y)
-        k3c, k3y = full_rhs(c + 0.5 * dt * k2c, y + 0.5 * dt * k2y)
-        k4c, k4y = full_rhs(c + dt * k3c, y + dt * k3y)
-        return (c + dt / 6.0 * (k1c + 2 * k2c + 2 * k3c + k4c),
-                y + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y))
-
-    cap = _growth_cap(c, y)
-    rec = 0
-    for k in range(steps + 1):
-        if k % stride == 0:
-            coeffs[rec] = c
-            ys[rec] = y
-            vs[rec] = controls_fn(c, y)
-            _check_growth(np.sqrt(float(c @ c)) + np.linalg.norm(y), times[rec], cap)
-            rec += 1
-        if k < steps:
-            c, y = step(c, y)
-    return times, coeffs, ys, vs
 
 
 def _phi_functions(X, p):
@@ -185,20 +132,35 @@ def _phi_functions(X, p):
     return [top[:, k * m:(k + 1) * m] for k in range(p + 1)]
 
 
-def _etdrk4_records(loop, f_modal, c, y, dt, steps, cfg):
-    """Recorded (times, coeffs, ys, vs) of z' = A z + g(z) by ETDRK4.
+def _records(loop, f_modal, c, y, times, h):
+    """Recorded (coeffs, ys, vs) of z' = A z + g(z) from z = (c, y), samples h apart.
 
-    z = (c, y), A = loop.matrix() and g(z) = (f - T dv, dv) with
-    f = f_modal(c, y) and dv = controls(c, y, f) - controls(c, y), the rest
-    of the right-hand side.  One Cox-Matthews step (J. Comput. Phys. 176,
-    2002) of h = dt record_stride per recorded sample treats the stiff
-    linear part exactly; its first stage evaluates f at the recorded state,
-    which also gives that sample's controls.
+    A = loop.matrix(); g(z) = (f - T dv, dv) with f = f_modal(c, y) and
+    dv = controls(c, y, f) - controls(c, y), the rest of the right-hand side.
+    f_modal=None (g = 0) samples the exact solution, one mat-vec with
+    expm(h A) per record, and checks the growth of all samples at once.
+    Otherwise one ETDRK4 step of h per record treats A exactly; its first
+    stage evaluates f at the recorded state, which also gives that sample's
+    controls, and each sample's growth is checked before stepping on.
     """
     n = c.size
-    times = _record_times(dt, steps, cfg.record_stride)
-    h = dt * cfg.record_stride
     A = loop.matrix()
+    Z = np.empty((times.size, n + y.size))
+    Z[0, :n], Z[0, n:] = c, y
+    cap = INSTABILITY_FACTOR * max(np.sqrt(float(c @ c)) + np.linalg.norm(y), 1e-12)
+    if f_modal is None:
+        P = expm(A * h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, times.size):
+                np.dot(P, Z[k - 1], out=Z[k])
+            size = np.sqrt(np.sum(Z[:, :n] ** 2, axis=1)) + np.sqrt(np.sum(Z[:, n:] ** 2, axis=1))
+        bad = ~(size <= cap)
+        if bad.any():
+            first = int(np.argmax(bad))
+            _check_growth(size[first], times[first], cap)
+        C, Y = Z[:, :n], Z[:, n:]
+        return C, Y, loop.controls(C, Y)
+
     E, P1, P2, P3 = _phi_functions(h * A, 3)
     E2, P1_half = _phi_functions(0.5 * h * A, 1)
     Q = 0.5 * h * P1_half
@@ -214,10 +176,7 @@ def _etdrk4_records(loop, f_modal, c, y, dt, steps, cfg):
         dv = v - loop.controls(c, y)
         return np.concatenate([f - loop.T @ dv, dv]), v
 
-    Z = np.empty((times.size, n + y.size))
     vs = np.empty((times.size, y.size))
-    Z[0, :n], Z[0, n:] = c, y
-    cap = _growth_cap(c, y)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(times.size):
             z = Z[k]
@@ -230,44 +189,20 @@ def _etdrk4_records(loop, f_modal, c, y, dt, steps, cfg):
                 gb, _ = g(b)
                 gc, _ = g(E2 @ a + Q @ (2.0 * gb - gz))
                 Z[k + 1] = E @ z + W1 @ gz + W2 @ (ga + gb) + W3 @ gc
-    return times, Z[:, :n], Z[:, n:], vs
+    return Z[:, :n], Z[:, n:], vs
 
 
-def _lti_records(loop, c, y, dt, steps, cfg):
-    """Recorded (times, coeffs, ys, vs) of the loop without a nonlinear coupling.
+def _simulate(eigsys, w0, y0, cfg, sigma, make_loop, f_modal=None, **flags):
+    """Initial state, step count, loop, records and the trajectory over them.
 
-    'exponential_midpoint' samples the exact solution: one mat-vec with
-    P = expm(A dt record_stride) per record.  'rk4' steps it.
+    make_loop(n_modes) builds the ClosedLoop; f_modal(c, y), when given, is
+    the nonlinear coupling <phi_n, F(u)>.
     """
-    stride = cfg.record_stride
-    if cfg.integrator != "exponential_midpoint":
-        def coupling_rhs(c, y):
-            v = loop.controls(c, y)
-            return -loop.T @ v, v
-
-        return _rk4_records(loop, coupling_rhs, loop.controls, c, y, dt, steps, cfg)
-
-    n = c.size
-    times = _record_times(dt, steps, stride)
-    P = expm(loop.matrix() * (dt * stride))
-    Z = np.empty((times.size, n + y.size))
-    Z[0, :n], Z[0, n:] = c, y
-    cap = _growth_cap(c, y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, times.size):
-            np.dot(P, Z[k - 1], out=Z[k])
-        size = np.sqrt(np.sum(Z[:, :n] ** 2, axis=1)) + np.sqrt(np.sum(Z[:, n:] ** 2, axis=1))
-    bad = ~(size <= cap)
-    if bad.any():
-        first = int(np.argmax(bad))
-        _check_growth(size[first], times[first], cap)
-    C, Y = Z[:, :n], Z[:, n:]
-    return times, C, Y, loop.controls(C, Y)
-
-
-def _trajectory(records, loop, **flags):
-    """Norms, V, U and raw boundary rates over all recorded samples."""
-    times, coeffs, ys, vs = records
+    c, y = _initial_state(eigsys, w0, y0, cfg.n_modes)
+    steps = cfg.steps(sigma)
+    loop = make_loop(cfg.n_modes)
+    times = np.arange(0, steps + 1, cfg.record_stride) * cfg.dt
+    coeffs, ys, vs = _records(loop, f_modal, c, y, times, cfg.dt * cfg.record_stride)
     return Trajectory(times, coeffs, ys,
                       np.sqrt(np.sum(coeffs ** 2, axis=1)), np.sqrt(np.sum(ys ** 2, axis=1)),
                       loop.value(coeffs, ys), np.sum(ys, axis=1), vs,
@@ -276,45 +211,30 @@ def _trajectory(records, loop, **flags):
 
 def simulate_linear(eigsys, shapes, design, params, law, w0, y0, cfg):
     """Closed-loop linear simulation; pass law=None for the open loop (v = 0)."""
-    n_modes = cfg.n_modes
-    if law is not None and n_modes <= law.M:
-        raise ConfigError(f"n_modes={n_modes} must exceed the kernel truncation M={law.M}")
-    c, y = _initial_state(eigsys, w0, y0, n_modes)
-    steps = cfg.steps(design.sigma if design is not None else None)
-    loop = linear_loop(eigsys, shapes, design, params, law, n_modes)
-    records = _lti_records(loop, c, y, cfg.dt, steps, cfg)
-    return _trajectory(records, loop, certified=law is not None,
-                       design_N=design.K.shape[1] if design is not None else 1,
-                       kind="linear" if law is not None else "open_loop")
+    if law is not None and cfg.n_modes <= law.M:
+        raise ConfigError(f"n_modes={cfg.n_modes} must exceed the kernel truncation M={law.M}")
+    return _simulate(eigsys, w0, y0, cfg, design.sigma if design is not None else None,
+                     lambda n: linear_loop(eigsys, shapes, design, params, law, n),
+                     certified=law is not None,
+                     design_N=design.K.shape[1] if design is not None else 1,
+                     kind="linear" if law is not None else "open_loop")
 
 
-def simulate_semilinear(eigsys, shapes, model, design, F, w0, y0, cfg):
+def simulate_semilinear(eigsys, shapes, design, F, w0, y0, cfg):
     """Closed-loop semilinear simulation under the design's controller.
 
     The nonlinearity coefficients <phi_n, F(u)> are recomputed by quadrature
     at every coupling evaluation, with u reconstructed on the grid from the
     modal state and the shape terms.  A zero nonlinearity leaves the linear
-    loop v = Kmat c, which runs as simulate_linear does.  Uncertified designs
-    run but are flagged on the trajectory.
+    loop v = Kmat c, which runs as simulate_linear does and makes no
+    quadrature.  Uncertified designs run but are flagged on the trajectory.
     """
     n_modes = cfg.n_modes
-    N = design.N
-    if n_modes < N:
-        raise ConfigError(f"n_modes={n_modes} must cover the retained modes N={N}")
-    c, y = _initial_state(eigsys, w0, y0, n_modes)
-    dt = cfg.dt
-    steps = cfg.steps(design.sigma)
-    samples = steps // cfg.record_stride + 1
-    f_evals = 4 * steps + samples if cfg.integrator == "rk4" else 4 * (samples - 1) + 1
-    if f_evals > cfg.max_steps:
-        raise QuadratureBudgetExceeded(
-            f"{f_evals} quadrature evaluations of F exceed max_steps={cfg.max_steps}"
-        )
-    loop = semilinear_loop(eigsys, shapes, design, n_modes)
-
-    if F.kind == "zero":
-        records = _lti_records(loop, c, y, dt, steps, cfg)
-    else:
+    if n_modes < design.N:
+        raise ConfigError(f"n_modes={n_modes} must cover the retained modes N={design.N}")
+    cfg.check_quadrature_budget(F, design.sigma)
+    f_modal = None
+    if F.kind != "zero":
         Phi = eigsys.phis[:n_modes]                      # (n_modes, n_grid)
         Psi = shapes.varphis                              # (N, n_grid)
         Phi_w = Phi * (eigsys.grid.weights * eigsys.r_samples)
@@ -322,20 +242,9 @@ def simulate_semilinear(eigsys, shapes, model, design, F, w0, y0, cfg):
         def f_modal(c, y):
             return Phi_w @ F.evaluate(c @ Phi + y @ Psi)
 
-        if cfg.integrator == "rk4":
-            def coupling_rhs(c, y):
-                f = f_modal(c, y)
-                v = loop.controls(c, y, f)
-                return -loop.T @ v + f, v
-
-            def controls(c, y):
-                return loop.controls(c, y, f_modal(c, y))
-
-            records = _rk4_records(loop, coupling_rhs, controls, c, y, dt, steps, cfg)
-        else:
-            records = _etdrk4_records(loop, f_modal, c, y, dt, steps, cfg)
-    return _trajectory(records, loop, certified=design.certified,
-                       design_N=N, kind="semilinear")
+    return _simulate(eigsys, w0, y0, cfg, design.sigma,
+                     lambda n: semilinear_loop(eigsys, shapes, design, n), f_modal,
+                     certified=design.certified, design_N=design.N, kind="semilinear")
 
 
 @dataclass

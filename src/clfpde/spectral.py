@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
@@ -69,6 +68,9 @@ class Coefficient:
             return np.polynomial.polynomial.polyval(x, self.values)
         if self.order == 1:
             return np.interp(x, self.table_x, self.table_y)
+        # imported here: scipy.interpolate is slow to import and only order-3 tables use it
+        from scipy.interpolate import CubicSpline
+
         return CubicSpline(self.table_x, self.table_y)(x)
 
     @property

@@ -148,8 +148,8 @@ def test_criterion_7_feedback_linearization_contraction():
     def deviation(step):
         cfg = SimConfig(n_modes=32, dt=step, t_final=T,
                         record_stride=int(round(T / step)))
-        traj = simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.model,
-                                   bundle.sl_design, F, w0, y0, cfg)
+        traj = simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design, F,
+                                   w0, y0, cfg)
         c0, cT = traj.coeffs[0, :2], traj.coeffs[-1, :2]
         return float(np.max(np.abs(cT - c0 * np.exp(-sigma * T)))), float(np.max(np.abs(c0)))
 

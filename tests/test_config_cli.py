@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +79,9 @@ mus = 5.0
     pytest.param("[semilinear]\nkind = sine_type\nlbar = 0.1\nkappa = -1.0",
                  "kappa must be auto or > 0", id="kappa_negative"),
     pytest.param("mus = 0.0", "mus must be > 0, got mu=0.0", id="mus_zero"),
+    pytest.param("[sim]\nintegrator = rk4",
+                 "key 'integrator' accepts only 'exponential_midpoint', got 'rk4'",
+                 id="integrator_rk4"),
 ])
 def test_config_validation_errors(mutation, message_part):
     base = """
@@ -439,12 +443,21 @@ def test_cli_invalid_input_exits_2(tmp_path, capsys, monkeypatch, request, args,
 
 
 @pytest.mark.parametrize("t_final", ["8.0", "auto"])
-@pytest.mark.parametrize("dt, message", [("1.0", "at least 100 steps"),
-                                         ("0.05", "needs at least 20")])
-def test_cli_rejects_step_counts_before_writing(tmp_path, capsys, t_final, dt, message):
+@pytest.mark.parametrize("name, edit, dt, message", [
+    pytest.param("single_mode.cfg", "", "1.0", "at least 100 steps",
+                 id="1.0-at least 100 steps"),
+    pytest.param("single_mode.cfg", "", "0.05", "needs at least 20",
+                 id="0.05-needs at least 20"),
+    # t_final 8.0: 4000 ETDRK4 steps, 16001 quadratures of F; auto (5 / sigma): 10001
+    pytest.param("two_mode_semilinear.cfg", ("max_steps = 2000000", "max_steps = 1000"),
+                 "0.0002", "evaluations of F exceed max_steps=1000", id="max_steps"),
+])
+def test_cli_rejects_step_counts_before_writing(tmp_path, capsys, t_final, name, edit,
+                                               dt, message):
+    text = (CONFIGS / name).read_text()
+    text = text.replace(*edit) if edit else text
     cfgpath = tmp_path / "run.cfg"
-    cfgpath.write_text((CONFIGS / "single_mode.cfg").read_text()
-                       .replace("t_final = 8.0", f"t_final = {t_final}"))
+    cfgpath.write_text(re.sub(r"t_final = \S+", f"t_final = {t_final}", text))
     out = tmp_path / "out"
     assert cli_main(["simulate", "--config", str(cfgpath), "--dt", dt,
                      "--out", str(out), "--quiet"]) == 2

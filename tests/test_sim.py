@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from clfpde import pipeline
 from clfpde.errors import (
@@ -9,7 +10,6 @@ from clfpde.errors import (
     Instability,
     QuadratureBudgetExceeded,
     RemainderTooLarge,
-    StepSizeTooLarge,
 )
 from clfpde.lyapunov import linear_loop, lyapunov_value
 from clfpde.semilinear import NonlinearitySpec, lyapunov_value_and_rate, semilinear_loop
@@ -113,20 +113,6 @@ def test_sample_count_contract(single_mode_bundle):
     assert traj.samples == steps // 7 + 1
 
 
-def test_integrator_cross_check(single_mode_bundle):
-    bundle = single_mode_bundle
-    w0, y0 = pipeline.initial_state(bundle)
-    a = SimConfig(n_modes=64, dt=1e-4, t_final=0.5, record_stride=50)
-    b = SimConfig(n_modes=64, dt=1e-5, t_final=0.5, record_stride=500,
-                  integrator="rk4")
-    ta = simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
-                         bundle.params, bundle.law, w0, y0, a)
-    tb = simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
-                         bundle.params, bundle.law, w0, y0, b)
-    rel = abs(ta.norm_w[-1] - tb.norm_w[-1]) / tb.norm_w[-1]
-    assert rel < 1e-4
-
-
 def test_exact_propagator_is_step_size_invariant(single_mode_bundle):
     # the LTI loop is sampled exactly: only dt * record_stride matters
     bundle = single_mode_bundle
@@ -142,17 +128,22 @@ def test_exact_propagator_is_step_size_invariant(single_mode_bundle):
     assert np.max(np.abs(za - zb)) <= 1e-12 * np.max(np.abs(zb))
 
 
-def test_exact_propagator_matches_fine_rk4(single_mode_bundle):
+def test_exact_propagator_matches_radau(single_mode_bundle):
+    # Radau on z' = A z at rtol 1e-12, sampled at the recorded times
     bundle = single_mode_bundle
     w0, y0 = pipeline.initial_state(bundle)
-    exact = SimConfig(n_modes=64, dt=1e-4, t_final=0.5, record_stride=50)
-    ref = SimConfig(n_modes=64, dt=2e-5, t_final=0.5, record_stride=250,
-                    integrator="rk4")
-    ta, tb = (simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
-                              bundle.params, bundle.law, w0, y0, cfg)
-              for cfg in (exact, ref))
-    assert ta.samples == tb.samples
-    assert np.max(np.abs(ta.coeffs - tb.coeffs)) <= 1e-9
+    cfg = SimConfig(n_modes=64, dt=1e-4, t_final=0.5, record_stride=50)
+    traj = simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
+                           bundle.params, bundle.law, w0, y0, cfg)
+    A = linear_loop(bundle.eigsys, bundle.shapes, bundle.gains, bundle.params,
+                    bundle.law, 64).matrix()
+    ref = solve_ivp(lambda t, z: A @ z, (0.0, 0.5), np.concatenate([traj.coeffs[0], traj.y[0]]),
+                    method="Radau", jac=A, t_eval=traj.times, rtol=1e-12, atol=1e-14)
+    assert ref.success and traj.samples == ref.t.size == 101
+    assert np.max(np.abs(traj.coeffs - ref.y[:64].T)) <= 1e-9
+    # and the recorded norm with it
+    ref_norm = np.linalg.norm(ref.y[:64, -1])
+    assert abs(traj.norm_w[-1] - ref_norm) / ref_norm < 1e-4
 
 
 def test_truncation_robustness(single_mode_bundle):
@@ -165,15 +156,6 @@ def test_truncation_robustness(single_mode_bundle):
                                bundle.params, bundle.law, w0, y0, cfg)
         rates.append(fit_decay_rate(traj).rate)
     assert abs(rates[1] - rates[0]) / rates[1] < 0.02
-
-
-def test_rk4_stability_guard(single_mode_bundle):
-    bundle = single_mode_bundle
-    cfg = SimConfig(n_modes=64, dt=1e-3, t_final=1.0, integrator="rk4")
-    with pytest.raises(StepSizeTooLarge):
-        simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
-                        bundle.params, bundle.law,
-                        bundle.eigsys.phis[0], [0.0], cfg)
 
 
 def test_instability_guard(single_mode_bundle):
@@ -215,8 +197,8 @@ def test_energy_identity_along_trajectory(two_mode_bundle):
     F = NonlinearitySpec.make("sine_type", scale=0.29)
     w0, y0 = pipeline.initial_state(bundle)
     cfg = SimConfig(n_modes=32, dt=5e-4, t_final=0.5, record_stride=20)
-    traj = simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.model,
-                               bundle.sl_design, F, w0, y0, cfg)
+    traj = simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design, F,
+                               w0, y0, cfg)
     eig = bundle.eigsys
     Phi = eig.phis[:32]
     Psi = bundle.shapes.varphis
@@ -243,9 +225,8 @@ def test_zero_nonlinearity_matches_linear_bitwise(two_mode_bundle):
     cfg = SimConfig(n_modes=32, dt=5e-4, t_final=0.5, record_stride=10)
     lin = simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
                           bundle.params, bundle.law, w0, y0, cfg)
-    sem = simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.model,
-                              bundle.sl_design, NonlinearitySpec.make("zero"),
-                              w0, y0, cfg)
+    sem = simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design,
+                              NonlinearitySpec.make("zero"), w0, y0, cfg)
     assert np.array_equal(lin.coeffs, sem.coeffs)
     assert np.array_equal(lin.y, sem.y)
     assert np.array_equal(lin.v, sem.v)
@@ -264,9 +245,19 @@ def test_quadrature_budget_guard(two_mode_bundle):
     bundle = two_mode_bundle
     cfg = SimConfig(n_modes=16, dt=1e-6, t_final=10.0, max_steps=100_000)
     with pytest.raises(QuadratureBudgetExceeded):
-        simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.model,
-                            bundle.sl_design, NonlinearitySpec.make("zero"),
+        simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design,
+                            NonlinearitySpec.make("sine_type", scale=0.29),
                             bundle.eigsys.phis[0], [0.0, 0.0], cfg)
+
+
+def test_zero_nonlinearity_makes_no_quadrature(two_mode_bundle):
+    # a zero F runs the exact propagator and counts nothing against max_steps
+    bundle = two_mode_bundle
+    cfg = SimConfig(n_modes=16, dt=1e-3, t_final=1.0, max_steps=1)
+    traj = simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design,
+                               NonlinearitySpec.make("zero"),
+                               bundle.eigsys.phis[0], [0.0, 0.0], cfg)
+    assert traj.samples == 101
 
 
 def test_quadrature_budget_counts_f_evaluations(two_mode_bundle, monkeypatch):
@@ -282,8 +273,8 @@ def test_quadrature_budget_counts_f_evaluations(two_mode_bundle, monkeypatch):
     def run(budget):
         cfg = SimConfig(n_modes=16, dt=1e-3, t_final=1.0, record_stride=10,
                         max_steps=budget)
-        return simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.model,
-                                   bundle.sl_design, F, w0, y0, cfg)
+        return simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design, F,
+                                   w0, y0, cfg)
 
     with pytest.raises(QuadratureBudgetExceeded, match="401 quadrature evaluations"):
         run(400)
@@ -292,14 +283,13 @@ def test_quadrature_budget_counts_f_evaluations(two_mode_bundle, monkeypatch):
     assert len(calls) == 401
 
 
-def semilinear_states(bundle, n_modes, t_final, dt, stride, integrator="exponential_midpoint"):
+def semilinear_states(bundle, n_modes, t_final, dt, stride):
     """(c, y) per recorded sample of the sine-type loop of the 3.3 preset."""
     F = NonlinearitySpec.make("sine_type", scale=0.29)
     w0, y0 = pipeline.initial_state(bundle)
-    cfg = SimConfig(n_modes=n_modes, dt=dt, t_final=t_final, record_stride=stride,
-                    integrator=integrator)
-    traj = simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.model,
-                               bundle.sl_design, F, w0, y0, cfg)
+    cfg = SimConfig(n_modes=n_modes, dt=dt, t_final=t_final, record_stride=stride)
+    traj = simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design, F,
+                               w0, y0, cfg)
     return np.hstack([traj.coeffs, traj.y])
 
 
@@ -315,12 +305,27 @@ def test_etdrk4_fourth_order(two_mode_bundle):
     assert errors[0] >= 8.0 * errors[1]
 
 
-def test_etdrk4_matches_fine_rk4(two_mode_bundle):
-    # ETDRK4 at h = 2e-3 (the shipped step) against RK4 at dt = 1e-4: 3.6e-7
-    etd = semilinear_states(two_mode_bundle, 32, 0.1, 1e-4, 20)
-    rk4 = semilinear_states(two_mode_bundle, 32, 0.1, 1e-4, 20, "rk4")
-    assert etd.shape == rk4.shape == (51, 34)
-    assert np.max(np.abs(etd - rk4)) <= 1e-6
+def test_etdrk4_matches_dop853(two_mode_bundle):
+    # ETDRK4 at h = 2e-3 (the shipped step) against DOP853 at rtol 1e-12 on
+    # c' = -lambda c - T v + f, y' = -mu y + v: 3.2e-7
+    bundle = two_mode_bundle
+    eig, shapes, sl = bundle.eigsys, bundle.shapes, bundle.sl_design
+    etd = semilinear_states(bundle, 32, 0.1, 1e-4, 20)
+    F = NonlinearitySpec.make("sine_type", scale=0.29)
+    loop = semilinear_loop(eig, shapes, sl, 32)
+    Phi = eig.phis[:32]
+    Phi_w = Phi * (eig.grid.weights * eig.r_samples)
+
+    def rhs(t, z):
+        c, y = z[:32], z[32:]
+        f = Phi_w @ F.evaluate(c @ Phi + y @ shapes.varphis)
+        v = loop.controls(c, y, f)
+        return np.concatenate([-loop.lambdas * c - loop.T @ v + f, -loop.mus * y + v])
+
+    ref = solve_ivp(rhs, (0.0, 0.1), etd[0], method="DOP853",
+                    t_eval=np.arange(51) * 2e-3, rtol=1e-12, atol=1e-14)
+    assert ref.success and etd.shape == ref.y.T.shape == (51, 34)
+    assert np.max(np.abs(etd - ref.y.T)) <= 1e-6
 
 
 def test_semilinear_instability_guard_names_first_sample(two_mode_bundle):
@@ -333,8 +338,8 @@ def test_semilinear_instability_guard_names_first_sample(two_mode_bundle):
 
     def run(t_final):
         cfg = SimConfig(n_modes=24, dt=1e-3, t_final=t_final, record_stride=10)
-        return simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.model,
-                                   bundle.sl_design, F, w0, y0, cfg)
+        return simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design, F,
+                                   w0, y0, cfg)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -377,7 +382,7 @@ def test_semilinear_trajectory_V_is_the_certified_functional(two_mode_bundle):
     F = NonlinearitySpec.make("sine_type", scale=0.29)
     w0, y0 = pipeline.initial_state(bundle)
     cfg = SimConfig(n_modes=32, dt=1e-4, t_final=0.05, record_stride=1)
-    traj = simulate_semilinear(eig, shapes, bundle.model, sl, F, w0, y0, cfg)
+    traj = simulate_semilinear(eig, shapes, sl, F, w0, y0, cfg)
     loop = semilinear_loop(eig, shapes, sl, 32)
     Phi = eig.phis[:32]
     for k in range(0, traj.samples, 50):

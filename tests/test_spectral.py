@@ -54,6 +54,14 @@ def test_coefficient_kinds():
     assert not Coefficient.polynomial([1.0, 0.1]).is_constant
 
 
+def test_cubic_table_reproduces_a_cubic():
+    # a not-a-knot spline through 5 samples of a cubic is that cubic
+    xs = np.linspace(0.0, 1.0, 5)
+    tab = Coefficient.table(xs, 1.0 + xs ** 3, order=3)
+    x = np.linspace(0.0, 1.0, 101)
+    assert np.max(np.abs(tab(x) - (1.0 + x ** 3))) <= 1e-12
+
+
 def test_problem_normalization_guard():
     with pytest.raises(ValueError):
         SLProblem(Coefficient.constant(1.0), Coefficient.constant(0.0),
