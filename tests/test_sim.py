@@ -113,6 +113,34 @@ def test_sample_count_contract(single_mode_bundle):
     assert traj.samples == steps // 7 + 1
 
 
+def rk4_samples(bundle, traj, n_modes, dt, stride):
+    """Classical RK4 at step dt on the linear loop z' = A z from the first
+    recorded state, sampled every stride steps; on a linear system one RK4
+    step is the degree-4 Taylor polynomial of e^{dt A}."""
+    A = linear_loop(bundle.eigsys, bundle.shapes, bundle.gains, bundle.params,
+                    bundle.law, n_modes).matrix()
+    step = term = np.eye(len(A))
+    for k in range(1, 5):
+        term = term @ (dt * A) / k
+        step = step + term
+    sample = np.linalg.matrix_power(step, stride)
+    z = [np.concatenate([traj.coeffs[0], traj.y[0]])]
+    for _ in range(traj.samples - 1):
+        z.append(sample @ z[-1])
+    return np.array(z)
+
+
+def test_integrator_cross_check(single_mode_bundle):
+    bundle = single_mode_bundle
+    w0, y0 = pipeline.initial_state(bundle)
+    cfg = SimConfig(n_modes=64, dt=1e-4, t_final=0.5, record_stride=50)
+    traj = simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
+                           bundle.params, bundle.law, w0, y0, cfg)
+    ref_norm = np.linalg.norm(rk4_samples(bundle, traj, 64, 1e-5, 500)[-1, :64])
+    rel = abs(traj.norm_w[-1] - ref_norm) / ref_norm
+    assert rel < 1e-4
+
+
 def test_exact_propagator_is_step_size_invariant(single_mode_bundle):
     # the LTI loop is sampled exactly: only dt * record_stride matters
     bundle = single_mode_bundle
@@ -126,6 +154,17 @@ def test_exact_propagator_is_step_size_invariant(single_mode_bundle):
     assert np.allclose(a.times, b.times, rtol=1e-12, atol=0.0)
     za, zb = np.hstack([a.coeffs, a.y]), np.hstack([b.coeffs, b.y])
     assert np.max(np.abs(za - zb)) <= 1e-12 * np.max(np.abs(zb))
+
+
+def test_exact_propagator_matches_fine_rk4(single_mode_bundle):
+    bundle = single_mode_bundle
+    w0, y0 = pipeline.initial_state(bundle)
+    cfg = SimConfig(n_modes=64, dt=1e-4, t_final=0.5, record_stride=50)
+    traj = simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
+                           bundle.params, bundle.law, w0, y0, cfg)
+    ref = rk4_samples(bundle, traj, 64, 2e-5, 250)
+    assert traj.samples == len(ref) == 101
+    assert np.max(np.abs(traj.coeffs - ref[:, :64])) <= 1e-9
 
 
 def test_exact_propagator_matches_radau(single_mode_bundle):
