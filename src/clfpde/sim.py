@@ -192,15 +192,12 @@ def _records(loop, f_modal, c, y, times, h):
     return Z[:, :n], Z[:, n:], vs
 
 
-def _simulate(eigsys, w0, y0, cfg, sigma, make_loop, f_modal=None, **flags):
-    """Initial state, step count, loop, records and the trajectory over them.
+def _simulate(loop, f_modal, c, y, cfg, sigma, **flags):
+    """Records of the loop from modal (c, y) over cfg's horizon, and the trajectory.
 
-    make_loop(n_modes) builds the ClosedLoop; f_modal(c, y), when given, is
-    the nonlinear coupling <phi_n, F(u)>.
+    f_modal(c, y), when given, is the nonlinear coupling <phi_n, F(u)>.
     """
-    c, y = _initial_state(eigsys, w0, y0, cfg.n_modes)
     steps = cfg.steps(sigma)
-    loop = make_loop(cfg.n_modes)
     times = np.arange(0, steps + 1, cfg.record_stride) * cfg.dt
     coeffs, ys, vs = _records(loop, f_modal, c, y, times, cfg.dt * cfg.record_stride)
     return Trajectory(times, coeffs, ys,
@@ -213,8 +210,9 @@ def simulate_linear(eigsys, shapes, design, params, law, w0, y0, cfg):
     """Closed-loop linear simulation; pass law=None for the open loop (v = 0)."""
     if law is not None and cfg.n_modes <= law.M:
         raise ConfigError(f"n_modes={cfg.n_modes} must exceed the kernel truncation M={law.M}")
-    return _simulate(eigsys, w0, y0, cfg, design.sigma if design is not None else None,
-                     lambda n: linear_loop(eigsys, shapes, design, params, law, n),
+    c, y = _initial_state(eigsys, w0, y0, cfg.n_modes)
+    loop = linear_loop(eigsys, shapes, design, params, law, cfg.n_modes)
+    return _simulate(loop, None, c, y, cfg, design.sigma if design is not None else None,
                      certified=law is not None,
                      design_N=design.K.shape[1] if design is not None else 1,
                      kind="linear" if law is not None else "open_loop")
@@ -233,6 +231,8 @@ def simulate_semilinear(eigsys, shapes, design, F, w0, y0, cfg):
     if n_modes < design.N:
         raise ConfigError(f"n_modes={n_modes} must cover the retained modes N={design.N}")
     cfg.check_quadrature_budget(F, design.sigma)
+    c, y = _initial_state(eigsys, w0, y0, n_modes)
+    loop = semilinear_loop(eigsys, shapes, design, n_modes)
     f_modal = None
     if F.kind != "zero":
         Phi = eigsys.phis[:n_modes]                      # (n_modes, n_grid)
@@ -242,8 +242,7 @@ def simulate_semilinear(eigsys, shapes, design, F, w0, y0, cfg):
         def f_modal(c, y):
             return Phi_w @ F.evaluate(c @ Phi + y @ Psi)
 
-    return _simulate(eigsys, w0, y0, cfg, design.sigma,
-                     lambda n: semilinear_loop(eigsys, shapes, design, n), f_modal,
+    return _simulate(loop, f_modal, c, y, cfg, design.sigma,
                      certified=design.certified, design_N=design.N, kind="semilinear")
 
 

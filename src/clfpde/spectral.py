@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal, solve_triangular
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     ConfigError,
@@ -33,9 +33,6 @@ OPERATOR_RESIDUAL_TOL = 1e-5
 # below this, a derivative boundary coefficient is numerically Dirichlet:
 # the implied Robin layer is orders of magnitude thinner than any grid
 DIRICHLET_SNAP = 1e-9
-# a pencil end whose diagonal exceeds this multiple of its neighbour's is
-# eliminated before bisection (see _tridiagonal_eigs)
-STIFF_END_RATIO = 100.0
 
 
 @dataclass(frozen=True)
@@ -236,40 +233,17 @@ def _assemble_pencil(problem, x):
 def _tridiagonal_eigs(problem, x, K, vectors=True):
     """Lowest K eigenpairs of the pencil by bisection + inverse iteration.
 
-    Bisection is accurate to eps times the largest entry.  A stiff Robin end
-    (a2 or b2 just above DIRICHLET_SNAP on the Dirichlet side) has a diagonal
-    up to 1e9 times its neighbour's, which would cost 1e-4 in every
-    eigenvalue, so an end more than STIFF_END_RATIO times its neighbour is
-    eliminated first: its Schur complement with lambda dropped, a relative
-    change below STIFF_END_RATIO^-2 in the neighbour's coupling.  The end
-    value is recovered from the neighbour's.
-
     vectors=False returns the eigenvalues alone and skips inverse iteration.
     """
     idx, diag, off, dvol = _assemble_pencil(problem, x)
+    if K > idx.size:
+        raise GridTooCoarse(f"grid supports at most {idx.size} modes, requested {K}")
     s = np.sqrt(dvol)
-    d = diag / dvol
-    e = off / (s[:-1] * s[1:])
-    first = int(d[0] > STIFF_END_RATIO * abs(d[1]))
-    last = d.size - int(d[-1] > STIFF_END_RATIO * abs(d[-2]))
-    dk = d[first:last].copy()
-    if first:
-        dk[0] -= e[0] ** 2 / d[0]
-    if last < d.size:
-        dk[-1] -= e[-1] ** 2 / d[-1]
-    if K > dk.size:
-        raise GridTooCoarse(f"grid supports at most {dk.size} modes, requested {K}")
-    out = eigh_tridiagonal(dk, e[first:last - 1], eigvals_only=not vectors,
+    out = eigh_tridiagonal(diag / dvol, off / (s[:-1] * s[1:]), eigvals_only=not vectors,
                            select="i", select_range=(0, K - 1))
     if not vectors:
         return out
-    lam, psi_k = out
-    psi = np.zeros((d.size, K))
-    psi[first:last] = psi_k
-    if first:
-        psi[0] = -e[0] * psi[1] / (d[0] - lam)
-    if last < d.size:
-        psi[-1] = -e[-1] * psi[-2] / (d[-1] - lam)
+    lam, psi = out
     phi = np.zeros((x.size, K))
     phi[idx] = psi / s[:, None]
     return lam, phi
@@ -320,20 +294,19 @@ def operator_residuals(problem, grid, lambdas, phis):
     return np.sqrt(np.sum(w * res[sl] ** 2, axis=0))
 
 
-def _onesided_weights(offsets, order=1):
-    """Exact weights of the order-th derivative for the given node offsets."""
+def _onesided_d1_weights(offsets):
+    """Exact first-derivative weights for the given node offsets."""
     offs = np.asarray(offsets, dtype=float)
     V = np.vander(offs, offs.size, increasing=True).T
     rhs = np.zeros(offs.size)
-    rhs[order] = float(np.prod(np.arange(1, order + 1)))
+    rhs[1] = 1.0
     return np.linalg.solve(V, rhs)
 
 
 # width-7 one-sided rows: keeps the refinement operator's boundary truncation
 # from polluting the orthogonality of refined eigenvectors
-_REFINE_W0 = _onesided_weights(range(7))
-_REFINE_W1 = _onesided_weights(range(-1, 6))
-_REFINE_W2 = _onesided_weights(range(-1, 6), order=2)
+_REFINE_W0 = _onesided_d1_weights(range(7))
+_REFINE_W1 = _onesided_d1_weights(range(-1, 6))
 
 
 def _first_derivative_matrix(n, h):
@@ -354,28 +327,6 @@ def _first_derivative_matrix(n, h):
         vals.extend(np.full(n - 4, c / h))
     put(n - 2, range(n - w, n), -_REFINE_W1[::-1])
     put(n - 1, range(n - w, n), -_REFINE_W0[::-1])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def _second_derivative_matrix(n, h):
-    """Fourth-order f'' on rows 1 .. n-2; the end rows hold boundary conditions.
-
-    Unlike D1 D1, whose interior annihilates the grid's odd-even mode, the
-    five-point stencil of -f'' is positive at every nonzero frequency, so the
-    refinement operator has no spurious eigenvalues among the low modes.
-    """
-    rows, cols, vals = [], [], []
-    w = _REFINE_W2.size
-    for i, js, cs in ((1, range(w), _REFINE_W2),
-                      (n - 2, range(n - w, n), _REFINE_W2[::-1])):
-        rows.extend([i] * w)
-        cols.extend(js)
-        vals.extend(cs / h ** 2)
-    interior = np.arange(2, n - 2)
-    for offs, c in ((-2, -1 / 12), (-1, 16 / 12), (0, -30 / 12), (1, 16 / 12), (2, -1 / 12)):
-        rows.extend(interior)
-        cols.extend(interior + offs)
-        vals.extend(np.full(n - 4, c / h ** 2))
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
@@ -404,8 +355,7 @@ def _refine_eigenvectors(problem, grid, lambdas, phis):
     q = problem.q(grid.x)
     r = problem.r(grid.x)
     D1 = _first_derivative_matrix(n, h)
-    D2 = _second_derivative_matrix(n, h)
-    L4 = (-sp.diags(p) @ D2 - sp.diags(D1 @ p) @ D1 + sp.diags(q)).tolil()
+    L4 = (-D1 @ sp.diags(p) @ D1 + sp.diags(q)).tolil()
     bc0, bcn = _boundary_rows(problem, n, h)
     L4[0] = bc0
     L4[n - 1] = bcn
@@ -421,9 +371,7 @@ def _refine_eigenvectors(problem, grid, lambdas, phis):
         try:
             lu = spla.splu((L4 - shift * B).tocsc())
         except RuntimeError:
-            # the shift is an eigenvalue of L4 to working precision (within
-            # eps ||L4|| ~ 1e-8 on 2049 points): step off it
-            lu = spla.splu((L4 - (shift + 1e-6 * (1.0 + abs(shift))) * B).tocsc())
+            lu = spla.splu((L4 - shift * (1.0 + 1e-11) * B).tocsc())
         for _ in range(2):
             v = lu.solve(B @ v)
             norm = np.linalg.norm(v)
@@ -434,24 +382,6 @@ def _refine_eigenvectors(problem, grid, lambdas, phis):
             v /= norm
         out[k] = v
     return out
-
-
-def _orthonormalize(phis, grid, r):
-    """Orthonormalize polished eigenvectors in the Simpson r-inner product.
-
-    Gram-Schmidt, lowest mode first, done as a Cholesky factor of the Gram
-    matrix: each vector loses only its components along the lower modes.
-    The polished vectors come out of near-singular shifted solves with up to
-    ~1e-7 of their neighbours mixed in (boundary-layer modes on fine grids, a
-    near-degenerate pair of them on any grid); the removal changes no
-    eigenvalue, and the operator-residual contract judges what remains.
-    """
-    wr = grid.weights * r
-    try:
-        chol = np.linalg.cholesky((phis * wr) @ phis.T)
-    except np.linalg.LinAlgError:
-        raise GridTooCoarse("computed eigenvectors are linearly dependent") from None
-    return np.ascontiguousarray(solve_triangular(chol, phis, lower=True))
 
 
 def _normalize(phis, grid, r):
@@ -472,14 +402,11 @@ def eigensolve(problem, grid, K, richardson=True):
     Constant-coefficient problems with Dirichlet ends keep the raw tridiagonal
     eigenvectors (exact discrete modes, machine-exact orthonormality); all
     other problems get an inverse-iteration polish against a fourth-order
-    operator whose boundary rows impose the boundary conditions exactly,
-    then orthonormalization, lowest mode first, in the quadrature r-inner
-    product.
+    operator whose boundary rows impose the boundary conditions exactly.
 
     The quantitative contracts of eigen_contracts (operator residual within
     1e-5 * (1 + |lambda|), quadrature orthonormality within 1e-8) are
-    enforced; violations raise GridTooCoarse.  After orthonormalization the
-    operator residual is the one that catches an unresolved mode.
+    enforced; violations raise GridTooCoarse.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -494,12 +421,12 @@ def eigensolve(problem, grid, K, richardson=True):
         lambdas = (4.0 * lam_f - lam_c) / 3.0
 
     phis = np.ascontiguousarray(phi.T)     # C order: reloaded artifacts are C order too
-    r = problem.r(grid.x)
-    if (problem.constant_coefficients
+    if not (problem.constant_coefficients
             and problem.left_dirichlet and problem.right_dirichlet):
-        phis = _normalize(phis, grid, r)
-    else:
-        phis = _orthonormalize(_refine_eigenvectors(problem, grid, lambdas, phis), grid, r)
+        phis = _refine_eigenvectors(problem, grid, lambdas, phis)
+
+    r = problem.r(grid.x)
+    phis = _normalize(phis, grid, r)
 
     # sign convention
     d0, d1 = derivative_4th(phis.T, grid.h)[[0, -1]]
