@@ -74,7 +74,7 @@ def input_vector_closed_form(problem, eigsys, mu, N):
     endpoint derivatives.
     """
     if not validate_mu_set(mu, eigsys.lambdas[:N])[0].off_spectrum:
-        raise MuCollidesWithSpectrum(f"mu={mu!r} too close to an eigenvalue")
+        raise MuCollidesWithSpectrum(f"mu={float(mu)!r} too close to an eigenvalue")
     p1 = float(problem.p(np.array([1.0]))[0])
     num = problem.a2 * eigsys.phis[:N, -1] - problem.a1 * eigsys.dphi1[:N]
     return p1 * num / (mu - eigsys.lambdas[:N])

@@ -78,8 +78,8 @@ def check_mu(mu, eigsys):
         raise MuNotPositive(f"mu={float(mu)!r} must be > 0")
     if not v.off_spectrum:
         raise MuCollidesWithSpectrum(
-            f"mu={mu!r} within tolerance of eigenvalue {v.nearest_mode} "
-            f"({eigsys.lambdas[v.nearest_mode - 1]!r})"
+            f"mu={float(mu)!r} within tolerance of eigenvalue {v.nearest_mode} "
+            f"({float(eigsys.lambdas[v.nearest_mode - 1])!r})"
         )
 
 

@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import (
     ConfigError,
@@ -303,43 +301,51 @@ def _onesided_d1_weights(offsets):
     return np.linalg.solve(V, rhs)
 
 
-# width-7 one-sided rows: keeps the refinement operator's boundary truncation
-# from polluting the orthogonality of refined eigenvectors
-_REFINE_W0 = _onesided_d1_weights(range(7))
-_REFINE_W1 = _onesided_d1_weights(range(-1, 6))
+# D1 rows of the refinement operator as width-7 windows.  The one-sided rows
+# 0, 1, n-2, n-1 keep its boundary truncation from polluting the
+# orthogonality of refined eigenvectors.
+_REFINE_ENDS = np.array([_onesided_d1_weights(range(7)), _onesided_d1_weights(range(-1, 6))])
+_REFINE_ENDS = np.vstack([_REFINE_ENDS, -_REFINE_ENDS[::-1, ::-1]])
+_REFINE_INTERIOR = np.array([0.0, 1 / 12, -8 / 12, 0.0, 8 / 12, -1 / 12, 0.0])
+_BAND = 7      # the refinement operator has 7 sub- and 7 superdiagonals
 
 
-def _first_derivative_matrix(n, h):
-    rows, cols, vals = [], [], []
-
-    def put(i, js, cs):
-        rows.extend([i] * len(js))
-        cols.extend(js)
-        vals.extend(np.asarray(cs) / h)
-
-    w = _REFINE_W0.size
-    put(0, range(w), _REFINE_W0)
-    put(1, range(w), _REFINE_W1)
-    interior = np.arange(2, n - 2)
-    for offs, c in ((-2, 1 / 12), (-1, -8 / 12), (1, 8 / 12), (2, -1 / 12)):
-        rows.extend(interior)
-        cols.extend(interior + offs)
-        vals.extend(np.full(n - 4, c / h))
-    put(n - 2, range(n - w, n), -_REFINE_W1[::-1])
-    put(n - 1, range(n - w, n), -_REFINE_W0[::-1])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def _boundary_rows(problem, n, h):
-    bc0 = np.zeros(n)
-    bcn = np.zeros(n)
-    bc0[0] = problem.b1
-    bcn[-1] = problem.a1
-    if not problem.left_dirichlet:
-        bc0[:5] += problem.b2 * _FWD0 / h
-    if not problem.right_dirichlet:
-        bcn[-5:] += problem.a2 * (-_FWD0[::-1]) / h
+def _boundary_rows(problem, h):
+    """Rows 0 and n-1 of the refinement operator: the boundary conditions on five end nodes."""
+    bc0 = (0.0 if problem.left_dirichlet else problem.b2) * _FWD0 / h
+    bcn = (0.0 if problem.right_dirichlet else problem.a2) * (-_FWD0[::-1]) / h
+    bc0[0] += problem.b1
+    bcn[-1] += problem.a1
     return bc0, bcn
+
+
+def _refine_band(problem, grid):
+    """-D1 p D1 + q in (7, 7) band storage, rows 0 and n-1 replaced by the boundary rows.
+
+    Row i of D1 is the window w[i] on columns cols[i]; entry (i, j) of the
+    operator sits at band[7 + i - j, j], the layout of solve_banded.
+    """
+    n, h = grid.n_points, grid.h
+    start = np.arange(n) - 3
+    start[:2] = 0
+    start[-2:] = n - 7
+    cols = np.clip(start[:, None] + np.arange(7), 0, n - 1)
+    w = np.tile(_REFINE_INTERIOR / h, (n, 1))
+    w[[0, 1, -2, -1]] = _REFINE_ENDS / h
+
+    # rows 1..n-2: sum over k = cols[i, a] of -w[i, a] p[k] w[k, b] at column cols[k, b]
+    i = np.arange(1, n - 1)[:, None, None]
+    k = cols[1:-1]
+    j = cols[k]
+    vals = (-w[1:-1] * problem.p(grid.x)[k])[:, :, None] * w[k]
+    keep = np.abs(i - j) <= _BAND          # drops only the zero padding of the windows
+    flat = ((_BAND + i - j) * n + j)[keep]
+    band = np.bincount(flat, vals[keep], minlength=(2 * _BAND + 1) * n).reshape(-1, n)
+    band[_BAND, 1:-1] += problem.q(grid.x)[1:-1]
+
+    m = np.arange(5)
+    band[_BAND - m, m], band[_BAND + 4 - m, n - 5 + m] = _boundary_rows(problem, h)
+    return band
 
 
 def _refine_eigenvectors(problem, grid, lambdas, phis):
@@ -347,38 +353,31 @@ def _refine_eigenvectors(problem, grid, lambdas, phis):
 
     Boundary conditions are imposed as exact matrix rows, so refined
     vectors satisfy them to rounding; interior accuracy improves from the
-    second-order solve to the fourth-order operator's eigenvectors.
+    second-order solve to the fourth-order operator's eigenvectors.  Each
+    shifted system is solved by banded LU with partial pivoting.
     """
-    n = grid.n_points
-    h = grid.h
-    p = problem.p(grid.x)
-    q = problem.q(grid.x)
-    r = problem.r(grid.x)
-    D1 = _first_derivative_matrix(n, h)
-    L4 = (-D1 @ sp.diags(p) @ D1 + sp.diags(q)).tolil()
-    bc0, bcn = _boundary_rows(problem, n, h)
-    L4[0] = bc0
-    L4[n - 1] = bcn
-    L4 = L4.tocsc()
-    rmask = r.copy()
+    band = _refine_band(problem, grid)
+    rmask = problem.r(grid.x)
     rmask[0] = rmask[-1] = 0.0
-    B = sp.diags(rmask).tocsc()
+
+    def solve(shift, v):
+        shifted = band.copy()
+        shifted[_BAND] -= shift * rmask
+        return solve_banded((_BAND, _BAND), shifted, rmask * v, overwrite_ab=True)
 
     out = np.empty_like(phis)
     for k in range(lambdas.size):
         shift = lambdas[k]
-        v = phis[k].copy()
-        try:
-            lu = spla.splu((L4 - shift * B).tocsc())
-        except RuntimeError:
-            lu = spla.splu((L4 - shift * (1.0 + 1e-11) * B).tocsc())
+        v = phis[k]
         for _ in range(2):
-            v = lu.solve(B @ v)
+            try:
+                v = solve(shift, v)
+            except np.linalg.LinAlgError:
+                shift = lambdas[k] * (1.0 + 1e-11)
+                v = solve(shift, v)
             norm = np.linalg.norm(v)
             if not np.isfinite(norm) or norm == 0.0:
-                raise GridTooCoarse(
-                    f"eigenvector refinement diverged for mode {k + 1}"
-                )
+                raise GridTooCoarse(f"eigenvector refinement diverged for mode {k + 1}")
             v /= norm
         out[k] = v
     return out

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from clfpde.errors import MuCollidesWithSpectrum, MuNotPositive
+from clfpde.reduced import input_vector_closed_form
 from clfpde.shapes import (
     orthogonality_defect,
     shape_residuals,
@@ -68,8 +69,12 @@ def test_mu_guards(two_mode_bundle, grid):
     eig = two_mode_bundle.eigsys
     with pytest.raises(MuNotPositive):
         solve_shape_bvp(prob, eig, -1.0, grid)
-    with pytest.raises(MuCollidesWithSpectrum):
-        solve_shape_bvp(prob, eig, float(eig.lambdas[2]), grid)
+    # a numpy-scalar mu: the message shows plain floats, not np.float64(...)
+    with pytest.raises(MuCollidesWithSpectrum,
+                       match=r"^mu=[-+.\de]+ within tolerance of eigenvalue 3 \([-+.\de]+\)$"):
+        solve_shape_bvp(prob, eig, eig.lambdas[2], grid)
+    with pytest.raises(MuCollidesWithSpectrum, match=r"^mu=[-+.\de]+ too close to an eigenvalue$"):
+        input_vector_closed_form(prob, eig, eig.lambdas[1], 2)
 
 
 def test_validate_mu_set_verdicts(single_mode_bundle):

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+import clfpde
+from clfpde import spectral
 from clfpde.errors import (
     CutoffExceedsComputedModes,
     DimensionMismatch,
@@ -16,6 +22,7 @@ from clfpde.spectral import (
     SLProblem,
     boundary_residuals,
     check_assumption_h,
+    eigen_contracts,
     eigensolve,
     inner_product,
     make_grid,
@@ -184,6 +191,81 @@ def test_invariants_random_boundary_angles(alpha, beta, qv):
     assert np.max(np.abs(eig.gram()[:half, :half] - np.eye(half))) <= 1e-8
     left, right = boundary_residuals(eig)
     assert max(np.max(left), np.max(right)) <= 1e-6
+
+
+# -- eigenvector polish -------------------------------------------------------
+
+def test_refine_band_matches_dense_operator():
+    # reference -D1 p D1 + q with the boundary rows, built densely from the
+    # stencil weights: width-7 one-sided rows at the ends of D1, five-point
+    # one-sided derivatives in the boundary conditions
+    n = 129
+    grid = make_grid(n)
+    h, x = grid.h, grid.x
+    prob = SLProblem(Coefficient.polynomial([1.0, 0.3, -0.2]), Coefficient.polynomial([-10.0, 5.0]),
+                     Coefficient.polynomial([1.0, 0.2]), b1=0.6, b2=0.8, a1=0.8, a2=-0.6)
+    w0 = np.array([-49 / 20, 6, -15 / 2, 20 / 3, -15 / 4, 6 / 5, -1 / 6])     # offsets 0..6
+    w1 = np.array([-1 / 6, -77 / 60, 5 / 2, -5 / 3, 5 / 6, -1 / 4, 1 / 30])   # offsets -1..5
+    D1 = np.zeros((n, n))
+    for i in range(2, n - 2):
+        D1[i, i - 2:i + 3] = np.array([1, -8, 0, 8, -1]) / 12
+    D1[0, :7], D1[1, :7] = w0, w1
+    D1[-1, -7:], D1[-2, -7:] = -w0[::-1], -w1[::-1]
+    D1 /= h
+    ref = -D1 @ np.diag(prob.p(x)) @ D1 + np.diag(prob.q(x))
+    fwd = np.array([-25, 48, -36, 16, -3]) / 12
+    ref[0] = 0.0
+    ref[0, 0] = prob.b1
+    ref[0, :5] += prob.b2 * fwd / h
+    ref[-1] = 0.0
+    ref[-1, -1] = prob.a1
+    ref[-1, -5:] -= prob.a2 * fwd[::-1] / h
+
+    band = spectral._refine_band(prob, grid)
+    assert band.shape == (15, n)
+    i, j = np.indices((n, n))
+    inside = np.abs(i - j) <= 7
+    dense = np.zeros((n, n))
+    dense[inside] = band[(7 + i - j)[inside], j[inside]]
+    assert np.all(ref[~inside] == 0.0)
+    np.testing.assert_allclose(dense, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def test_singular_shift_retry(monkeypatch, varcoef_problem, grid):
+    # the first banded solve of every mode reports an exactly singular
+    # shift; the retry with the nudged shift must still meet the contracts
+    real = spectral.solve_banded
+    diagonals = []
+
+    def singular_first(l_and_u, ab, b, **kwargs):
+        diagonals.append(ab[7].copy())
+        if len(diagonals) % 3 == 1:
+            raise np.linalg.LinAlgError("singular matrix")
+        return real(l_and_u, ab, b, **kwargs)
+
+    monkeypatch.setattr(spectral, "solve_banded", singular_first)
+    K = 8
+    eig = eigensolve(varcoef_problem, grid, K)
+    assert len(diagonals) == 3 * K                 # failed solve, retry, second step
+    for k in range(K):
+        failed, retry, second = diagonals[3 * k:3 * k + 3]
+        assert not np.array_equal(failed, retry)   # the retry moves the shift ...
+        assert np.array_equal(retry, second)       # ... and the second step keeps it
+    defect, res, tol = eigen_contracts(eig)
+    assert defect <= spectral.ORTHONORMALITY_TOL
+    assert np.all(res <= tol)
+
+
+def test_import_loads_no_sparse_or_interpolate():
+    # neither module is on any shipped path, and both are slow to import
+    code = ("import sys, clfpde, clfpde.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.sparse', 'scipy.interpolate'))))")
+    src = os.path.dirname(os.path.dirname(clfpde.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_grid_too_coarse_paths(grid):
