@@ -8,11 +8,16 @@ reproduce it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from .artifact import DesignBundle, Verdict
+from . import __version__
+from .config import RunConfig
 from .lyapunov import coupling_table  # noqa: F401  (perfbench/spans.py wraps this name)
 from .lyapunov import (
+    CLFParams,
+    FeedbackLaw,
     build_feedback_law,
     coercivity_constants,
     feedback_controls,
@@ -27,6 +32,8 @@ from .reduced import (
     B_ENTRY_MIN,
     GAIN_INEQUALITY_TOL,
     GAIN_INVERSE_TOL,
+    GainDesign,
+    ReducedModel,
     build_reduced_model,
     check_controllability,
     closed_form_B,
@@ -35,6 +42,7 @@ from .reduced import (
     gain_inverse_error,
 )
 from .semilinear import (
+    SemilinearDesign,
     build_semilinear_design,
     linear_admissibility_margins,
     lyapunov_value_and_rate,
@@ -46,6 +54,7 @@ from .shapes import (
     BOUNDARY_RESIDUAL_TOL as SHAPE_BC_TOL,
     BVP_RESIDUAL_TOL,
     ORTHOGONALITY_TOL,
+    ShapeSet,
     build_shape_set,
     orthogonality_defect,
     shape_residuals,
@@ -55,9 +64,10 @@ from .sim import simulate_linear, simulate_semilinear
 from .spectral import (
     BOUNDARY_RESIDUAL_TOL,
     ORTHONORMALITY_TOL,
+    EigenSystem,
+    Grid,
     boundary_residuals,
     check_assumption_h,
-    eigen_contracts,
     eigensolve,
     make_grid,
     project,
@@ -70,12 +80,53 @@ COERCIVITY_TOL_REL = 1e-6
 CLOSED_FORM_B_TOL = 1e-7
 
 
+@dataclass
+class Verdict:
+    name: str
+    passed: bool
+    margin: float
+    note: str = ""
+
+    def __post_init__(self):
+        self.margin = float(self.margin)      # numpy scalars would print as np.float64(...)
+
+    def line(self):
+        status = "pass" if self.passed else "fail"
+        note = f" note={self.note}" if self.note else ""
+        return f"{self.name} = {status} margin={self.margin!r}{note}"
+
+
+@dataclass
+class DesignBundle:
+    """Everything needed to re-instantiate and re-verify a design."""
+
+    config: RunConfig
+    grid: Grid
+    eigsys: EigenSystem
+    shapes: ShapeSet
+    model: ReducedModel
+    gains: GainDesign
+    params: CLFParams
+    law: FeedbackLaw
+    sl_design: SemilinearDesign | None = None
+    verdicts: list = field(default_factory=list)
+    version: str = __version__
+
+    @property
+    def certified(self):
+        return all(v.passed for v in self.verdicts)
+
+
 def design(cfg):
     """Run the full design chain for a validated configuration."""
     grid = make_grid(cfg.n_points)
-    cfg.problem.validate_on_grid(grid)
     eigsys = eigensolve(cfg.problem, grid, cfg.modes, richardson=cfg.richardson)
-    shapes = build_shape_set(cfg.problem, eigsys, cfg.mus, grid)
+    return design_from_eigensystem(cfg, eigsys)
+
+
+def design_from_eigensystem(cfg, eigsys):
+    """The design chain after the eigensolve: shapes, model, gains, CLF, law, semilinear."""
+    shapes = build_shape_set(cfg.problem, eigsys, cfg.mus, eigsys.grid)
     model = build_reduced_model(eigsys, shapes, cfg.N)
     sigmas = cfg.sigma if len(cfg.sigma) == cfg.N else [cfg.sigma[0]] * cfg.N
     gains = design_gains(model, sigmas, cfg.gain_mode)
@@ -87,7 +138,7 @@ def design(cfg):
         sl_design = build_semilinear_design(
             model, shapes, cfg.semilinear.lbar, gains.sigma,
             cfg.semilinear.controller, kappa=cfg.semilinear.kappa)
-    return DesignBundle(cfg, grid, eigsys, shapes, model, gains, params, law, sl_design)
+    return DesignBundle(cfg, eigsys.grid, eigsys, shapes, model, gains, params, law, sl_design)
 
 
 def random_states(eigsys, j, count, seed):
@@ -114,7 +165,7 @@ def certify(bundle):
     law = bundle.law
     verdicts = []
 
-    gram_dev, res, tol = eigen_contracts(eig)
+    gram_dev, res, tol = eig.contracts
     verdicts.append(Verdict("eigen_orthonormality", gram_dev <= ORTHONORMALITY_TOL,
                             ORTHONORMALITY_TOL - gram_dev))
 

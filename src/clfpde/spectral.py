@@ -12,6 +12,7 @@ Eigenfunctions are orthonormal in the r-weighted L2 inner product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
@@ -174,6 +175,13 @@ class EigenSystem:
     dphi1: np.ndarray              # (K,)
     r_samples: np.ndarray          # (n_points,)
 
+    @classmethod
+    def from_samples(cls, problem, grid, lambdas, phis):
+        """The eigensystem of signed, normalized (K, n_points) samples phis."""
+        dphi0 = derivative_4th(phis.T[:5], grid.h)[0]      # the end rows of derivative_4th
+        dphi1 = derivative_4th(phis.T[-5:], grid.h)[-1]
+        return cls(problem, grid, lambdas, phis, dphi0, dphi1, problem.r(grid.x))
+
     @property
     def K(self):
         return self.lambdas.size
@@ -188,6 +196,11 @@ class EigenSystem:
         """Quadrature Gram matrix of the first n eigenfunctions (all by default)."""
         phis = self.phis[:n]
         return (phis * (self.grid.weights * self.r_samples)) @ phis.T
+
+    @cached_property
+    def contracts(self):
+        """eigen_contracts(self), evaluated once: the eigensolve guard and certify share it."""
+        return eigen_contracts(self)
 
 
 # -- finite-volume discretization -------------------------------------------
@@ -424,23 +437,19 @@ def eigensolve(problem, grid, K, richardson=True):
             and problem.left_dirichlet and problem.right_dirichlet):
         phis = _refine_eigenvectors(problem, grid, lambdas, phis)
 
-    r = problem.r(grid.x)
-    phis = _normalize(phis, grid, r)
+    phis = _normalize(phis, grid, problem.r(grid.x))
 
     # sign convention
-    d0, d1 = derivative_4th(phis.T, grid.h)[[0, -1]]
-    anchor = d0 if problem.left_dirichlet else phis[:, 0]
+    anchor = derivative_4th(phis.T[:5], grid.h)[0] if problem.left_dirichlet else phis[:, 0]
     flip = np.sign(anchor)
     flip[flip == 0.0] = 1.0
     phis *= flip[:, None]
-    d0 *= flip
-    d1 *= flip
 
     if np.any(np.diff(lambdas) <= 0.0):
         raise GridTooCoarse("computed eigenvalues are not strictly increasing")
 
-    eig = EigenSystem(problem, grid, lambdas, phis, d0, d1, r)
-    defect, res, tol = eigen_contracts(eig)
+    eig = EigenSystem.from_samples(problem, grid, lambdas, phis)
+    defect, res, tol = eig.contracts
     if defect > ORTHONORMALITY_TOL:
         raise GridTooCoarse(
             f"quadrature orthonormality defect {defect:.3e} exceeds {ORTHONORMALITY_TOL:g}"

@@ -212,11 +212,9 @@ def test_criterion_9_determinism(tmp_path):
         assert cli_main(["simulate", "--config", str(cfgpath), "--out", str(out),
                          "--seed", "0", "--quiet"]) == 0
         outs.append(out)
-    files = ["trajectory.csv", "report.txt",
-             "artifact/design.txt", "artifact/config.cfg", "artifact/eigen.csv",
-             "artifact/shapes.csv", "artifact/kernels.csv"]
-    identical = all((outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
-                    for f in files)
+    trees = [{p.relative_to(out).as_posix(): p.read_bytes()
+              for p in sorted(out.rglob("*")) if p.is_file()} for out in outs]
+    identical = trees[0] == trees[1]
     report(9, identical,
-           f"re-run with same seed reproduces {len(files)} files byte-for-byte: "
+           f"re-run with same seed reproduces {len(trees[0])} files byte-for-byte: "
            f"{identical}")

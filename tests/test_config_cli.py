@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clfpde import pipeline
+from clfpde import pipeline, spectral
 from clfpde.artifact import (
     Verdict,
     _parse_verdict_lines,
@@ -132,8 +132,7 @@ def test_artifact_roundtrip_reverifies(tmp_path, two_mode_bundle):
     assert len(stored) == len(two_mode_bundle.verdicts)
     again = tmp_path / "again"
     save_artifact(loaded, again)
-    for name in ("config.cfg", "design.txt", "eigen.csv", "shapes.csv", "kernels.csv"):
-        assert (again / name).read_bytes() == (out / name).read_bytes(), name
+    assert _tree(again) == _tree(out)
     pipeline.certify(loaded)
     assert compare_verdicts(stored, loaded.verdicts, tol=1e-12)
     assert loaded.certified
@@ -141,6 +140,12 @@ def test_artifact_roundtrip_reverifies(tmp_path, two_mode_bundle):
     assert np.array_equal(loaded.eigsys.lambdas, two_mode_bundle.eigsys.lambdas)
     assert np.array_equal(loaded.law.kernel_coeffs, two_mode_bundle.law.kernel_coeffs)
     assert loaded.sl_design.kappa == two_mode_bundle.sl_design.kappa
+
+
+def _tree(root):
+    """{relative path: bytes} of every file under root."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 @pytest.mark.parametrize("seed", [2, 3, 5, 6, 7])
@@ -159,6 +164,23 @@ def test_artifact_roundtrip_reproduces_semilinear_verdicts(tmp_path, seed):
     stored = list(loaded.verdicts)
     pipeline.certify(loaded)
     assert compare_verdicts(stored, loaded.verdicts)
+
+
+def test_eigen_contracts_evaluated_once_per_eigensystem(tmp_path, monkeypatch):
+    # the eigensolve guard and certify share one evaluation; a loaded
+    # eigensystem evaluates its own when certify first needs it
+    calls = []
+    evaluate = spectral.eigen_contracts
+    monkeypatch.setattr(spectral, "eigen_contracts",
+                        lambda eig: calls.append(eig) or evaluate(eig))
+    bundle = pipeline.design(preset_config("2.4"))
+    pipeline.certify(bundle)
+    assert calls == [bundle.eigsys]
+    save_artifact(bundle, tmp_path)
+    loaded = load_artifact(tmp_path)
+    assert len(calls) == 1
+    pipeline.certify(loaded)
+    assert len(calls) == 2 and calls[1] is loaded.eigsys
 
 
 def test_verdict_line_roundtrip_numpy_margin():
@@ -353,6 +375,11 @@ def _extra_value(text):
     return text + " 1.0"
 
 
+def _nan_lambda(lines):
+    """eigen.csv lines with the second mode's eigenvalue set to nan."""
+    return [*lines[:2], "2,nan," + lines[2].split(",", 2)[2], *lines[3:]]
+
+
 def _edited_config(name, old, new):
     def prepare(tmp_path, request):
         text = (CONFIGS / name).read_text()
@@ -378,8 +405,8 @@ def _edited_config(name, old, new):
     (["export", "--traj", "traj.csv"], "traj.csv", _table("t,a\r\n1,2\r\n3,abc\r\n")),
     (["check", "--artifact", "artifact"], "eigen.csv: 49 x 2049 samples",
      _damaged_artifact("eigen.csv", lambda lines: lines[:50])),
-    (["check", "--artifact", "artifact"], "shapes.csv",
-     _damaged_artifact("shapes.csv", lambda lines: [lines[0], lines[1].rsplit(",", 5)[0]])),
+    (["check", "--artifact", "artifact"], "eigen.csv: needs finite values",
+     _damaged_artifact("eigen.csv", _nan_lambda)),
     (["check", "--config", "bad.cfg"], "key 't_final'",
      _edited_config("single_mode.cfg", "t_final = 8.0", "t_final = abc")),
     (["check", "--config", "bad.cfg"], "key 'kappa'",
@@ -395,11 +422,13 @@ def _edited_config(name, old, new):
     (["check", "--artifact", "artifact"], "design.txt: no key 'K_row_1' in [gains]",
      _design_key("gains", "K_row_1", None)),
     (["check", "--artifact", "artifact"],
-     "design.txt: [semilinear] g_row_1: 3 samples, needs N = 2",
+     "design.txt: [semilinear] g_row_1: 3 values, the re-derived design has 2",
      _design_key("semilinear", "g_row_1", _extra_value, "two_mode_bundle")),
-    (["check", "--artifact", "artifact"], "design.txt: [eigen] lambdas: 97 samples, needs K = 96",
+    (["check", "--artifact", "artifact"],
+     "design.txt: [eigen] lambdas: 97 values, the re-derived design has 96",
      _design_key("eigen", "lambdas", _extra_value)),
-    (["check", "--artifact", "artifact"], "design.txt: [reduced] mus: 3 samples, needs j = 2",
+    (["check", "--artifact", "artifact"],
+     "design.txt: [reduced] mus: 3 values, the re-derived design has 2",
      _design_key("reduced", "mus", _extra_value, "two_mode_bundle")),
     (["check", "--artifact", "artifact"], "design.txt: [verdicts] eigen_orthonormality",
      _design_key("verdicts", "eigen_orthonormality",
@@ -410,6 +439,9 @@ def _edited_config(name, old, new):
      _added_design_line("semilinear", "g_row_3 = 1.0 2.0", "two_mode_bundle")),
     (["check", "--artifact", "artifact"], "design.txt: no key 'clf_R' in [semilinear]",
      _design_key("semilinear", "clf_R", None, "two_mode_bundle")),
+    (["check", "--artifact", "artifact"],
+     "design.txt: [semilinear] certified = false differs from the re-derived true",
+     _design_key("semilinear", "certified", "false", "two_mode_bundle")),
     (["check", "--config", "bad.cfg"], "q(x) is not finite",
      _edited_config("single_mode.cfg", "q = -19.739208802178716", "q = nan")),
     (["check", "--config", "bad.cfg"], "q(x) is not finite",
@@ -422,11 +454,11 @@ def _edited_config(name, old, new):
      _edited_config("single_mode.cfg", "n_points = 2049", "n_points = 129")),
 ], ids=["too_few_steps", "modes_below_M", "too_few_samples", "dt_nan", "seed_negative",
         "stride_0", "traj_empty", "traj_ragged", "traj_not_numeric", "eigen_rows_missing",
-        "shapes_row_short", "t_final_abc", "kappa_abc", "kind_cubic", "scale_above_lbar",
+        "eigen_lambda_nan", "t_final_abc", "kappa_abc", "kind_cubic", "scale_above_lbar",
         "design_sigma_abc", "design_M_9999", "design_K_row_missing", "design_g_row_long",
         "design_lambdas_long", "design_mus_long", "design_margin_abc", "design_bogus_key",
-        "design_g_row_3", "design_clf_R_missing", "q_nan", "q_inf", "p_poly_nan",
-        "mus_negative", "n_points_below_8_modes"])
+        "design_g_row_3", "design_clf_R_missing", "design_certified_false", "q_nan", "q_inf",
+        "p_poly_nan", "mus_negative", "n_points_below_8_modes"])
 def test_cli_invalid_input_exits_2(tmp_path, capsys, monkeypatch, request, args, message,
                                    prepare):
     monkeypatch.chdir(tmp_path)
@@ -440,6 +472,23 @@ def test_cli_invalid_input_exits_2(tmp_path, capsys, monkeypatch, request, args,
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("nudge, code", [
+    (lambda x: np.nextafter(x, np.inf), 0),          # 1 ulp: another BLAS may round so
+    (lambda x: x * (1.0 + 1e-9), 2),                 # far beyond the 1e-12 agreement
+], ids=["1ulp", "1e-9"])
+def test_check_artifact_float_tolerance(tmp_path, capsys, request, nudge, code):
+    """design.txt floats must agree with the re-derived design within 1e-12 max(1, |x|)."""
+    _design_key("reduced", "lambda_next", lambda text: repr(float(nudge(float(text)))))(
+        tmp_path, request)
+    assert cli_main(["check", "--artifact", str(tmp_path / "artifact"), "--quiet"]) == code
+    if code:
+        assert "design.txt: [reduced] lambda_next = " in capsys.readouterr().err
+    else:      # the loaded design is the re-derived one, not the stored value
+        save_artifact(load_artifact(tmp_path / "artifact"), tmp_path / "again")
+        save_artifact(request.getfixturevalue("single_mode_bundle"), tmp_path / "fresh")
+        assert _tree(tmp_path / "again") == _tree(tmp_path / "fresh")
 
 
 @pytest.mark.parametrize("t_final", ["8.0", "auto"])

@@ -104,14 +104,6 @@ def test_orthogonality_duplicate_fails(two_mode_bundle):
     assert orthogonality_defect(dup) > 0.4      # equals the squared norm 1/2
 
 
-def test_shape_csv_export(tmp_path, two_mode_bundle):
-    from clfpde.artifact import save_artifact
-    save_artifact(two_mode_bundle, tmp_path)
-    lines = (tmp_path / "shapes.csv").read_text().splitlines()
-    assert lines[0].split(",")[:3] == ["i", "mu", "norm_sq"]
-    assert len(lines) == 3
-
-
 def test_build_shape_set_single_mode(single_mode_bundle, grid):
     # mu = 25 p pi^2 / 4 + q gives the sin(5 pi x / 2) shape
     shapes = single_mode_bundle.shapes

@@ -382,6 +382,16 @@ def test_assumption_h_needs_tail_modes(varcoef_eigsys):
         check_assumption_h(varcoef_eigsys, varcoef_eigsys.K - 5)
 
 
+def test_end_derivatives_are_the_end_rows_of_derivative_4th(varcoef_eigsys, grid):
+    # the five end samples give dphi0/dphi1 bit for bit, and a sign flip commutes with them
+    eig = varcoef_eigsys
+    full = spectral.derivative_4th(eig.phis.T, eig.grid.h)
+    assert np.array_equal(eig.dphi0, full[0]) and np.array_equal(eig.dphi1, full[-1])
+    flipped = spectral.EigenSystem.from_samples(eig.problem, grid, eig.lambdas, -eig.phis)
+    assert np.array_equal(flipped.dphi0, -eig.dphi0)
+    assert np.array_equal(flipped.dphi1, -eig.dphi1)
+
+
 def test_eigen_csv_export(tmp_path, single_mode_bundle):
     from clfpde.artifact import save_artifact
     save_artifact(single_mode_bundle, tmp_path)

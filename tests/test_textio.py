@@ -80,27 +80,14 @@ def test_parse_sections_reports_line_numbers():
 
 
 def reference_artifact_tables(bundle, out):
-    """The artifact table writers as they stood in spectral, shapes and lyapunov."""
-    eig, shapes, law, grid = bundle.eigsys, bundle.shapes, bundle.law, bundle.grid
+    """The artifact table writer as it stood in spectral."""
+    eig = bundle.eigsys
     with open(out / "eigen.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "lambda"] + [f"x{i}" for i in range(eig.grid.n_points)])
         for n in range(eig.K):
             writer.writerow([n + 1, repr(float(eig.lambdas[n]))]
                             + [repr(float(v)) for v in eig.phis[n]])
-    with open(out / "shapes.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "mu", "norm_sq"] + [f"x{i}" for i in range(shapes.grid.n_points)])
-        for i in range(shapes.j):
-            writer.writerow([i + 1, repr(float(shapes.mus[i])), repr(float(shapes.norms_sq[i]))]
-                            + [repr(float(v)) for v in shapes.varphis[i]])
-    j = law.kernels.shape[0]
-    with open(out / "kernels.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x"] + [f"k_{i + 1}" for i in range(j)])
-        for i in range(grid.n_points):
-            writer.writerow([repr(float(grid.x[i]))]
-                            + [repr(float(law.kernels[k, i])) for k in range(j)])
 
 
 def test_artifact_tables_match_reference_writers(tmp_path, single_mode_bundle):
@@ -108,8 +95,7 @@ def test_artifact_tables_match_reference_writers(tmp_path, single_mode_bundle):
     ref.mkdir()
     save_artifact(single_mode_bundle, new)
     reference_artifact_tables(single_mode_bundle, ref)
-    for name in ("eigen.csv", "shapes.csv", "kernels.csv"):
-        assert (new / name).read_bytes() == (ref / name).read_bytes(), name
+    assert (new / "eigen.csv").read_bytes() == (ref / "eigen.csv").read_bytes()
 
 
 def test_format_lives_in_textio_only():
