@@ -132,23 +132,23 @@ def _phi_functions(X, p):
     return [top[:, k * m:(k + 1) * m] for k in range(p + 1)]
 
 
-def _records(loop, f_modal, c, y, times, h):
+def _records(loop, nonlinear, c, y, times, h):
     """Recorded (coeffs, ys, vs) of z' = A z + g(z) from z = (c, y), samples h apart.
 
-    A = loop.matrix(); g(z) = (f - T dv, dv) with f = f_modal(c, y) and
-    dv = controls(c, y, f) - controls(c, y), the rest of the right-hand side.
-    f_modal=None (g = 0) samples the exact solution, one mat-vec with
-    expm(h A) per record, and checks the growth of all samples at once.
-    Otherwise one ETDRK4 step of h per record treats A exactly; its first
-    stage evaluates f at the recorded state, which also gives that sample's
-    controls, and each sample's growth is checked before stepping on.
+    A = loop.matrix(); nonlinear=None (g = 0) samples the exact solution, one
+    mat-vec with expm(h A) per record, and checks the growth of all samples
+    at once.  Otherwise nonlinear = (basis, evaluate, GW) fuses the quadrature
+    and the control map, g(z) = GW @ evaluate(z @ basis), and one ETDRK4 step
+    of h per record treats A exactly.  Its first stage evaluates g at the
+    recorded state, whose y-rows are that sample's control correction dv, and
+    each sample's growth is checked before stepping on.
     """
     n = c.size
     A = loop.matrix()
     Z = np.empty((times.size, n + y.size))
     Z[0, :n], Z[0, n:] = c, y
     cap = INSTABILITY_FACTOR * max(np.sqrt(float(c @ c)) + np.linalg.norm(y), 1e-12)
-    if f_modal is None:
+    if nonlinear is None:
         P = expm(A * h)
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, times.size):
@@ -167,39 +167,37 @@ def _records(loop, f_modal, c, y, times, h):
     W1 = h * (P1 - 3.0 * P2 + 4.0 * P3)
     W2 = 2.0 * h * (P2 - 2.0 * P3)
     W3 = h * (4.0 * P3 - P2)
+    basis, evaluate, GW = nonlinear
 
     def g(z):
-        """(g(z), controls at z)."""
-        c, y = z[:n], z[n:]
-        f = f_modal(c, y)
-        v = loop.controls(c, y, f)
-        dv = v - loop.controls(c, y)
-        return np.concatenate([f - loop.T @ dv, dv]), v
+        return GW @ evaluate(z @ basis)
 
-    vs = np.empty((times.size, y.size))
+    DV = np.empty((times.size, y.size))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(times.size):
             z = Z[k]
             _check_growth(np.sqrt(float(z[:n] @ z[:n])) + np.linalg.norm(z[n:]), times[k], cap)
-            gz, vs[k] = g(z)
+            gz = g(z)
+            DV[k] = gz[n:]
             if k + 1 < times.size:
-                a = E2 @ z + Q @ gz
-                ga, _ = g(a)
-                b = E2 @ z + Q @ ga
-                gb, _ = g(b)
-                gc, _ = g(E2 @ a + Q @ (2.0 * gb - gz))
+                e2z = E2 @ z
+                a = e2z + Q @ gz
+                ga = g(a)
+                gb = g(e2z + Q @ ga)
+                gc = g(E2 @ a + Q @ (2.0 * gb - gz))
                 Z[k + 1] = E @ z + W1 @ gz + W2 @ (ga + gb) + W3 @ gc
-    return Z[:, :n], Z[:, n:], vs
+    C, Y = Z[:, :n], Z[:, n:]
+    return C, Y, loop.controls(C, Y) + DV
 
 
-def _simulate(loop, f_modal, c, y, cfg, sigma, **flags):
+def _simulate(loop, nonlinear, c, y, cfg, sigma, **flags):
     """Records of the loop from modal (c, y) over cfg's horizon, and the trajectory.
 
-    f_modal(c, y), when given, is the nonlinear coupling <phi_n, F(u)>.
+    nonlinear, when given, is _records' fused quadrature (basis, evaluate, GW).
     """
     steps = cfg.steps(sigma)
     times = np.arange(0, steps + 1, cfg.record_stride) * cfg.dt
-    coeffs, ys, vs = _records(loop, f_modal, c, y, times, cfg.dt * cfg.record_stride)
+    coeffs, ys, vs = _records(loop, nonlinear, c, y, times, cfg.dt * cfg.record_stride)
     return Trajectory(times, coeffs, ys,
                       np.sqrt(np.sum(coeffs ** 2, axis=1)), np.sqrt(np.sum(ys ** 2, axis=1)),
                       loop.value(coeffs, ys), np.sum(ys, axis=1), vs,
@@ -221,11 +219,18 @@ def simulate_linear(eigsys, shapes, design, params, law, w0, y0, cfg):
 def simulate_semilinear(eigsys, shapes, design, F, w0, y0, cfg):
     """Closed-loop semilinear simulation under the design's controller.
 
-    The nonlinearity coefficients <phi_n, F(u)> are recomputed by quadrature
-    at every coupling evaluation, with u reconstructed on the grid from the
-    modal state and the shape terms.  A zero nonlinearity leaves the linear
-    loop v = Kmat c, which runs as simulate_linear does and makes no
-    quadrature.  Uncertified designs run but are flagged on the trajectory.
+    Each ETDRK4 stage makes one fused quadrature: u = z @ basis on the grid,
+    basis = [Phi; Psi] (modes, then shapes), and g(z) = GW @ F(u) with
+
+        GW = [[I - T Gext], [Gext]] @ Phi_w,
+
+    Phi_w the modes times the quadrature weights and r, and Gext the
+    cancellation gain G on f_1..f_N padded to n_modes columns (zero under
+    the domination controller).  GW maps F(u) to the nonlinear part
+    (f - T dv, dv) of the right-hand side, dv = G f_N; both matrices are
+    built once per run.  A zero nonlinearity leaves the linear loop
+    v = Kmat c, which runs as simulate_linear does and makes no quadrature.
+    Uncertified designs run but are flagged on the trajectory.
     """
     n_modes = cfg.n_modes
     if n_modes < design.N:
@@ -233,16 +238,16 @@ def simulate_semilinear(eigsys, shapes, design, F, w0, y0, cfg):
     cfg.check_quadrature_budget(F, design.sigma)
     c, y = _initial_state(eigsys, w0, y0, n_modes)
     loop = semilinear_loop(eigsys, shapes, design, n_modes)
-    f_modal = None
+    nonlinear = None
     if F.kind != "zero":
-        Phi = eigsys.phis[:n_modes]                      # (n_modes, n_grid)
-        Psi = shapes.varphis                              # (N, n_grid)
-        Phi_w = Phi * (eigsys.grid.weights * eigsys.r_samples)
-
-        def f_modal(c, y):
-            return Phi_w @ F.evaluate(c @ Phi + y @ Psi)
-
-    return _simulate(loop, f_modal, c, y, cfg, design.sigma,
+        Phi = eigsys.phis[:n_modes]
+        Gext = np.zeros((design.N, n_modes))
+        if loop.G is not None:
+            Gext[:, :design.N] = loop.G
+        GW = np.vstack([np.eye(n_modes) - loop.T @ Gext, Gext]) \
+            @ (Phi * (eigsys.grid.weights * eigsys.r_samples))
+        nonlinear = (np.vstack([Phi, shapes.varphis]), F.evaluate, GW)
+    return _simulate(loop, nonlinear, c, y, cfg, design.sigma,
                      certified=design.certified, design_N=design.N, kind="semilinear")
 
 

@@ -322,13 +322,18 @@ def test_quadrature_budget_counts_f_evaluations(two_mode_bundle, monkeypatch):
     assert len(calls) == 401
 
 
-def semilinear_states(bundle, n_modes, t_final, dt, stride):
-    """(c, y) per recorded sample of the sine-type loop of the 3.3 preset."""
+def semilinear_run(bundle, n_modes, t_final, dt, stride):
+    """The sine-type loop of a 3.3-preset bundle from its initial state."""
     F = NonlinearitySpec.make("sine_type", scale=0.29)
     w0, y0 = pipeline.initial_state(bundle)
     cfg = SimConfig(n_modes=n_modes, dt=dt, t_final=t_final, record_stride=stride)
-    traj = simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design, F,
+    return simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design, F,
                                w0, y0, cfg)
+
+
+def semilinear_states(bundle, n_modes, t_final, dt, stride):
+    """(c, y) per recorded sample of the sine-type loop of a 3.3-preset bundle."""
+    traj = semilinear_run(bundle, n_modes, t_final, dt, stride)
     return np.hstack([traj.coeffs, traj.y])
 
 
@@ -344,10 +349,9 @@ def test_etdrk4_fourth_order(two_mode_bundle):
     assert errors[0] >= 8.0 * errors[1]
 
 
-def test_etdrk4_matches_dop853(two_mode_bundle):
-    # ETDRK4 at h = 2e-3 (the shipped step) against DOP853 at rtol 1e-12 on
-    # c' = -lambda c - T v + f, y' = -mu y + v: 3.2e-7
-    bundle = two_mode_bundle
+def etdrk4_error_against_dop853(bundle):
+    """ETDRK4 at h = 2e-3 (the shipped step) against DOP853 at rtol 1e-12 on
+    c' = -lambda c - T v + f, y' = -mu y + v."""
     eig, shapes, sl = bundle.eigsys, bundle.shapes, bundle.sl_design
     etd = semilinear_states(bundle, 32, 0.1, 1e-4, 20)
     F = NonlinearitySpec.make("sine_type", scale=0.29)
@@ -364,7 +368,42 @@ def test_etdrk4_matches_dop853(two_mode_bundle):
     ref = solve_ivp(rhs, (0.0, 0.1), etd[0], method="DOP853",
                     t_eval=np.arange(51) * 2e-3, rtol=1e-12, atol=1e-14)
     assert ref.success and etd.shape == ref.y.T.shape == (51, 34)
-    assert np.max(np.abs(etd - ref.y.T)) <= 1e-6
+    return np.max(np.abs(etd - ref.y.T))
+
+
+def test_etdrk4_matches_dop853(two_mode_bundle):
+    # the cancellation controller: 3.2e-7
+    assert etdrk4_error_against_dop853(two_mode_bundle) <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def dominating_bundle():
+    """The 3.3 preset under the domination controller (uncertified there)."""
+    return pipeline.design(preset_config("3.3", controller="linear"))
+
+
+def test_etdrk4_matches_dop853_under_domination(dominating_bundle):
+    # G is None, so the fused map carries no control correction: 3.0e-7
+    assert semilinear_loop(dominating_bundle.eigsys, dominating_bundle.shapes,
+                           dominating_bundle.sl_design, 32).G is None
+    assert etdrk4_error_against_dop853(dominating_bundle) <= 1e-6
+
+
+def test_recorded_controls_are_the_loop_controls(two_mode_bundle):
+    # the recorded v comes from the fused quadrature's y-rows; it must equal
+    # loop.controls(c, y, f) with f by direct quadrature at every sample
+    bundle = two_mode_bundle
+    eig, shapes, sl = bundle.eigsys, bundle.shapes, bundle.sl_design
+    traj = semilinear_run(bundle, 32, 0.2, 1e-4, 20)
+    F = NonlinearitySpec.make("sine_type", scale=0.29)
+    loop = semilinear_loop(eig, shapes, sl, 32)
+    Phi = eig.phis[:32]
+    Phi_w = Phi * (eig.grid.weights * eig.r_samples)
+    assert loop.G is not None and traj.samples == 101
+    for k in range(traj.samples):
+        c, y = traj.coeffs[k], traj.y[k]
+        v = loop.controls(c, y, Phi_w @ F.evaluate(c @ Phi + y @ shapes.varphis))
+        assert np.max(np.abs(traj.v[k] - v)) <= 1e-12 * np.max(np.abs(v))
 
 
 def test_semilinear_instability_guard_names_first_sample(two_mode_bundle):

@@ -175,7 +175,7 @@ def test_invariants_on_variable_coefficients(varcoef_eigsys, varcoef_problem, gr
     assert np.all(np.diff(eig.lambdas) > 0)
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8, deadline=None, database=None)
 @given(st.floats(min_value=0.1, max_value=1.4),
        st.floats(min_value=-0.4, max_value=1.5),
        st.floats(min_value=-20.0, max_value=20.0))
