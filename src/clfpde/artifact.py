@@ -3,7 +3,7 @@
 An artifact directory contains
 
     config.cfg     canonical run configuration (round-trips exactly)
-    eigen.csv      rows (n, lambda, eigenfunction samples)
+    eigen.csv      rows (n, lambda, dphi0, dphi1, eigenfunction samples)
     design.txt     every computed scalar, vector and matrix, then the verdicts
 
 in the text format of clfpde.textio (shortest round-trip floats).  Loading
@@ -39,6 +39,7 @@ from .textio import (
 )
 
 AGREE_TOL = 1e-12          # relative, as in compare_verdicts
+EIGEN_COLUMNS = ["n", "lambda", "dphi0", "dphi1"]      # then one column per grid sample
 
 # design.txt, one row list per section: (key, attribute, kind).  A 2-D value is
 # written one vec() row per key_row_<i> line.
@@ -129,8 +130,9 @@ def save_artifact(bundle, out_dir):
         fh.write("\n".join(lines[1:]) + "\n")
     eig = bundle.eigsys
     samples = [f"x{i}" for i in range(bundle.grid.n_points)]
-    write_csv(os.path.join(out_dir, "eigen.csv"), ["n", "lambda"] + samples,
-              ([n + 1, float(eig.lambdas[n])] + eig.phis[n].tolist() for n in range(eig.K)))
+    write_csv(os.path.join(out_dir, "eigen.csv"), EIGEN_COLUMNS + samples,
+              ([n + 1, float(eig.lambdas[n]), float(eig.dphi0[n]), float(eig.dphi1[n])]
+               + eig.phis[n].tolist() for n in range(eig.K)))
 
 
 def _parse_verdict(text):
@@ -174,14 +176,16 @@ def load_artifact(out_dir):
     cfg.problem.validate_on_grid(grid)
     path = os.path.join(out_dir, "eigen.csv")
     _, eigen = read_csv(path)
-    if eigen.shape[0] != cfg.modes or eigen.shape[1] != 2 + grid.n_points:
-        raise ConfigError(f"{path}: {eigen.shape[0]} x {eigen.shape[1] - 2} samples, needs "
+    lead = len(EIGEN_COLUMNS)
+    if eigen.shape[0] != cfg.modes or eigen.shape[1] != lead + grid.n_points:
+        raise ConfigError(f"{path}: {eigen.shape[0]} x {eigen.shape[1] - lead} samples, needs "
                           f"modes = {cfg.modes} x n_points = {grid.n_points}")
     if not np.all(np.isfinite(eigen)) or np.any(eigen[:, 0] != np.arange(1, cfg.modes + 1)):
         raise ConfigError(f"{path}: needs finite values and the mode numbers 1..{cfg.modes}")
     # C-ordered sample rows: BLAS then sums in the order the design did
-    eigsys = EigenSystem.from_samples(cfg.problem, grid, eigen[:, 1].copy(),
-                                      np.ascontiguousarray(eigen[:, 2:]))
+    lambdas, dphi0, dphi1 = (eigen[:, i].copy() for i in range(1, lead))
+    eigsys = EigenSystem(cfg.problem, grid, lambdas, np.ascontiguousarray(eigen[:, lead:]),
+                         dphi0, dphi1, cfg.problem.r(grid.x))
     bundle = design_from_eigensystem(cfg, eigsys)
     bundle.verdicts = verdicts
     bundle.version = sections.get("meta", {}).get("version", bundle.version)

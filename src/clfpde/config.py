@@ -88,7 +88,7 @@ class RunConfig:
     mus: list
     n_points: int = 2049
     modes: int = 96
-    richardson: bool = True
+    richardson: bool = True         # the key stays for file compatibility and accepts only true
     sigma: list = field(default_factory=lambda: [1.0])   # per-mode targets or one value
     gain_mode: str = "closed_form"
     Ls: list = field(default_factory=list)
@@ -153,6 +153,8 @@ class RunConfig:
         if self.sim.integrator != INTEGRATOR:
             raise ConfigError(f"key 'integrator' accepts only {INTEGRATOR!r}, "
                               f"got {self.sim.integrator!r}")
+        if not self.richardson:
+            raise ConfigError("key 'richardson' accepts only true, got false")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self

@@ -120,7 +120,7 @@ class DesignBundle:
 def design(cfg):
     """Run the full design chain for a validated configuration."""
     grid = make_grid(cfg.n_points)
-    eigsys = eigensolve(cfg.problem, grid, cfg.modes, richardson=cfg.richardson)
+    eigsys = eigensolve(cfg.problem, grid, cfg.modes)
     return design_from_eigensystem(cfg, eigsys)
 
 

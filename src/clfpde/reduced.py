@@ -70,8 +70,8 @@ def build_reduced_model(eigsys, shapes, N):
 def input_vector_closed_form(problem, eigsys, mu, N):
     """Boundary-data form of the input column: p(1)(a2 phi_n(1) - a1 phi_n'(1)) / (mu - lambda_n).
 
-    Independent of the quadrature route; uses the stored fourth-order
-    endpoint derivatives.
+    Independent of the quadrature route; uses the eigensolver's end
+    derivatives.
     """
     if not validate_mu_set(mu, eigsys.lambdas[:N])[0].off_spectrum:
         raise MuCollidesWithSpectrum(f"mu={float(mu)!r} too close to an eigenvalue")

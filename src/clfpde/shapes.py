@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import MuCollidesWithSpectrum, MuNotPositive
-from .spectral import _assemble_pencil, derivative_4th, inner_product, sl_apply
+from .spectral import collocation, derivative_4th, inner_product, sl_apply
 
 MU_GAP_REL = 1e-6
 BVP_RESIDUAL_TOL = 1e-5
@@ -83,53 +82,49 @@ def check_mu(mu, eigsys):
         )
 
 
-def solve_shape_bvp(problem, eigsys, mu, grid, ordering="forward"):
-    """Solve the shape boundary-value problem for one mu.
+def solve_shape_bvp(problem, eigsys, mu, grid):
+    """Solve the shape boundary-value problem for one mu (see _solve_shapes)."""
+    return _solve_shapes(problem, eigsys, [mu], grid)[0]
 
-    Reuses the finite-volume discretization of the eigensolver as a single
-    tridiagonal solve; the x=1 row encodes the inhomogeneous actuation
-    condition.  One deferred-correction sweep against the fourth-order
-    residual (same factor-free banded solve) lifts the interior residual
-    from O(h^2) to well below the 1e-5 contract.
 
-    ordering='reversed' eliminates from the other end (uniqueness probe).
+def _solve_shapes(problem, eigsys, mus, grid):
+    """The shapes of all mus, one per row, on one collocation.
+
+    The collocation (spectral.collocation) resolves the modes up to the
+    largest mu: a shape oscillates no faster than they do.  (The nodes of
+    all eigsys.K modes moved the shapes by 2e-13 relative at most, at
+    several times the cost.)  It takes the first-order integral form: on
+    each piece u = u(a) + S (w / p) and w = p u' = w(a) + S ((q - mu r) u).
+    This system is well conditioned; the differentiated form -D p D + q is
+    not, and there a change of BLAS rounding moved the shape by about
+    1e-12, which design.txt's 1e-12 rule cannot absorb.  The trivial rows at
+    each piece start give way to the homogeneous condition at x=0,
+    continuity of u and w at the knots and the actuation condition at x=1;
+    one dense solve per mu, then interpolation to the grid.
     """
-    check_mu(mu, eigsys)
-    n = grid.n_points
-    h = grid.h
-    idx, diag, off, dvol = _assemble_pencil(problem, grid.x)
-    band = np.zeros((3, idx.size))
-    band[0, 1:] = off
-    band[1] = diag - mu * dvol
-    band[2, :-1] = off
-
-    p = problem.p(grid.x)
-    q = problem.q(grid.x)
-    r = problem.r(grid.x)
-    ph_last = problem.p(grid.x[-2] + h / 2)
-
-    rhs = np.zeros(idx.size)
-    if problem.right_dirichlet:
-        rhs[-1] = ph_last / h / problem.a1
-    else:
-        rhs[-1] = p[-1] / problem.a2
-
-    def banded_solve(b):
-        if ordering == "reversed":
-            return solve_banded((1, 1), band[::-1, ::-1], b[::-1])[::-1]
-        return solve_banded((1, 1), band, b)
-
-    phi = np.zeros(n)
-    phi[idx] = banded_solve(rhs)
-    if problem.right_dirichlet:
-        phi[-1] = 1.0 / problem.a1
-
-    vol = np.full(n, h)
-    vol[0] = vol[-1] = h / 2
-    res = bvp_residual_function(problem, grid, mu, phi)
-    corr = np.zeros(n)
-    corr[idx] = banded_solve((res * vol)[idx])
-    return phi + corr
+    for mu in mus:
+        check_mu(mu, eigsys)
+    col = collocation(problem, grid, 1 + int(np.count_nonzero(eigsys.lambdas < max(mus))))
+    n = col.x.size
+    p = problem.p(col.x)
+    starts, ends = col.ends[::2], col.ends[1::2]
+    Z = np.eye(n)
+    Z[np.arange(n), np.repeat(starts, ends - starts + 1)] -= 1.0    # u - u(a), w - w(a)
+    (b1, b2), (a1, a2) = problem.left_bc, problem.right_bc
+    rhs = np.zeros(2 * n)
+    rhs[n] = 1.0
+    nodes = np.empty((len(mus), n))
+    for i, mu in enumerate(mus):
+        A = np.block([[Z, -col.S / p],
+                      [-col.S * (problem.q(col.x) - mu * problem.r(col.x)), Z]])
+        A[starts] = A[n + starts] = 0.0
+        A[0, [0, n]] = b1, b2 / p[0]
+        A[n, [n - 1, 2 * n - 1]] = a1, a2 / p[-1]
+        for k in range(1, starts.size):
+            A[starts[k], [starts[k], ends[k - 1]]] = 1.0, -1.0
+            A[n + starts[k], [n + starts[k], n + ends[k - 1]]] = 1.0, -1.0
+        nodes[i] = np.linalg.solve(A, rhs)[:n]
+    return nodes @ col.interp.T
 
 
 def bvp_residual_function(problem, grid, mu, phi):
@@ -153,12 +148,8 @@ def build_shape_set(problem, eigsys, mus, grid):
     """Solve all shape problems and assemble a validated ShapeSet."""
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     r = problem.r(grid.x)
-    varphis = np.empty((mus.size, grid.n_points))
-    norms = np.empty(mus.size)
-    for i, mu in enumerate(mus):
-        phi = solve_shape_bvp(problem, eigsys, mu, grid)
-        varphis[i] = phi
-        norms[i] = inner_product(phi, phi, grid, r)
+    varphis = _solve_shapes(problem, eigsys, mus, grid)
+    norms = np.array([inner_product(phi, phi, grid, r) for phi in varphis])
     return ShapeSet(mus, varphis, norms, grid, r)
 
 

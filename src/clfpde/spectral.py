@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import (
     ConfigError,
@@ -105,6 +104,16 @@ class SLProblem:
         return abs(self.a2) <= DIRICHLET_SNAP
 
     @property
+    def left_bc(self):
+        """(b1, b2) with a numerically Dirichlet b2 snapped to 0."""
+        return self.b1, 0.0 if self.left_dirichlet else self.b2
+
+    @property
+    def right_bc(self):
+        """(a1, a2) with a numerically Dirichlet a2 snapped to 0."""
+        return self.a1, 0.0 if self.right_dirichlet else self.a2
+
+    @property
     def constant_coefficients(self):
         return all(c.is_constant for c in (self.p, self.q, self.r))
 
@@ -163,8 +172,8 @@ class EigenSystem:
 
     phis[n] is the n-th eigenfunction sampled on grid.x, normalized to unit
     r-weighted norm, with sign fixed by phi'(0) > 0 for a Dirichlet left end
-    and phi(0) > 0 otherwise.  dphi0/dphi1 hold the one-sided fourth-order
-    endpoint derivatives (the end rows of derivative_4th).
+    and phi(0) > 0 otherwise.  dphi0/dphi1 hold the end derivatives the
+    solver computed with them (closed form or collocation).
     """
 
     problem: SLProblem
@@ -174,13 +183,6 @@ class EigenSystem:
     dphi0: np.ndarray              # (K,)
     dphi1: np.ndarray              # (K,)
     r_samples: np.ndarray          # (n_points,)
-
-    @classmethod
-    def from_samples(cls, problem, grid, lambdas, phis):
-        """The eigensystem of signed, normalized (K, n_points) samples phis."""
-        dphi0 = derivative_4th(phis.T[:5], grid.h)[0]      # the end rows of derivative_4th
-        dphi1 = derivative_4th(phis.T[-5:], grid.h)[-1]
-        return cls(problem, grid, lambdas, phis, dphi0, dphi1, problem.r(grid.x))
 
     @property
     def K(self):
@@ -203,61 +205,142 @@ class EigenSystem:
         return eigen_contracts(self)
 
 
-# -- finite-volume discretization -------------------------------------------
+# -- Chebyshev collocation ---------------------------------------------------
 
-def _assemble_pencil(problem, x):
-    """Symmetric tridiagonal pencil (M, D) of the self-adjoint discretization.
+# mode k of a Sturm-Liouville operator has exactly k - 1 sign changes; samples
+# below this fraction of the mode's largest magnitude are rounding, not sign
+STURM_FLOOR = 1e-8
 
-    Each row integrates -(p f')' + q f = lam r f over the node's control
-    volume; Robin/Neumann ends use the boundary flux directly (half cells),
-    Dirichlet ends are eliminated.  Returns active indices, the tridiagonal
-    of M, and the diagonal of D.
+
+def _chebyshev_piece(n, a, b):
+    """n + 1 Chebyshev-Lobatto nodes on [a, b], d/dx, the integral from a, barycentric weights.
+
+    Node i sits at xi_i = cos(pi i / n) of [-1, 1], so the nodes ascend in x.
     """
-    n = x.size
-    h = x[1] - x[0]
-    p = problem.p(x)
-    q = problem.q(x)
-    r = problem.r(x)
-    ph = problem.p(x[:-1] + h / 2)
-
-    i0 = 1 if problem.left_dirichlet else 0
-    i1 = n - 2 if problem.right_dirichlet else n - 1
-    idx = np.arange(i0, i1 + 1)
-    m = idx.size
-
-    diag = np.empty(m)
-    vol = np.full(m, h)
-    inner = (idx > 0) & (idx < n - 1)
-    ii = idx[inner]
-    diag[inner] = (ph[ii - 1] + ph[ii]) / h + q[ii] * h
-    if not problem.left_dirichlet:
-        diag[0] = ph[0] / h - p[0] * (problem.b1 / problem.b2) + q[0] * h / 2
-        vol[0] = h / 2
-    if not problem.right_dirichlet:
-        diag[-1] = ph[-1] / h + p[-1] * (problem.a1 / problem.a2) + q[-1] * h / 2
-        vol[-1] = h / 2
-    off = -ph[idx[:-1]] / h
-    dvol = r[idx] * vol
-    return idx, diag, off, dvol
+    k = np.arange(n + 1)
+    x = a + 0.5 * (b - a) * (1.0 - np.sin(np.pi * (n - 2 * k) / (2 * n)))
+    x[0], x[-1] = a, b
+    half = np.where((k == 0) | (k == n), 0.5, 1.0)
+    w = half * (-1.0) ** k
+    # x_i - x_j = (b - a) (cos(pi j/n) - cos(pi i/n)) / 2, as a product of sines
+    dx = (b - a) * np.sin(np.pi * (k[:, None] + k) / (2 * n)) \
+        * np.sin(np.pi * (k[:, None] - k) / (2 * n))
+    np.fill_diagonal(dx, 1.0)
+    D = (w / w[:, None]) / dx
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    # values -> Chebyshev coefficients c_j -> antiderivative coefficients
+    # C_m = (c_{m-1} - c_{m+1}) / 2m, with 2 c_0 for m = 1 -> values less the
+    # value at a, sum_m C_m (1 - T_m(xi_i)); T_m(xi_i) = cos(pi (m i mod 2n) / n)
+    m = np.arange(1, n + 2)
+    cos = np.cos(np.pi * np.arange(2 * n) / n)
+    coef = (2.0 / n) * np.outer(half, half) * cos[np.outer(k, k) % (2 * n)]
+    anti = coef[m - 1] * (np.where(m == 1, 1.0, 0.5) / m)[:, None]
+    anti[:-2] -= coef[2:] * (0.5 / m[:-2])[:, None]
+    S = 0.5 * (b - a) * (1.0 - cos[np.outer(k, m) % (2 * n)]) @ anti
+    return x, D, S, w
 
 
-def _tridiagonal_eigs(problem, x, K, vectors=True):
-    """Lowest K eigenpairs of the pencil by bisection + inverse iteration.
+def _barycentric(x, w, xg):
+    """Matrix evaluating the interpolant through nodes x (weights w) at the points xg."""
+    E = xg[:, None] - x
+    hit = E == 0.0
+    E[hit] = 1.0
+    np.divide(w, E, out=E)
+    E /= E.sum(axis=1, keepdims=True)
+    rows = hit.any(axis=1)
+    E[rows] = hit[rows]
+    return E
 
-    vectors=False returns the eigenvalues alone and skips inverse iteration.
+
+@dataclass
+class Collocation:
+    """Chebyshev-Lobatto nodes for one plant, one node set per piece.
+
+    The pieces meet at the breakpoints of table coefficients, where p, q or
+    r may kink (order 1) or change cubic (order 3); on each piece they are
+    smooth, so the collocation converges spectrally.  x holds every piece's
+    nodes (a knot twice) and ends the indices of the piece ends (start, end,
+    start, ...).  D is the block-diagonal d/dx, S the block-diagonal
+    integral from each piece's left end, and interp evaluates node values on
+    the grid (barycentric formula, Berrut & Trefethen, SIAM Rev. 46, 2004).
     """
-    idx, diag, off, dvol = _assemble_pencil(problem, x)
-    if K > idx.size:
-        raise GridTooCoarse(f"grid supports at most {idx.size} modes, requested {K}")
-    s = np.sqrt(dvol)
-    out = eigh_tridiagonal(diag / dvol, off / (s[:-1] * s[1:]), eigvals_only=not vectors,
-                           select="i", select_range=(0, K - 1))
-    if not vectors:
-        return out
-    lam, psi = out
-    phi = np.zeros((x.size, K))
-    phi[idx] = psi / s[:, None]
-    return lam, phi
+
+    x: np.ndarray
+    D: np.ndarray
+    S: np.ndarray
+    ends: np.ndarray
+    interp: np.ndarray
+
+
+def collocation(problem, grid, K):
+    """The collocation for K modes: a piece of length L has degree ceil(max(2 K, 80) L) + 16.
+
+    The floor of 80 resolves the boundary layer of a reverse-sign Robin end
+    as thin as the grid's quadrature can certify (about 0.007); the 16 extra
+    keep the top modes at about 1e-12 relative (with 8, the Robin modes of
+    K = 6 were off by 2e-7).
+    """
+    breaks = {x for c in (problem.p, problem.q, problem.r) if c.kind == "table"
+              for x in c.table_x if 0.0 < x < 1.0}
+    knots = np.array([0.0, *sorted(breaks), 1.0])
+    pieces = [_chebyshev_piece(int(np.ceil(max(2 * K, 80) * (b - a))) + 16, a, b)
+              for a, b in zip(knots[:-1], knots[1:])]
+    x = np.concatenate([piece[0] for piece in pieces])
+    size = np.cumsum([0] + [piece[0].size for piece in pieces])
+    D, S = np.zeros((2, x.size, x.size))
+    interp = np.zeros((grid.n_points, x.size))
+    at = np.clip(np.searchsorted(knots, grid.x, side="right") - 1, 0, len(pieces) - 1)
+    for i, (xp, Dp, Sp, w) in enumerate(pieces):
+        cols = slice(size[i], size[i + 1])
+        D[cols, cols], S[cols, cols] = Dp, Sp
+        interp[at == i, cols] = _barycentric(xp, w, grid.x[at == i])
+    ends = np.ravel(np.column_stack([size[:-1], size[1:] - 1]))
+    return Collocation(x, D, S, ends, interp)
+
+
+def _collocated_eigs(problem, grid, K):
+    """Lowest K eigenvalues, node values (n_nodes, K) and the collocation.
+
+    Collocates the conservative form -D p D + q, so no p' is needed.  At the
+    piece ends its equations give way to the boundary condition at x=0,
+    continuity of u and p u' at each knot and the boundary condition at
+    x=1.  These rows give the end values from the others, u[ends] =
+    -elim u[inner]; that Schur complement leaves a dense eigenproblem on the
+    inner nodes.
+    """
+    col = collocation(problem, grid, K)
+    ends = col.ends
+    pD = problem.p(col.x)[:, None] * col.D
+    op = -col.D @ pD + np.diag(problem.q(col.x))
+    (b1, b2), (a1, a2) = problem.left_bc, problem.right_bc
+    rows = np.zeros((ends.size, col.x.size))
+    rows[0] = b2 * col.D[0]
+    rows[0, 0] += b1
+    rows[-1] = a2 * col.D[-1]
+    rows[-1, -1] += a1
+    for i in range(1, ends.size // 2):
+        left, right = ends[2 * i - 1], ends[2 * i]
+        rows[2 * i - 1, [left, right]] = 1.0, -1.0
+        rows[2 * i] = pD[left] - pD[right]
+    inner = np.setdiff1d(np.arange(col.x.size), ends)
+    elim = np.linalg.solve(rows[:, ends], rows[:, inner])
+    A = op[np.ix_(inner, inner)] - op[np.ix_(inner, ends)] @ elim
+    lam, vec = np.linalg.eig(A / problem.r(col.x[inner])[:, None])
+    real = np.flatnonzero(np.abs(lam.imag) <= 1e-8 * (1.0 + np.abs(lam.real)))
+    keep = real[np.argsort(lam.real[real])][:K]
+    if keep.size < K:
+        raise GridTooCoarse(f"collocation gives {keep.size} real eigenvalues, requested {K}")
+    U = np.empty((col.x.size, K))
+    U[inner] = vec[:, keep].real
+    U[ends] = -elim @ U[inner]
+    return lam.real[keep], U, col
+
+
+def _sign_changes(f):
+    """Sign changes of f over its samples above STURM_FLOOR max |f|."""
+    s = np.sign(f[np.abs(f) > STURM_FLOOR * np.max(np.abs(f))])
+    return int(np.count_nonzero(s[1:] != s[:-1]))
 
 
 # -- fourth-order evaluation machinery ---------------------------------------
@@ -305,120 +388,21 @@ def operator_residuals(problem, grid, lambdas, phis):
     return np.sqrt(np.sum(w * res[sl] ** 2, axis=0))
 
 
-def _onesided_d1_weights(offsets):
-    """Exact first-derivative weights for the given node offsets."""
-    offs = np.asarray(offsets, dtype=float)
-    V = np.vander(offs, offs.size, increasing=True).T
-    rhs = np.zeros(offs.size)
-    rhs[1] = 1.0
-    return np.linalg.solve(V, rhs)
-
-
-# D1 rows of the refinement operator as width-7 windows.  The one-sided rows
-# 0, 1, n-2, n-1 keep its boundary truncation from polluting the
-# orthogonality of refined eigenvectors.
-_REFINE_ENDS = np.array([_onesided_d1_weights(range(7)), _onesided_d1_weights(range(-1, 6))])
-_REFINE_ENDS = np.vstack([_REFINE_ENDS, -_REFINE_ENDS[::-1, ::-1]])
-_REFINE_INTERIOR = np.array([0.0, 1 / 12, -8 / 12, 0.0, 8 / 12, -1 / 12, 0.0])
-_BAND = 7      # the refinement operator has 7 sub- and 7 superdiagonals
-
-
-def _boundary_rows(problem, h):
-    """Rows 0 and n-1 of the refinement operator: the boundary conditions on five end nodes."""
-    bc0 = (0.0 if problem.left_dirichlet else problem.b2) * _FWD0 / h
-    bcn = (0.0 if problem.right_dirichlet else problem.a2) * (-_FWD0[::-1]) / h
-    bc0[0] += problem.b1
-    bcn[-1] += problem.a1
-    return bc0, bcn
-
-
-def _refine_band(problem, grid):
-    """-D1 p D1 + q in (7, 7) band storage, rows 0 and n-1 replaced by the boundary rows.
-
-    Row i of D1 is the window w[i] on columns cols[i]; entry (i, j) of the
-    operator sits at band[7 + i - j, j], the layout of solve_banded.
-    """
-    n, h = grid.n_points, grid.h
-    start = np.arange(n) - 3
-    start[:2] = 0
-    start[-2:] = n - 7
-    cols = np.clip(start[:, None] + np.arange(7), 0, n - 1)
-    w = np.tile(_REFINE_INTERIOR / h, (n, 1))
-    w[[0, 1, -2, -1]] = _REFINE_ENDS / h
-
-    # rows 1..n-2: sum over k = cols[i, a] of -w[i, a] p[k] w[k, b] at column cols[k, b]
-    i = np.arange(1, n - 1)[:, None, None]
-    k = cols[1:-1]
-    j = cols[k]
-    vals = (-w[1:-1] * problem.p(grid.x)[k])[:, :, None] * w[k]
-    keep = np.abs(i - j) <= _BAND          # drops only the zero padding of the windows
-    flat = ((_BAND + i - j) * n + j)[keep]
-    band = np.bincount(flat, vals[keep], minlength=(2 * _BAND + 1) * n).reshape(-1, n)
-    band[_BAND, 1:-1] += problem.q(grid.x)[1:-1]
-
-    m = np.arange(5)
-    band[_BAND - m, m], band[_BAND + 4 - m, n - 5 + m] = _boundary_rows(problem, h)
-    return band
-
-
-def _refine_eigenvectors(problem, grid, lambdas, phis):
-    """Two inverse-iteration steps against a fourth-order discretization.
-
-    Boundary conditions are imposed as exact matrix rows, so refined
-    vectors satisfy them to rounding; interior accuracy improves from the
-    second-order solve to the fourth-order operator's eigenvectors.  Each
-    shifted system is solved by banded LU with partial pivoting.
-    """
-    band = _refine_band(problem, grid)
-    rmask = problem.r(grid.x)
-    rmask[0] = rmask[-1] = 0.0
-
-    def solve(shift, v):
-        shifted = band.copy()
-        shifted[_BAND] -= shift * rmask
-        return solve_banded((_BAND, _BAND), shifted, rmask * v, overwrite_ab=True)
-
-    out = np.empty_like(phis)
-    for k in range(lambdas.size):
-        shift = lambdas[k]
-        v = phis[k]
-        for _ in range(2):
-            try:
-                v = solve(shift, v)
-            except np.linalg.LinAlgError:
-                shift = lambdas[k] * (1.0 + 1e-11)
-                v = solve(shift, v)
-            norm = np.linalg.norm(v)
-            if not np.isfinite(norm) or norm == 0.0:
-                raise GridTooCoarse(f"eigenvector refinement diverged for mode {k + 1}")
-            v /= norm
-        out[k] = v
-    return out
-
-
-def _normalize(phis, grid, r):
-    """Unit Simpson r-norm for every eigenvector (diagonal of the Gram matrix)."""
-    wr = grid.weights * r
-    norms = np.sqrt(np.sum(wr * phis ** 2, axis=1))
-    return phis / norms[:, None]
-
-
-def eigensolve(problem, grid, K, richardson=True):
+def eigensolve(problem, grid, K):
     """Compute the lowest K eigenpairs of the Sturm-Liouville operator.
 
-    Eigenvalues come from Sturm-sequence bisection + inverse iteration on the
-    symmetric tridiagonal second-order discretization, with one Richardson
-    extrapolation step across the grid and its 2h coarsening (fourth-order
-    eigenvalues).
+    Constant-coefficient plants with Dirichlet ends take the closed form
+    lambda_n = (p n^2 pi^2 + q) / r, phi_n = sqrt(2 / r) sin(n pi x).  Every
+    other plant is solved by Chebyshev collocation (collocation(),
+    _collocated_eigs()) and interpolated to the grid; dphi0/dphi1 are d/dx
+    of the node values at the ends.  Modes are normalized in the Simpson
+    r-norm and signed by the EigenSystem convention.
 
-    Constant-coefficient problems with Dirichlet ends keep the raw tridiagonal
-    eigenvectors (exact discrete modes, machine-exact orthonormality); all
-    other problems get an inverse-iteration polish against a fourth-order
-    operator whose boundary rows impose the boundary conditions exactly.
-
-    The quantitative contracts of eigen_contracts (operator residual within
-    1e-5 * (1 + |lambda|), quadrature orthonormality within 1e-8) are
-    enforced; violations raise GridTooCoarse.
+    Guards, each raising GridTooCoarse: strictly increasing eigenvalues;
+    Sturm oscillation (mode k has k - 1 sign changes), which catches a mode
+    the collocation misses; and the quantitative contracts of
+    eigen_contracts (operator residual within 1e-5 * (1 + |lambda|),
+    quadrature orthonormality within 1e-8).
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -426,29 +410,31 @@ def eigensolve(problem, grid, K, richardson=True):
         raise GridTooCoarse(f"need n_points >= {8 * K} for K={K}, got {grid.n_points}")
     problem.validate_on_grid(grid)
 
-    lam_f, phi = _tridiagonal_eigs(problem, grid.x, K)
-    lambdas = lam_f
-    if richardson:
-        lam_c = _tridiagonal_eigs(problem, grid.x[::2], K, vectors=False)
-        lambdas = (4.0 * lam_f - lam_c) / 3.0
+    if problem.constant_coefficients and problem.left_dirichlet and problem.right_dirichlet:
+        p, q, r = (c.values[0] for c in (problem.p, problem.q, problem.r))
+        n = np.arange(1, K + 1)
+        lambdas = (p * (n * np.pi) ** 2 + q) / r
+        amp = np.sqrt(2.0 / r)
+        phis = amp * np.sin(np.outer(n * np.pi, grid.x))
+        dphi0 = amp * n * np.pi
+        dphi1 = dphi0 * (-1.0) ** n
+    else:
+        lambdas, U, col = _collocated_eigs(problem, grid, K)
+        phis = U.T @ col.interp.T
+        dphi0, dphi1 = col.D[[0, -1]] @ U
 
-    phis = np.ascontiguousarray(phi.T)     # C order: reloaded artifacts are C order too
-    if not (problem.constant_coefficients
-            and problem.left_dirichlet and problem.right_dirichlet):
-        phis = _refine_eigenvectors(problem, grid, lambdas, phis)
-
-    phis = _normalize(phis, grid, problem.r(grid.x))
-
-    # sign convention
-    anchor = derivative_4th(phis.T[:5], grid.h)[0] if problem.left_dirichlet else phis[:, 0]
-    flip = np.sign(anchor)
-    flip[flip == 0.0] = 1.0
-    phis *= flip[:, None]
+    r = problem.r(grid.x)
+    scale = 1.0 / np.sqrt(np.sum(grid.weights * r * phis ** 2, axis=1))
+    scale *= np.where((dphi0 if problem.left_dirichlet else phis[:, 0]) < 0.0, -1.0, 1.0)
+    phis *= scale[:, None]
+    eig = EigenSystem(problem, grid, lambdas, phis, dphi0 * scale, dphi1 * scale, r)
 
     if np.any(np.diff(lambdas) <= 0.0):
         raise GridTooCoarse("computed eigenvalues are not strictly increasing")
-
-    eig = EigenSystem.from_samples(problem, grid, lambdas, phis)
+    for k, phi in enumerate(phis):
+        if _sign_changes(phi) != k:
+            raise GridTooCoarse(f"mode {k + 1} has {_sign_changes(phi)} sign changes, not {k}: "
+                                "a mode is missed or unresolved; refine the grid or reduce K")
     defect, res, tol = eig.contracts
     if defect > ORTHONORMALITY_TOL:
         raise GridTooCoarse(

@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -181,6 +182,38 @@ def test_eigen_contracts_evaluated_once_per_eigensystem(tmp_path, monkeypatch):
     assert len(calls) == 1
     pipeline.certify(loaded)
     assert len(calls) == 2 and calls[1] is loaded.eigsys
+
+
+def test_artifacts_load_under_another_blas_kernel(tmp_path):
+    # eigen.csv carries lambda, dphi0 and dphi1 with the samples, so a reload
+    # under another OpenBLAS kernel re-derives design.txt within its 1e-12 rule
+    paths = []
+    for name in ("single_mode.cfg", "two_mode_semilinear.cfg"):
+        bundle = pipeline.design(load_config(CONFIGS / name))
+        pipeline.certify(bundle)
+        paths.append(str(tmp_path / name))
+        save_artifact(bundle, paths[-1])
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys; from clfpde.artifact import load_artifact; [load_artifact(p) for p in sys.argv[1:]]"
+    proc = subprocess.run([sys.executable, "-c", code, *paths], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("end", ["b", "a"])
+def test_robin_end_certifies(tmp_path, end):
+    # the shipped single-mode plant with q = -12 and a Robin end at x=0 (b) or x=1 (a)
+    text = (CONFIGS / "single_mode.cfg").read_text()
+    for old, new in (("q = -19.739208802178716", "q = -12.0"), ("\nmodes = 96", "\nmodes = 48"),
+                     ("n_modes = 64", "n_modes = 32"),
+                     (f"{end}1 = 1.0", f"{end}1 = 0.8253356149096783"),
+                     (f"{end}2 = 0.0", f"{end}2 = 0.5646424733950354")):
+        assert old in text
+        text = text.replace(old, new)
+    (tmp_path / "robin.cfg").write_text(text)
+    assert cli_main(["check", "--config", str(tmp_path / "robin.cfg"), "--quiet"]) == 0
 
 
 def test_verdict_line_roundtrip_numpy_margin():
@@ -452,13 +485,15 @@ def _edited_config(name, old, new):
      _edited_config("single_mode.cfg", "mus = 41.94581870462977", "mus = -1.0")),
     (["check", "--config", "bad.cfg"], "n_points must be >= 8 x modes = 768, got 129",
      _edited_config("single_mode.cfg", "n_points = 2049", "n_points = 129")),
+    (["check", "--config", "bad.cfg"], "key 'richardson' accepts only true, got false",
+     _edited_config("single_mode.cfg", "richardson = true", "richardson = false")),
 ], ids=["too_few_steps", "modes_below_M", "too_few_samples", "dt_nan", "seed_negative",
         "stride_0", "traj_empty", "traj_ragged", "traj_not_numeric", "eigen_rows_missing",
         "eigen_lambda_nan", "t_final_abc", "kappa_abc", "kind_cubic", "scale_above_lbar",
         "design_sigma_abc", "design_M_9999", "design_K_row_missing", "design_g_row_long",
         "design_lambdas_long", "design_mus_long", "design_margin_abc", "design_bogus_key",
         "design_g_row_3", "design_clf_R_missing", "design_certified_false", "q_nan", "q_inf",
-        "p_poly_nan", "mus_negative", "n_points_below_8_modes"])
+        "p_poly_nan", "mus_negative", "n_points_below_8_modes", "richardson_false"])
 def test_cli_invalid_input_exits_2(tmp_path, capsys, monkeypatch, request, args, message,
                                    prepare):
     monkeypatch.chdir(tmp_path)

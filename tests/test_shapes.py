@@ -55,15 +55,6 @@ def test_robin_actuated_shape_analytic(grid):
     assert np.max(np.abs(phi - A * np.sin(k * grid.x))) < 1e-6
 
 
-def test_uniqueness_probe_orderings(two_mode_bundle, grid):
-    prob = two_mode_bundle.config.problem
-    eig = two_mode_bundle.eigsys
-    mu = two_mode_bundle.shapes.mus[0]
-    fwd = solve_shape_bvp(prob, eig, mu, grid, ordering="forward")
-    rev = solve_shape_bvp(prob, eig, mu, grid, ordering="reversed")
-    assert np.max(np.abs(fwd - rev)) < 1e-9
-
-
 def test_mu_guards(two_mode_bundle, grid):
     prob = two_mode_bundle.config.problem
     eig = two_mode_bundle.eigsys

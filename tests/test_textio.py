@@ -84,10 +84,11 @@ def reference_artifact_tables(bundle, out):
     eig = bundle.eigsys
     with open(out / "eigen.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "lambda"] + [f"x{i}" for i in range(eig.grid.n_points)])
+        writer.writerow(["n", "lambda", "dphi0", "dphi1"]
+                        + [f"x{i}" for i in range(eig.grid.n_points)])
         for n in range(eig.K):
-            writer.writerow([n + 1, repr(float(eig.lambdas[n]))]
-                            + [repr(float(v)) for v in eig.phis[n]])
+            writer.writerow([n + 1] + [repr(float(v)) for v in
+                                       (eig.lambdas[n], eig.dphi0[n], eig.dphi1[n], *eig.phis[n])])
 
 
 def test_artifact_tables_match_reference_writers(tmp_path, single_mode_bundle):
