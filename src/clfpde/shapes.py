@@ -26,17 +26,27 @@ ORTHOGONALITY_TOL = 1e-8
 
 @dataclass
 class ShapeSet:
-    """Grid-sampled shape functions with their parameters and squared norms."""
+    """Shape functions with their parameters and squared norms.
+
+    varphis samples them on the grid; nodes and node_values are the
+    collocation they were solved on, from which at() evaluates them anywhere.
+    """
 
     mus: np.ndarray          # (j,)
     varphis: np.ndarray      # (j, n_points)
     norms_sq: np.ndarray     # (j,)
     grid: "Grid"
     r_samples: np.ndarray
+    nodes: "Collocation"
+    node_values: np.ndarray  # (j, n_nodes)
 
     @property
     def j(self):
         return self.mus.size
+
+    def at(self, x):
+        """The shapes at the points x of [0, 1], (j, x.size)."""
+        return self.node_values @ self.nodes.interpolation(x).T
 
     def gram(self):
         wphi = self.varphis * (self.grid.weights * self.r_samples)
@@ -83,12 +93,13 @@ def check_mu(mu, eigsys):
 
 
 def solve_shape_bvp(problem, eigsys, mu, grid):
-    """Solve the shape boundary-value problem for one mu (see _solve_shapes)."""
-    return _solve_shapes(problem, eigsys, [mu], grid)[0]
+    """The shape for one mu (see _solve_shapes) sampled on the grid."""
+    col, nodes = _solve_shapes(problem, eigsys, [mu])
+    return nodes[0] @ col.interpolation(grid.x).T
 
 
-def _solve_shapes(problem, eigsys, mus, grid):
-    """The shapes of all mus, one per row, on one collocation.
+def _solve_shapes(problem, eigsys, mus):
+    """The collocation and the node values of the shapes of all mus, one per row.
 
     The collocation (spectral.collocation) resolves the modes up to the
     largest mu: a shape oscillates no faster than they do.  (The nodes of
@@ -100,11 +111,11 @@ def _solve_shapes(problem, eigsys, mus, grid):
     1e-12, which design.txt's 1e-12 rule cannot absorb.  The trivial rows at
     each piece start give way to the homogeneous condition at x=0,
     continuity of u and w at the knots and the actuation condition at x=1;
-    one dense solve per mu, then interpolation to the grid.
+    one dense solve per mu.
     """
     for mu in mus:
         check_mu(mu, eigsys)
-    col = collocation(problem, grid, 1 + int(np.count_nonzero(eigsys.lambdas < max(mus))))
+    col = collocation(problem, 1 + int(np.count_nonzero(eigsys.lambdas < max(mus))))
     n = col.x.size
     p = problem.p(col.x)
     starts, ends = col.ends[::2], col.ends[1::2]
@@ -124,7 +135,7 @@ def _solve_shapes(problem, eigsys, mus, grid):
             A[starts[k], [starts[k], ends[k - 1]]] = 1.0, -1.0
             A[n + starts[k], [n + starts[k], n + ends[k - 1]]] = 1.0, -1.0
         nodes[i] = np.linalg.solve(A, rhs)[:n]
-    return nodes @ col.interp.T
+    return col, nodes
 
 
 def bvp_residual_function(problem, grid, mu, phi):
@@ -148,9 +159,10 @@ def build_shape_set(problem, eigsys, mus, grid):
     """Solve all shape problems and assemble a validated ShapeSet."""
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     r = problem.r(grid.x)
-    varphis = _solve_shapes(problem, eigsys, mus, grid)
+    col, nodes = _solve_shapes(problem, eigsys, mus)
+    varphis = nodes @ col.interpolation(grid.x).T
     norms = np.array([inner_product(phi, phi, grid, r) for phi in varphis])
-    return ShapeSet(mus, varphis, norms, grid, r)
+    return ShapeSet(mus, varphis, norms, grid, r, col, nodes)
 
 
 def orthogonality_defect(shapes):

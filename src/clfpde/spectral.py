@@ -114,8 +114,18 @@ class SLProblem:
         return self.a1, 0.0 if self.right_dirichlet else self.a2
 
     @property
-    def constant_coefficients(self):
-        return all(c.is_constant for c in (self.p, self.q, self.r))
+    def closed_form(self):
+        """Constant coefficients and Dirichlet ends: the eigenpairs have a closed form."""
+        return all(c.is_constant for c in (self.p, self.q, self.r)) \
+            and self.left_dirichlet and self.right_dirichlet
+
+    @property
+    def knots(self):
+        """0, the interior breakpoints of table coefficients, 1: p, q and r are
+        smooth between them (an order-1 table kinks, an order-3 one changes cubic)."""
+        breaks = {x for c in (self.p, self.q, self.r) if c.kind == "table"
+                  for x in c.table_x if 0.0 < x < 1.0}
+        return np.array([0.0, *sorted(breaks), 1.0])
 
     def validate_on_grid(self, grid):
         samples = {name: getattr(self, name)(grid.x) for name in "pqr"}
@@ -173,7 +183,9 @@ class EigenSystem:
     phis[n] is the n-th eigenfunction sampled on grid.x, normalized to unit
     r-weighted norm, with sign fixed by phi'(0) > 0 for a Dirichlet left end
     and phi(0) > 0 otherwise.  dphi0/dphi1 hold the end derivatives the
-    solver computed with them (closed form or collocation).
+    solver computed with them (closed form or collocation).  A collocated
+    eigensystem also keeps its nodes and the node values, normalized and
+    signed like phis, so at() evaluates the modes anywhere.
     """
 
     problem: SLProblem
@@ -183,10 +195,29 @@ class EigenSystem:
     dphi0: np.ndarray              # (K,)
     dphi1: np.ndarray              # (K,)
     r_samples: np.ndarray          # (n_points,)
+    nodes: Collocation | None = None
+    node_values: np.ndarray | None = None      # (K, n_nodes)
 
     @property
     def K(self):
         return self.lambdas.size
+
+    def at(self, x):
+        """The modes at the points x of [0, 1], (K, x.size), as phis samples them on the grid.
+
+        Closed-form plants evaluate the closed form, collocated ones the
+        interpolant through their node values.  An eigensystem built from
+        grid samples alone (a loaded artifact) has no node values: ConfigError.
+        """
+        if self.problem.closed_form:
+            _, samples, dphi0, _ = _closed_form(self.problem, self.K, self.grid.x)
+            scale = _normalization(self.problem, self.grid, samples, dphi0)
+            return _closed_form(self.problem, self.K, x)[1] * scale[:, None]
+        if self.node_values is None:
+            raise ConfigError("the collocated modes are known only at the grid samples "
+                              "(an eigensystem read from eigen.csv); re-design from "
+                              "config.cfg to evaluate them elsewhere")
+        return self.node_values @ self.nodes.interpolation(x).T
 
     def inner(self, f, g):
         return inner_product(f, g, self.grid, self.r_samples)
@@ -257,23 +288,34 @@ def _barycentric(x, w, xg):
 class Collocation:
     """Chebyshev-Lobatto nodes for one plant, one node set per piece.
 
-    The pieces meet at the breakpoints of table coefficients, where p, q or
-    r may kink (order 1) or change cubic (order 3); on each piece they are
-    smooth, so the collocation converges spectrally.  x holds every piece's
-    nodes (a knot twice) and ends the indices of the piece ends (start, end,
-    start, ...).  D is the block-diagonal d/dx, S the block-diagonal
-    integral from each piece's left end, and interp evaluates node values on
-    the grid (barycentric formula, Berrut & Trefethen, SIAM Rev. 46, 2004).
+    The pieces meet at problem.knots, where p, q or r may kink (order-1
+    table) or change cubic (order 3); on each piece they are smooth, so the
+    collocation converges spectrally.  x holds every piece's nodes (a knot
+    twice), w their barycentric weights and ends the indices of the piece
+    ends (start, end, start, ...).  D is the block-diagonal d/dx and S the
+    block-diagonal integral from each piece's left end.
     """
 
     x: np.ndarray
+    w: np.ndarray
     D: np.ndarray
     S: np.ndarray
     ends: np.ndarray
-    interp: np.ndarray
+    knots: np.ndarray
+
+    def interpolation(self, points):
+        """Matrix evaluating node values at points of [0, 1], each by the interpolant
+        of its piece (barycentric formula, Berrut & Trefethen, SIAM Rev. 46, 2004)."""
+        E = np.zeros((points.size, self.x.size))
+        at = np.clip(np.searchsorted(self.knots, points, side="right") - 1,
+                     0, self.knots.size - 2)
+        for i, (start, end) in enumerate(self.ends.reshape(-1, 2)):
+            cols = slice(start, end + 1)
+            E[at == i, cols] = _barycentric(self.x[cols], self.w[cols], points[at == i])
+        return E
 
 
-def collocation(problem, grid, K):
+def collocation(problem, K):
     """The collocation for K modes: a piece of length L has degree ceil(max(2 K, 80) L) + 16.
 
     The floor of 80 resolves the boundary layer of a reverse-sign Robin end
@@ -281,25 +323,33 @@ def collocation(problem, grid, K):
     keep the top modes at about 1e-12 relative (with 8, the Robin modes of
     K = 6 were off by 2e-7).
     """
-    breaks = {x for c in (problem.p, problem.q, problem.r) if c.kind == "table"
-              for x in c.table_x if 0.0 < x < 1.0}
-    knots = np.array([0.0, *sorted(breaks), 1.0])
+    knots = problem.knots
     pieces = [_chebyshev_piece(int(np.ceil(max(2 * K, 80) * (b - a))) + 16, a, b)
               for a, b in zip(knots[:-1], knots[1:])]
     x = np.concatenate([piece[0] for piece in pieces])
     size = np.cumsum([0] + [piece[0].size for piece in pieces])
     D, S = np.zeros((2, x.size, x.size))
-    interp = np.zeros((grid.n_points, x.size))
-    at = np.clip(np.searchsorted(knots, grid.x, side="right") - 1, 0, len(pieces) - 1)
-    for i, (xp, Dp, Sp, w) in enumerate(pieces):
+    for i, (_, Dp, Sp, _) in enumerate(pieces):
         cols = slice(size[i], size[i + 1])
         D[cols, cols], S[cols, cols] = Dp, Sp
-        interp[at == i, cols] = _barycentric(xp, w, grid.x[at == i])
     ends = np.ravel(np.column_stack([size[:-1], size[1:] - 1]))
-    return Collocation(x, D, S, ends, interp)
+    return Collocation(x, np.concatenate([piece[3] for piece in pieces]), D, S, ends, knots)
 
 
-def _collocated_eigs(problem, grid, K):
+def gauss_rule(problem, Q):
+    """Gauss-Legendre nodes and weights on [0, 1]: one rule per piece between
+    problem.knots, of ceil(Q L) nodes on a piece of length L, so no rule
+    straddles a kink of p, q or r."""
+    knots = problem.knots
+    x, w = [], []
+    for a, b in zip(knots[:-1], knots[1:]):
+        t, v = np.polynomial.legendre.leggauss(int(np.ceil(Q * (b - a))))
+        x.append(a + 0.5 * (b - a) * (1.0 + t))
+        w.append(0.5 * (b - a) * v)
+    return np.concatenate(x), np.concatenate(w)
+
+
+def _collocated_eigs(problem, K):
     """Lowest K eigenvalues, node values (n_nodes, K) and the collocation.
 
     Collocates the conservative form -D p D + q, so no p' is needed.  At the
@@ -309,7 +359,7 @@ def _collocated_eigs(problem, grid, K):
     -elim u[inner]; that Schur complement leaves a dense eigenproblem on the
     inner nodes.
     """
-    col = collocation(problem, grid, K)
+    col = collocation(problem, K)
     ends = col.ends
     pD = problem.p(col.x)[:, None] * col.D
     op = -col.D @ pD + np.diag(problem.q(col.x))
@@ -388,6 +438,23 @@ def operator_residuals(problem, grid, lambdas, phis):
     return np.sqrt(np.sum(w * res[sl] ** 2, axis=0))
 
 
+def _closed_form(problem, K, x):
+    """lambda_n = (p n^2 pi^2 + q) / r, sqrt(2 / r) sin(n pi x) at the points x and
+    the end derivatives, n = 1..K, of a constant-coefficient Dirichlet plant."""
+    p, q, r = (c.values[0] for c in (problem.p, problem.q, problem.r))
+    n = np.arange(1, K + 1)
+    amp = np.sqrt(2.0 / r)
+    dphi0 = amp * n * np.pi
+    return (p * (n * np.pi) ** 2 + q) / r, amp * np.sin(np.outer(n * np.pi, x)), \
+        dphi0, dphi0 * (-1.0) ** n
+
+
+def _normalization(problem, grid, phis, dphi0):
+    """Per-mode factor to unit Simpson r-norm with the EigenSystem sign convention."""
+    scale = 1.0 / np.sqrt(np.sum(grid.weights * problem.r(grid.x) * phis ** 2, axis=1))
+    return scale * np.where((dphi0 if problem.left_dirichlet else phis[:, 0]) < 0.0, -1.0, 1.0)
+
+
 def eigensolve(problem, grid, K):
     """Compute the lowest K eigenpairs of the Sturm-Liouville operator.
 
@@ -395,8 +462,9 @@ def eigensolve(problem, grid, K):
     lambda_n = (p n^2 pi^2 + q) / r, phi_n = sqrt(2 / r) sin(n pi x).  Every
     other plant is solved by Chebyshev collocation (collocation(),
     _collocated_eigs()) and interpolated to the grid; dphi0/dphi1 are d/dx
-    of the node values at the ends.  Modes are normalized in the Simpson
-    r-norm and signed by the EigenSystem convention.
+    of the node values at the ends, and the eigensystem keeps the node
+    values.  Modes are normalized in the Simpson r-norm and signed by the
+    EigenSystem convention.
 
     Guards, each raising GridTooCoarse: strictly increasing eigenvalues;
     Sturm oscillation (mode k has k - 1 sign changes), which catches a mode
@@ -410,24 +478,18 @@ def eigensolve(problem, grid, K):
         raise GridTooCoarse(f"need n_points >= {8 * K} for K={K}, got {grid.n_points}")
     problem.validate_on_grid(grid)
 
-    if problem.constant_coefficients and problem.left_dirichlet and problem.right_dirichlet:
-        p, q, r = (c.values[0] for c in (problem.p, problem.q, problem.r))
-        n = np.arange(1, K + 1)
-        lambdas = (p * (n * np.pi) ** 2 + q) / r
-        amp = np.sqrt(2.0 / r)
-        phis = amp * np.sin(np.outer(n * np.pi, grid.x))
-        dphi0 = amp * n * np.pi
-        dphi1 = dphi0 * (-1.0) ** n
+    col = U = None
+    if problem.closed_form:
+        lambdas, phis, dphi0, dphi1 = _closed_form(problem, K, grid.x)
     else:
-        lambdas, U, col = _collocated_eigs(problem, grid, K)
-        phis = U.T @ col.interp.T
+        lambdas, U, col = _collocated_eigs(problem, K)
+        phis = U.T @ col.interpolation(grid.x).T
         dphi0, dphi1 = col.D[[0, -1]] @ U
 
-    r = problem.r(grid.x)
-    scale = 1.0 / np.sqrt(np.sum(grid.weights * r * phis ** 2, axis=1))
-    scale *= np.where((dphi0 if problem.left_dirichlet else phis[:, 0]) < 0.0, -1.0, 1.0)
+    scale = _normalization(problem, grid, phis, dphi0)
     phis *= scale[:, None]
-    eig = EigenSystem(problem, grid, lambdas, phis, dphi0 * scale, dphi1 * scale, r)
+    eig = EigenSystem(problem, grid, lambdas, phis, dphi0 * scale, dphi1 * scale,
+                      problem.r(grid.x), col, None if U is None else U.T * scale[:, None])
 
     if np.any(np.diff(lambdas) <= 0.0):
         raise GridTooCoarse("computed eigenvalues are not strictly increasing")

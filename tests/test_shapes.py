@@ -91,7 +91,7 @@ def test_orthogonality_duplicate_fails(two_mode_bundle):
     dup = type(shapes)(
         mus=shapes.mus[[0, 0]], varphis=shapes.varphis[[0, 0]],
         norms_sq=shapes.norms_sq[[0, 0]], grid=shapes.grid,
-        r_samples=shapes.r_samples)
+        r_samples=shapes.r_samples, nodes=shapes.nodes, node_values=shapes.node_values[[0, 0]])
     assert orthogonality_defect(dup) > 0.4      # equals the squared norm 1/2
 
 

@@ -5,25 +5,33 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from clfpde import pipeline
+from clfpde.artifact import load_artifact, save_artifact
+from clfpde.cli import main as cli_main
 from clfpde.errors import (
+    ConfigError,
     DegenerateTrajectory,
+    GridTooCoarse,
     Instability,
     QuadratureBudgetExceeded,
     RemainderTooLarge,
 )
 from clfpde.lyapunov import linear_loop, lyapunov_value
 from clfpde.semilinear import NonlinearitySpec, lyapunov_value_and_rate, semilinear_loop
-from clfpde.presets import preset_config
+from clfpde.presets import dirichlet_problem, preset_config
+from clfpde.shapes import build_shape_set
 from clfpde.sim import (
+    GAUSS_NODES_PER_MODE,
     INSTABILITY_FACTOR,
     SimConfig,
     Trajectory,
     fit_decay_rate,
+    gauss_quadrature,
     simulate_linear,
     simulate_semilinear,
     trajectory_header,
     write_trajectory_csv,
 )
+from clfpde.spectral import Coefficient, SLProblem, eigensolve, gauss_rule
 from clfpde.textio import read_csv
 
 PI = np.pi
@@ -389,6 +397,23 @@ def test_etdrk4_matches_dop853_under_domination(dominating_bundle):
     assert etdrk4_error_against_dop853(dominating_bundle) <= 1e-6
 
 
+@pytest.fixture(scope="module")
+def collocated_semilinear_bundle():
+    """The 3.3 preset on p = 1 + 0.3x - 0.2x^2, r = 1 + 0.2x: collocated modes and
+    shapes (uncertified there: its shapes are not orthogonal)."""
+    cfg = preset_config("3.3")
+    cfg.problem = SLProblem(Coefficient.polynomial([1.0, 0.3, -0.2]), cfg.problem.q,
+                            Coefficient.polynomial([1.0, 0.2]), 1.0, 0.0, 1.0, 0.0)
+    bundle = pipeline.design(cfg.validate())
+    assert not bundle.eigsys.problem.closed_form
+    return bundle
+
+
+def test_etdrk4_matches_dop853_on_a_collocated_plant(collocated_semilinear_bundle):
+    # the Gauss nodes take the modes and shapes from their collocation nodes: 2.6e-7
+    assert etdrk4_error_against_dop853(collocated_semilinear_bundle) <= 1e-6
+
+
 def test_recorded_controls_are_the_loop_controls(two_mode_bundle):
     # the recorded v comes from the fused quadrature's y-rows; it must equal
     # loop.controls(c, y, f) with f by direct quadrature at every sample
@@ -404,6 +429,27 @@ def test_recorded_controls_are_the_loop_controls(two_mode_bundle):
         c, y = traj.coeffs[k], traj.y[k]
         v = loop.controls(c, y, Phi_w @ F.evaluate(c @ Phi + y @ shapes.varphis))
         assert np.max(np.abs(traj.v[k] - v)) <= 1e-12 * np.max(np.abs(v))
+
+
+def test_gauss_quadrature_of_f_on_recorded_states(two_mode_bundle):
+    # f on the recorded states of a run at the shipped n_modes = 48: the
+    # simulator's 192-node rule is within 1.7e-12 relative of a 2048-node one,
+    # and Simpson on the grid within 3.0e-8, its own O(h^4) error (u(1) =
+    # sum y_i is not 0, so the integrands' end derivatives grow with the mode)
+    bundle = two_mode_bundle
+    eig, shapes = bundle.eigsys, bundle.shapes
+    traj = semilinear_run(bundle, 48, 0.2, 1e-4, 20)
+    F = NonlinearitySpec.make("sine_type", scale=0.29)
+    rules = [gauss_quadrature(eig, shapes, 48, Q) for Q in (GAUSS_NODES_PER_MODE * 48, 2048)]
+    Phi = eig.phis[:48]
+    Phi_w = Phi * (eig.grid.weights * eig.r_samples)
+    for c, y in zip(traj.coeffs, traj.y):
+        z = np.concatenate([c, y])
+        f_gauss, f_fine = ((basis[:48] * wr) @ F.evaluate(z @ basis) for basis, wr in rules)
+        f_simpson = Phi_w @ F.evaluate(c @ Phi + y @ shapes.varphis)
+        size = np.max(np.abs(f_fine))
+        assert np.max(np.abs(f_gauss - f_fine)) <= 1e-11 * size
+        assert np.max(np.abs(f_simpson - f_fine)) <= 1e-7 * size
 
 
 def test_semilinear_instability_guard_names_first_sample(two_mode_bundle):
@@ -426,6 +472,77 @@ def test_semilinear_instability_guard_names_first_sample(two_mode_bundle):
         inside = run(0.21)
     size = inside.norm_w + inside.norm_y
     assert size[-1] <= INSTABILITY_FACTOR * size[0]
+
+
+# -- the Gauss quadrature of F ---------------------------------------------------------
+
+GAUSS_PLANTS = {
+    "closed_form": dirichlet_problem(1.0, -2.0 * PI ** 2),
+    "design_sweep": SLProblem(Coefficient.polynomial([1.0, 0.3, -0.2]),
+                              Coefficient.polynomial([-20.0, 5.0]),
+                              Coefficient.polynomial([1.0, 0.2]), 1.0, 0.0, 1.0, 0.0),
+    "robin": SLProblem(Coefficient.constant(1.0), Coefficient.constant(-12.0),
+                       Coefficient.constant(1.0), 0.6, 0.8, 1.0, 0.0),
+    "kinked_table": SLProblem(Coefficient.constant(1.0),
+                              Coefficient.table([0.0, 0.5, 1.0], [-1.0, -2.0, -1.0], order=1),
+                              Coefficient.constant(1.0), 1.0, 0.0, 1.0, 0.0),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GAUSS_PLANTS))
+def plant_modes_and_shapes(request, grid):
+    prob = GAUSS_PLANTS[request.param]
+    eig = eigensolve(prob, grid, 24)
+    return eig, build_shape_set(prob, eig, [7.5, 60.0], grid)
+
+
+def test_node_evaluation_reproduces_the_grid_samples(plant_modes_and_shapes, grid):
+    eig, shapes = plant_modes_and_shapes
+    assert np.max(np.abs(eig.at(grid.x) - eig.phis)) <= 1e-13
+    scale = np.max(np.abs(shapes.varphis))
+    assert np.max(np.abs(shapes.at(grid.x) - shapes.varphis)) <= 1e-13 * scale
+
+
+def test_gauss_rule_splits_at_the_knots():
+    x, w = gauss_rule(GAUSS_PLANTS["kinked_table"], 96)
+    assert x.size == 96 and np.count_nonzero(x < 0.5) == 48
+    assert abs(np.sum(w[x < 0.5]) - 0.5) <= 1e-15 and abs(np.sum(w) - 1.0) <= 1e-15
+
+
+def test_gauss_gram_check(plant_modes_and_shapes):
+    # the simulator's rule passes; one with too few nodes for 24 modes raises
+    eig, shapes = plant_modes_and_shapes
+    basis, wr = gauss_quadrature(eig, shapes, 24, GAUSS_NODES_PER_MODE * 24)
+    assert basis.shape == (26, 96) and wr.shape == (96,)
+    with pytest.raises(GridTooCoarse, match="32-node Gauss Gram"):
+        gauss_quadrature(eig, shapes, 24, 32)
+
+
+def test_loaded_closed_form_bundle_simulates_bitwise(tmp_path, two_mode_bundle):
+    save_artifact(two_mode_bundle, tmp_path)
+    loaded = load_artifact(tmp_path)
+    assert loaded.eigsys.node_values is None
+    fresh, again = (semilinear_run(b, 32, 0.1, 1e-4, 20) for b in (two_mode_bundle, loaded))
+    for name in ("coeffs", "y", "v", "V"):
+        assert np.array_equal(getattr(fresh, name), getattr(again, name))
+
+
+def test_loaded_collocated_bundle_refuses_semilinear_simulation(
+        tmp_path, monkeypatch, capsys, collocated_semilinear_bundle):
+    # eigen.csv holds only grid samples: the Gauss nodes need a fresh design
+    save_artifact(collocated_semilinear_bundle, tmp_path / "artifact")
+    loaded = load_artifact(tmp_path / "artifact")
+    with pytest.raises(ConfigError, match="re-design from config.cfg"):
+        semilinear_run(loaded, 32, 0.1, 1e-4, 20)
+    cfg = SimConfig(n_modes=32, dt=1e-4, t_final=0.1, record_stride=20)
+    w0, y0 = pipeline.initial_state(loaded)
+    assert simulate_semilinear(loaded.eigsys, loaded.shapes, loaded.sl_design,
+                               NonlinearitySpec.make("zero"), w0, y0, cfg).samples == 51
+    monkeypatch.setattr(pipeline, "design", lambda cfg: loaded)
+    code = cli_main(["simulate", "--config", str(tmp_path / "artifact" / "config.cfg"),
+                     "--out", str(tmp_path / "run"), "--uncertified", "--quiet"])
+    assert code == 2
+    assert "re-design from config.cfg" in capsys.readouterr().err
 
 
 # -- the simulator and the certifier share one loop ----------------------------------
