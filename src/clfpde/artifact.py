@@ -3,13 +3,17 @@
 An artifact directory contains
 
     config.cfg     canonical run configuration (round-trips exactly)
-    eigen.csv      rows (n, lambda, dphi0, dphi1, eigenfunction samples)
+    eigen.csv      rows (n, lambda, dphi0, dphi1, u0 .. u{m-1}): the solver's
+                   own modes, with the m node values of a collocated mode
+                   (m = 0 for a closed-form plant)
     design.txt     every computed scalar, vector and matrix, then the verdicts
 
 in the text format of clfpde.textio (shortest round-trip floats).  Loading
-rebuilds the eigensystem from config.cfg and eigen.csv and re-derives the rest
-through the design chain (pipeline.design_from_eigensystem).  design.txt is a
-checked record: each key must be present and none extra; strings and ints must
+rebuilds the eigensystem from config.cfg and eigen.csv with
+EigenSystem.from_modes, which derives the grid samples as eigensolve does,
+and re-derives the rest through the design chain
+(pipeline.design_from_eigensystem).  design.txt is a checked record: each
+key must be present and none extra; strings and ints must
 equal the re-derivation, floats agree within 1e-12 max(1, |a|, |b|).  Only its
 [meta] version and [verdicts] are read, so re-certification can be compared
 with the stored verdicts.
@@ -24,7 +28,7 @@ import numpy as np
 from .config import config_to_text, load_config
 from .errors import ConfigError
 from .pipeline import DesignBundle, Verdict, design_from_eigensystem  # noqa: F401
-from .spectral import EigenSystem, make_grid
+from .spectral import EigenSystem, make_grid, mode_nodes
 from .textio import (
     BOOL,
     FLOAT,
@@ -39,7 +43,7 @@ from .textio import (
 )
 
 AGREE_TOL = 1e-12          # relative, as in compare_verdicts
-EIGEN_COLUMNS = ["n", "lambda", "dphi0", "dphi1"]      # then one column per grid sample
+EIGEN_COLUMNS = ["n", "lambda", "dphi0", "dphi1"]      # then one column per node value
 
 # design.txt, one row list per section: (key, attribute, kind).  A 2-D value is
 # written one vec() row per key_row_<i> line.
@@ -129,10 +133,11 @@ def save_artifact(bundle, out_dir):
     with open(os.path.join(out_dir, "design.txt"), "w") as fh:
         fh.write("\n".join(lines[1:]) + "\n")
     eig = bundle.eigsys
-    samples = [f"x{i}" for i in range(bundle.grid.n_points)]
-    write_csv(os.path.join(out_dir, "eigen.csv"), EIGEN_COLUMNS + samples,
+    values = np.zeros((eig.K, 0)) if eig.node_values is None else eig.node_values
+    write_csv(os.path.join(out_dir, "eigen.csv"),
+              EIGEN_COLUMNS + [f"u{i}" for i in range(values.shape[1])],
               ([n + 1, float(eig.lambdas[n]), float(eig.dphi0[n]), float(eig.dphi1[n])]
-               + eig.phis[n].tolist() for n in range(eig.K)))
+               + values[n].tolist() for n in range(eig.K)))
 
 
 def _parse_verdict(text):
@@ -176,16 +181,18 @@ def load_artifact(out_dir):
     cfg.problem.validate_on_grid(grid)
     path = os.path.join(out_dir, "eigen.csv")
     _, eigen = read_csv(path)
-    lead = len(EIGEN_COLUMNS)
-    if eigen.shape[0] != cfg.modes or eigen.shape[1] != lead + grid.n_points:
-        raise ConfigError(f"{path}: {eigen.shape[0]} x {eigen.shape[1] - lead} samples, needs "
-                          f"modes = {cfg.modes} x n_points = {grid.n_points}")
+    nodes = mode_nodes(cfg.problem, cfg.modes)
+    lead, m = len(EIGEN_COLUMNS), 0 if nodes is None else nodes.x.size
+    if eigen.shape != (cfg.modes, lead + m):
+        raise ConfigError(f"{path}: {eigen.shape[0]} rows x {eigen.shape[1]} columns, needs "
+                          f"modes = {cfg.modes} rows x {lead + m} columns "
+                          f"({', '.join(EIGEN_COLUMNS)} and {m} node values)")
     if not np.all(np.isfinite(eigen)) or np.any(eigen[:, 0] != np.arange(1, cfg.modes + 1)):
         raise ConfigError(f"{path}: needs finite values and the mode numbers 1..{cfg.modes}")
-    # C-ordered sample rows: BLAS then sums in the order the design did
+    # C-ordered node rows: BLAS then sums in the order the design did
     lambdas, dphi0, dphi1 = (eigen[:, i].copy() for i in range(1, lead))
-    eigsys = EigenSystem(cfg.problem, grid, lambdas, np.ascontiguousarray(eigen[:, lead:]),
-                         dphi0, dphi1, cfg.problem.r(grid.x))
+    eigsys = EigenSystem.from_modes(cfg.problem, grid, lambdas, dphi0, dphi1, nodes,
+                                    None if nodes is None else eigen[:, lead:].copy())
     bundle = design_from_eigensystem(cfg, eigsys)
     bundle.verdicts = verdicts
     bundle.version = sections.get("meta", {}).get("version", bundle.version)

@@ -186,6 +186,10 @@ class EigenSystem:
     solver computed with them (closed form or collocation).  A collocated
     eigensystem also keeps its nodes and the node values, normalized and
     signed like phis, so at() evaluates the modes anywhere.
+
+    The solver's own modes are lambdas, dphi0, dphi1 and the node values
+    (none for a closed-form plant); from_modes() derives phis from them, so
+    an eigensystem read back from eigen.csv equals the designed one.
     """
 
     problem: SLProblem
@@ -202,21 +206,41 @@ class EigenSystem:
     def K(self):
         return self.lambdas.size
 
+    @classmethod
+    def from_modes(cls, problem, grid, lambdas, dphi0, dphi1, nodes, node_values, raw=False):
+        """The eigensystem of the solver's modes, with phis derived on the grid.
+
+        A closed-form plant (nodes None) samples the closed form and scales
+        the samples by their _normalization; a collocated one interpolates
+        its node values, phis = node_values @ nodes.interpolation(grid.x).T.
+        Raw modes (eigensolve's) are normalized first: the node values and
+        end derivatives take the _normalization of the raw grid samples.
+        """
+        if problem.closed_form:
+            _, phis, raw_dphi0, _ = _closed_form(problem, lambdas.size, grid.x)
+            scale = _normalization(problem, grid, phis, raw_dphi0)
+            phis *= scale[:, None]
+        else:
+            E = nodes.interpolation(grid.x).T
+            if raw:
+                scale = _normalization(problem, grid, node_values @ E, dphi0)
+                node_values = node_values * scale[:, None]
+            phis = node_values @ E
+        if raw:
+            dphi0, dphi1 = dphi0 * scale, dphi1 * scale
+        return cls(problem, grid, lambdas, phis, dphi0, dphi1, problem.r(grid.x),
+                   nodes, node_values)
+
     def at(self, x):
         """The modes at the points x of [0, 1], (K, x.size), as phis samples them on the grid.
 
         Closed-form plants evaluate the closed form, collocated ones the
-        interpolant through their node values.  An eigensystem built from
-        grid samples alone (a loaded artifact) has no node values: ConfigError.
+        interpolant through their node values.
         """
         if self.problem.closed_form:
             _, samples, dphi0, _ = _closed_form(self.problem, self.K, self.grid.x)
             scale = _normalization(self.problem, self.grid, samples, dphi0)
             return _closed_form(self.problem, self.K, x)[1] * scale[:, None]
-        if self.node_values is None:
-            raise ConfigError("the collocated modes are known only at the grid samples "
-                              "(an eigensystem read from eigen.csv); re-design from "
-                              "config.cfg to evaluate them elsewhere")
         return self.node_values @ self.nodes.interpolation(x).T
 
     def inner(self, f, g):
@@ -336,6 +360,11 @@ def collocation(problem, K):
     return Collocation(x, np.concatenate([piece[3] for piece in pieces]), D, S, ends, knots)
 
 
+def mode_nodes(problem, K):
+    """The collocation eigensolve keeps K modes on; None for a closed-form plant."""
+    return None if problem.closed_form else collocation(problem, K)
+
+
 def gauss_rule(problem, Q):
     """Gauss-Legendre nodes and weights on [0, 1]: one rule per piece between
     problem.knots, of ceil(Q L) nodes on a piece of length L, so no rule
@@ -438,9 +467,10 @@ def operator_residuals(problem, grid, lambdas, phis):
     return np.sqrt(np.sum(w * res[sl] ** 2, axis=0))
 
 
-def _closed_form(problem, K, x):
-    """lambda_n = (p n^2 pi^2 + q) / r, sqrt(2 / r) sin(n pi x) at the points x and
-    the end derivatives, n = 1..K, of a constant-coefficient Dirichlet plant."""
+def _closed_form(problem, K, x=()):
+    """lambda_n = (p n^2 pi^2 + q) / r, sqrt(2 / r) sin(n pi x) at the points x (none
+    by default) and the end derivatives, n = 1..K, of a constant-coefficient
+    Dirichlet plant."""
     p, q, r = (c.values[0] for c in (problem.p, problem.q, problem.r))
     n = np.arange(1, K + 1)
     amp = np.sqrt(2.0 / r)
@@ -464,7 +494,8 @@ def eigensolve(problem, grid, K):
     _collocated_eigs()) and interpolated to the grid; dphi0/dphi1 are d/dx
     of the node values at the ends, and the eigensystem keeps the node
     values.  Modes are normalized in the Simpson r-norm and signed by the
-    EigenSystem convention.
+    EigenSystem convention; EigenSystem.from_modes does both and samples
+    the grid, as it does for a loaded artifact.
 
     Guards, each raising GridTooCoarse: strictly increasing eigenvalues;
     Sturm oscillation (mode k has k - 1 sign changes), which catches a mode
@@ -478,22 +509,18 @@ def eigensolve(problem, grid, K):
         raise GridTooCoarse(f"need n_points >= {8 * K} for K={K}, got {grid.n_points}")
     problem.validate_on_grid(grid)
 
-    col = U = None
     if problem.closed_form:
-        lambdas, phis, dphi0, dphi1 = _closed_form(problem, K, grid.x)
+        lambdas, _, dphi0, dphi1 = _closed_form(problem, K)
+        col = node_values = None
     else:
         lambdas, U, col = _collocated_eigs(problem, K)
-        phis = U.T @ col.interpolation(grid.x).T
         dphi0, dphi1 = col.D[[0, -1]] @ U
-
-    scale = _normalization(problem, grid, phis, dphi0)
-    phis *= scale[:, None]
-    eig = EigenSystem(problem, grid, lambdas, phis, dphi0 * scale, dphi1 * scale,
-                      problem.r(grid.x), col, None if U is None else U.T * scale[:, None])
+        node_values = np.ascontiguousarray(U.T)
+    eig = EigenSystem.from_modes(problem, grid, lambdas, dphi0, dphi1, col, node_values, raw=True)
 
     if np.any(np.diff(lambdas) <= 0.0):
         raise GridTooCoarse("computed eigenvalues are not strictly increasing")
-    for k, phi in enumerate(phis):
+    for k, phi in enumerate(eig.phis):
         if _sign_changes(phi) != k:
             raise GridTooCoarse(f"mode {k + 1} has {_sign_changes(phi)} sign changes, not {k}: "
                                 "a mode is missed or unresolved; refine the grid or reduce K")

@@ -20,6 +20,18 @@ def two_mode_bundle():
 
 
 @pytest.fixture(scope="session")
+def collocated_semilinear_bundle():
+    """The 3.3 preset on p = 1 + 0.3x - 0.2x^2, r = 1 + 0.2x: collocated modes and
+    shapes (uncertified there: its shapes are not orthogonal)."""
+    cfg = preset_config("3.3")
+    cfg.problem = SLProblem(Coefficient.polynomial([1.0, 0.3, -0.2]), cfg.problem.q,
+                            Coefficient.polynomial([1.0, 0.2]), 1.0, 0.0, 1.0, 0.0)
+    bundle = pipeline.design(cfg.validate())
+    assert not bundle.eigsys.problem.closed_form
+    return bundle
+
+
+@pytest.fixture(scope="session")
 def single_mode_bundle():
     """Designed and certified single-mode benchmark (L = 0)."""
     bundle = pipeline.design(preset_config("2.4"))

@@ -20,7 +20,7 @@ from clfpde.config import config_from_text, config_to_text, load_config
 from clfpde.errors import ConfigError
 from clfpde.presets import preset_config
 from clfpde.reproduce import reproduce
-from clfpde.textio import read_csv
+from clfpde.textio import read_csv, write_csv
 
 PI = np.pi
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -184,15 +184,36 @@ def test_eigen_contracts_evaluated_once_per_eigensystem(tmp_path, monkeypatch):
     assert len(calls) == 2 and calls[1] is loaded.eigsys
 
 
+def robin_config(tmp_path, end):
+    """The shipped single-mode plant with q = -12 and a Robin end at x=0 (b) or x=1 (a)."""
+    text = (CONFIGS / "single_mode.cfg").read_text()
+    for old, new in (("q = -19.739208802178716", "q = -12.0"), ("\nmodes = 96", "\nmodes = 48"),
+                     ("n_modes = 64", "n_modes = 32"),
+                     (f"{end}1 = 1.0", f"{end}1 = 0.8253356149096783"),
+                     (f"{end}2 = 0.0", f"{end}2 = 0.5646424733950354")):
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / f"robin_{end}.cfg"
+    path.write_text(text)
+    return path
+
+
 def test_artifacts_load_under_another_blas_kernel(tmp_path):
-    # eigen.csv carries lambda, dphi0 and dphi1 with the samples, so a reload
-    # under another OpenBLAS kernel re-derives design.txt within its 1e-12 rule
+    # eigen.csv carries lambda, dphi0, dphi1 and a collocated plant's node
+    # values: a reload under the writing kernel reproduces every verdict margin
+    # exactly, and one under another OpenBLAS kernel, whose interpolation to
+    # the grid runs there too, re-derives design.txt within its 1e-12 rule
     paths = []
-    for name in ("single_mode.cfg", "two_mode_semilinear.cfg"):
-        bundle = pipeline.design(load_config(CONFIGS / name))
+    for cfg in (CONFIGS / "single_mode.cfg", CONFIGS / "two_mode_semilinear.cfg",
+                robin_config(tmp_path, "b")):
+        bundle = pipeline.design(load_config(cfg))
         pipeline.certify(bundle)
-        paths.append(str(tmp_path / name))
+        paths.append(str(tmp_path / cfg.stem))
         save_artifact(bundle, paths[-1])
+        loaded = load_artifact(paths[-1])
+        pipeline.certify(loaded)
+        assert loaded.certified and compare_verdicts(bundle.verdicts, loaded.verdicts, tol=0.0)
+    assert bundle.eigsys.node_values is not None        # the Robin plant is collocated
     src = str(Path(spectral.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -204,16 +225,7 @@ def test_artifacts_load_under_another_blas_kernel(tmp_path):
 
 @pytest.mark.parametrize("end", ["b", "a"])
 def test_robin_end_certifies(tmp_path, end):
-    # the shipped single-mode plant with q = -12 and a Robin end at x=0 (b) or x=1 (a)
-    text = (CONFIGS / "single_mode.cfg").read_text()
-    for old, new in (("q = -19.739208802178716", "q = -12.0"), ("\nmodes = 96", "\nmodes = 48"),
-                     ("n_modes = 64", "n_modes = 32"),
-                     (f"{end}1 = 1.0", f"{end}1 = 0.8253356149096783"),
-                     (f"{end}2 = 0.0", f"{end}2 = 0.5646424733950354")):
-        assert old in text
-        text = text.replace(old, new)
-    (tmp_path / "robin.cfg").write_text(text)
-    assert cli_main(["check", "--config", str(tmp_path / "robin.cfg"), "--quiet"]) == 0
+    assert cli_main(["check", "--config", str(robin_config(tmp_path, end)), "--quiet"]) == 0
 
 
 def test_verdict_line_roundtrip_numpy_margin():
@@ -413,6 +425,17 @@ def _nan_lambda(lines):
     return [*lines[:2], "2,nan," + lines[2].split(",", 2)[2], *lines[3:]]
 
 
+def _grid_sample_eigen_csv(tmp_path, request):
+    """An artifact whose eigen.csv has the older layout: one column per grid sample."""
+    bundle = request.getfixturevalue("single_mode_bundle")
+    save_artifact(bundle, tmp_path / "artifact")
+    eig = bundle.eigsys
+    write_csv(tmp_path / "artifact" / "eigen.csv",
+              ["n", "lambda", "dphi0", "dphi1"] + [f"x{i}" for i in range(eig.grid.n_points)],
+              ([n + 1, float(eig.lambdas[n]), float(eig.dphi0[n]), float(eig.dphi1[n])]
+               + eig.phis[n].tolist() for n in range(eig.K)))
+
+
 def _edited_config(name, old, new):
     def prepare(tmp_path, request):
         text = (CONFIGS / name).read_text()
@@ -436,10 +459,15 @@ def _edited_config(name, old, new):
     (["export", "--traj", "traj.csv"], "traj.csv: needs a header row", _table("")),
     (["export", "--traj", "traj.csv"], "traj.csv", _table("t,a\r\n1,2\r\n3\r\n")),
     (["export", "--traj", "traj.csv"], "traj.csv", _table("t,a\r\n1,2\r\n3,abc\r\n")),
-    (["check", "--artifact", "artifact"], "eigen.csv: 49 x 2049 samples",
+    (["check", "--artifact", "artifact"],
+     "eigen.csv: 49 rows x 4 columns, needs modes = 96 rows x 4 columns "
+     "(n, lambda, dphi0, dphi1 and 0 node values)",
      _damaged_artifact("eigen.csv", lambda lines: lines[:50])),
     (["check", "--artifact", "artifact"], "eigen.csv: needs finite values",
      _damaged_artifact("eigen.csv", _nan_lambda)),
+    (["check", "--artifact", "artifact"],
+     "eigen.csv: 96 rows x 2053 columns, needs modes = 96 rows x 4 columns",
+     _grid_sample_eigen_csv),
     (["check", "--config", "bad.cfg"], "key 't_final'",
      _edited_config("single_mode.cfg", "t_final = 8.0", "t_final = abc")),
     (["check", "--config", "bad.cfg"], "key 'kappa'",
@@ -489,7 +517,8 @@ def _edited_config(name, old, new):
      _edited_config("single_mode.cfg", "richardson = true", "richardson = false")),
 ], ids=["too_few_steps", "modes_below_M", "too_few_samples", "dt_nan", "seed_negative",
         "stride_0", "traj_empty", "traj_ragged", "traj_not_numeric", "eigen_rows_missing",
-        "eigen_lambda_nan", "t_final_abc", "kappa_abc", "kind_cubic", "scale_above_lbar",
+        "eigen_lambda_nan", "eigen_grid_samples", "t_final_abc", "kappa_abc", "kind_cubic",
+        "scale_above_lbar",
         "design_sigma_abc", "design_M_9999", "design_K_row_missing", "design_g_row_long",
         "design_lambdas_long", "design_mus_long", "design_margin_abc", "design_bogus_key",
         "design_g_row_3", "design_clf_R_missing", "design_certified_false", "q_nan", "q_inf",

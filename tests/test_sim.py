@@ -6,9 +6,7 @@ from scipy.integrate import solve_ivp
 
 from clfpde import pipeline
 from clfpde.artifact import load_artifact, save_artifact
-from clfpde.cli import main as cli_main
 from clfpde.errors import (
-    ConfigError,
     DegenerateTrajectory,
     GridTooCoarse,
     Instability,
@@ -397,18 +395,6 @@ def test_etdrk4_matches_dop853_under_domination(dominating_bundle):
     assert etdrk4_error_against_dop853(dominating_bundle) <= 1e-6
 
 
-@pytest.fixture(scope="module")
-def collocated_semilinear_bundle():
-    """The 3.3 preset on p = 1 + 0.3x - 0.2x^2, r = 1 + 0.2x: collocated modes and
-    shapes (uncertified there: its shapes are not orthogonal)."""
-    cfg = preset_config("3.3")
-    cfg.problem = SLProblem(Coefficient.polynomial([1.0, 0.3, -0.2]), cfg.problem.q,
-                            Coefficient.polynomial([1.0, 0.2]), 1.0, 0.0, 1.0, 0.0)
-    bundle = pipeline.design(cfg.validate())
-    assert not bundle.eigsys.problem.closed_form
-    return bundle
-
-
 def test_etdrk4_matches_dop853_on_a_collocated_plant(collocated_semilinear_bundle):
     # the Gauss nodes take the modes and shapes from their collocation nodes: 2.6e-7
     assert etdrk4_error_against_dop853(collocated_semilinear_bundle) <= 1e-6
@@ -518,31 +504,21 @@ def test_gauss_gram_check(plant_modes_and_shapes):
         gauss_quadrature(eig, shapes, 24, 32)
 
 
-def test_loaded_closed_form_bundle_simulates_bitwise(tmp_path, two_mode_bundle):
-    save_artifact(two_mode_bundle, tmp_path)
+@pytest.mark.parametrize("name", ["two_mode_bundle", "collocated_semilinear_bundle"])
+def test_loaded_bundle_simulates_bitwise(tmp_path, request, name):
+    # eigen.csv holds the solver's own modes: the loaded eigensystem, and so
+    # the semilinear loop on the Gauss nodes, equal the designed ones bit for bit
+    bundle = request.getfixturevalue(name)
+    save_artifact(bundle, tmp_path)
     loaded = load_artifact(tmp_path)
-    assert loaded.eigsys.node_values is None
-    fresh, again = (semilinear_run(b, 32, 0.1, 1e-4, 20) for b in (two_mode_bundle, loaded))
-    for name in ("coeffs", "y", "v", "V"):
-        assert np.array_equal(getattr(fresh, name), getattr(again, name))
-
-
-def test_loaded_collocated_bundle_refuses_semilinear_simulation(
-        tmp_path, monkeypatch, capsys, collocated_semilinear_bundle):
-    # eigen.csv holds only grid samples: the Gauss nodes need a fresh design
-    save_artifact(collocated_semilinear_bundle, tmp_path / "artifact")
-    loaded = load_artifact(tmp_path / "artifact")
-    with pytest.raises(ConfigError, match="re-design from config.cfg"):
-        semilinear_run(loaded, 32, 0.1, 1e-4, 20)
-    cfg = SimConfig(n_modes=32, dt=1e-4, t_final=0.1, record_stride=20)
-    w0, y0 = pipeline.initial_state(loaded)
-    assert simulate_semilinear(loaded.eigsys, loaded.shapes, loaded.sl_design,
-                               NonlinearitySpec.make("zero"), w0, y0, cfg).samples == 51
-    monkeypatch.setattr(pipeline, "design", lambda cfg: loaded)
-    code = cli_main(["simulate", "--config", str(tmp_path / "artifact" / "config.cfg"),
-                     "--out", str(tmp_path / "run"), "--uncertified", "--quiet"])
-    assert code == 2
-    assert "re-design from config.cfg" in capsys.readouterr().err
+    assert np.array_equal(loaded.eigsys.phis, bundle.eigsys.phis)
+    if bundle.eigsys.problem.closed_form:
+        assert bundle.eigsys.node_values is None and loaded.eigsys.node_values is None
+    else:
+        assert np.array_equal(loaded.eigsys.node_values, bundle.eigsys.node_values)
+    fresh, again = (semilinear_run(b, 32, 0.1, 1e-4, 20) for b in (bundle, loaded))
+    for field in ("coeffs", "y", "v", "V"):
+        assert np.array_equal(getattr(fresh, field), getattr(again, field))
 
 
 # -- the simulator and the certifier share one loop ----------------------------------

@@ -26,6 +26,7 @@ from clfpde.spectral import (
     eigensolve,
     inner_product,
     make_grid,
+    mode_nodes,
     operator_residuals,
     project,
 )
@@ -359,9 +360,13 @@ def test_assumption_h_needs_tail_modes(varcoef_eigsys):
         check_assumption_h(varcoef_eigsys, varcoef_eigsys.K - 5)
 
 
-def test_eigen_csv_export(tmp_path, single_mode_bundle):
+def test_eigen_csv_export(tmp_path, single_mode_bundle, collocated_semilinear_bundle):
+    # the solver's own modes: no node values for a closed form, the collocation's otherwise
     from clfpde.artifact import save_artifact
-    save_artifact(single_mode_bundle, tmp_path)
-    header = (tmp_path / "eigen.csv").read_text().splitlines()[0].split(",")
-    assert header[:5] == ["n", "lambda", "dphi0", "dphi1", "x0"]
-    assert len(header) == 4 + single_mode_bundle.eigsys.grid.n_points
+    for bundle in (single_mode_bundle, collocated_semilinear_bundle):
+        save_artifact(bundle, tmp_path)
+        header = (tmp_path / "eigen.csv").read_text().splitlines()[0].split(",")
+        nodes = mode_nodes(bundle.eigsys.problem, bundle.eigsys.K)
+        m = 0 if nodes is None else nodes.x.size
+        assert header == ["n", "lambda", "dphi0", "dphi1"] + [f"u{i}" for i in range(m)]
+    assert m == collocated_semilinear_bundle.eigsys.node_values.shape[1] == 209

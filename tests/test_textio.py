@@ -80,23 +80,27 @@ def test_parse_sections_reports_line_numbers():
 
 
 def reference_artifact_tables(bundle, out):
-    """The artifact table writer as it stood in spectral."""
+    """The eigen.csv writer spelled out with the csv module: the solver's modes,
+    a collocated mode's node values after its end derivatives."""
     eig = bundle.eigsys
+    values = np.zeros((eig.K, 0)) if eig.node_values is None else eig.node_values
     with open(out / "eigen.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "lambda", "dphi0", "dphi1"]
-                        + [f"x{i}" for i in range(eig.grid.n_points)])
+                        + [f"u{i}" for i in range(values.shape[1])])
         for n in range(eig.K):
             writer.writerow([n + 1] + [repr(float(v)) for v in
-                                       (eig.lambdas[n], eig.dphi0[n], eig.dphi1[n], *eig.phis[n])])
+                                       (eig.lambdas[n], eig.dphi0[n], eig.dphi1[n], *values[n])])
 
 
-def test_artifact_tables_match_reference_writers(tmp_path, single_mode_bundle):
-    new, ref = tmp_path / "new", tmp_path / "ref"
-    ref.mkdir()
-    save_artifact(single_mode_bundle, new)
-    reference_artifact_tables(single_mode_bundle, ref)
-    assert (new / "eigen.csv").read_bytes() == (ref / "eigen.csv").read_bytes()
+def test_artifact_tables_match_reference_writers(tmp_path, single_mode_bundle,
+                                                 collocated_semilinear_bundle):
+    for i, bundle in enumerate((single_mode_bundle, collocated_semilinear_bundle)):
+        new, ref = tmp_path / f"new{i}", tmp_path / f"ref{i}"
+        ref.mkdir()
+        save_artifact(bundle, new)
+        reference_artifact_tables(bundle, ref)
+        assert (new / "eigen.csv").read_bytes() == (ref / "eigen.csv").read_bytes()
 
 
 def test_format_lives_in_textio_only():
