@@ -101,22 +101,27 @@ class ClosedLoop:
         return v
 
     def value(self, C, Y, norm_sq=None):
-        """V per row of (C, Y); norm_sq is ||w||^2 per row, |C|^2 when omitted."""
-        CN = C[:, :self.N]
-        head_sq = np.sum(CN * CN, axis=1)
+        """V at one state or per row of (C, Y); norm_sq is ||w||^2, |C|^2 when omitted."""
+        CN = C[..., :self.N]
+        head_sq = np.sum(CN * CN, axis=-1)
         if norm_sq is None:
-            norm_sq = np.sum(C * C, axis=1)
-        quad = np.sum((CN @ self.R.T) * CN, axis=1)
+            norm_sq = np.sum(C * C, axis=-1)
+        quad = np.sum((CN @ self.R.T) * CN, axis=-1)
         return 0.5 * quad + 0.5 * self.gamma * (norm_sq - head_sq) + 0.5 * ((Y * Y) @ self.omegas)
 
     def rate(self, c, y, v, f=0.0):
-        """dV/dt at (c, y) under controls v, c over all n modes."""
+        """dV/dt at one state or per row of (c, y) under controls v, c over all n modes."""
         N = self.N
-        wdot = -self.lambdas * c - self.T @ v + f
-        return float((self.R @ c[:N]) @ wdot[:N]) \
-            + self.gamma * float(c[N:] @ wdot[N:]) \
-            + float(self.omegas @ (y * v)) \
-            - float((self.mus * self.omegas) @ (y * y))
+        wdot = -self.lambdas * c - v @ self.T.T + f
+        return per_row(np.sum((c[..., :N] @ self.R.T) * wdot[..., :N], axis=-1)
+                        + self.gamma * np.sum(c[..., N:] * wdot[..., N:], axis=-1)
+                        + (y * v) @ self.omegas
+                        - (y * y) @ (self.mus * self.omegas))
+
+
+def per_row(x):
+    """A per-row result: an array for rows, a float for one state."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def linear_loop(eigsys, shapes, design, params, law, n):
@@ -136,13 +141,21 @@ def linear_loop(eigsys, shapes, design, params, law, n):
 
 
 def modal_state(w, eigsys, n, rel=REMAINDER_ENERGY_REL):
-    """(c_1..c_n, ||w||^2) of a grid state; RemainderTooLarge past rel of its energy."""
-    c, _ = project(w, eigsys, n)
-    norm_sq = eigsys.norm_sq(w)
-    rem_sq = norm_sq - float(c @ c)
-    if norm_sq > 0.0 and rem_sq > rel * norm_sq:
+    """(c_1..c_n, ||w||^2) of a grid state or per row of states.
+
+    RemainderTooLarge when the energy outside the first n modes exceeds rel
+    of the total in any row.
+    """
+    c = project(w, eigsys, n)
+    norm_sq = per_row(eigsys.norm_sq(w))
+    total = np.atleast_1d(norm_sq)
+    rem_sq = total - np.atleast_1d(np.sum(c * c, axis=-1))
+    bad = np.flatnonzero((total > 0.0) & (rem_sq > rel * total))
+    if bad.size:
+        k = bad[0]
+        row = f" in row {k}" if np.ndim(norm_sq) else ""
         raise RemainderTooLarge(
-            f"remainder energy {rem_sq:.3e} exceeds {rel:g} of total {norm_sq:.3e}"
+            f"remainder energy {rem_sq[k]:.3e} exceeds {rel:g} of total {total[k]:.3e}{row}"
         )
     return c, norm_sq
 
@@ -223,10 +236,9 @@ def select_clf_params(design, shapes, eigsys, Ls, safety, m_max):
 
 
 def lyapunov_value(w, y, loop, eigsys):
-    """Evaluate V of the loop at a grid state through single integrals only."""
-    c, _ = project(w, eigsys, loop.N)
+    """V of the loop at a grid state, or per row of states, through single integrals only."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    return float(loop.value(c[None, :], y[None, :], eigsys.norm_sq(w))[0])
+    return per_row(loop.value(project(w, eigsys, loop.N), y, eigsys.norm_sq(w)))
 
 
 def coercivity_constants(params, design):
@@ -257,14 +269,14 @@ def build_feedback_law(design, params, shapes, eigsys):
 
 
 def feedback_controls(law, w, y, eigsys):
-    """Transformed controls v_i = <k_i, w> - omega_i L_i y_i."""
+    """Transformed controls v_i = <k_i, w> - omega_i L_i y_i, at one state or per row."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     wr = eigsys.grid.weights * eigsys.r_samples
-    return (law.kernels * wr) @ np.asarray(w, dtype=float) - law.y_gains * y
+    return ((law.kernels * wr) @ np.asarray(w, dtype=float).T).T - law.y_gains * y
 
 
 def feedback_controls_modal(c, y, design, params, coupling):
-    """Inner-product form of the same law, from modal coefficients.
+    """Inner-product form of the same law, from modal coefficients (one state or rows).
 
     c must cover at least M modes; coupling is the <varphi_i, phi_n> table.
     Agreement of this path with the kernel quadrature path is a standing
@@ -272,9 +284,9 @@ def feedback_controls_modal(c, y, design, params, coupling):
     """
     N = design.K.shape[1]
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    base = design.K @ c[:N]
-    g_term = (design.R @ c[:N]) @ coupling[:N]                       # <Gw, varphi_i>
-    tail_term = params.gamma * (c[N:params.M] @ coupling[N:params.M])
+    base = c[..., :N] @ design.K.T
+    g_term = (c[..., :N] @ design.R.T) @ coupling[:N]                # <Gw, varphi_i>
+    tail_term = params.gamma * (c[..., N:params.M] @ coupling[N:params.M])
     return base + params.Ls * (g_term + tail_term - params.omegas * y)
 
 
@@ -304,19 +316,19 @@ def transform_input(v, y, mus, direction):
 def lyapunov_rate_and_bound(w, y, params, loop, law, eigsys, v=None):
     """Evaluate dV/dt along the loop (linear_loop) and the certified decay bound.
 
-    Returns (vdot, bound) with the contract vdot <= bound + tol under the
-    feedback law, whose controls come from the grid kernels; pass an explicit
-    v to probe other controls (the bound then only applies when v follows
-    the law).
+    Returns (vdot, bound), floats at one state and arrays per row of states,
+    with the contract vdot <= bound + tol under the feedback law, whose
+    controls come from the grid kernels; pass an explicit v to probe other
+    controls (the bound then only applies when v follows the law).
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     c, norm_sq = modal_state(w, eigsys, loop.lambdas.size)
     if v is None:
         v = feedback_controls(law, w, y, eigsys)
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    bound = -0.5 * float((params.omegas * loop.mus) @ (y * y)) \
+    bound = -0.5 * ((y * y) @ (params.omegas * loop.mus)) \
         - 0.5 * min(params.gamma * loop.lambdas[loop.N], params.sigma) * norm_sq
-    return loop.rate(c, y, v), bound
+    return loop.rate(c, y, v), per_row(bound)
 
 
 def guaranteed_decay_rate(params, design, shapes, eigsys):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, NoAdmissibleA, NoAdmissibleZeta
-from .lyapunov import ClosedLoop, coupling_table, modal_state, transform_state
+from .lyapunov import ClosedLoop, coupling_table, modal_state, per_row, transform_state
 from .reduced import gain_inverse
 from .textio import write_csv
 
@@ -347,9 +347,11 @@ def semilinear_loop(eigsys, shapes, design, n):
 def lyapunov_value_and_rate(w, y, design, loop, shapes, eigsys, F):
     """Evaluate the semilinear functional, its rate, and the certified bound.
 
-    loop is the design's semilinear_loop.  Returns (V, Vdot, bound) with
-    bound = -theta (||w||^2 + sum y_i^2); the contract Vdot <= bound + tol
-    holds for certified designs under the design's own controller.
+    loop is the design's semilinear_loop.  Returns (V, Vdot, bound), floats
+    at one grid state and arrays per row of states (F is evaluated once, on
+    all rows), with bound = -theta (||w||^2 + sum y_i^2); the contract
+    Vdot <= bound + tol holds for certified designs under the design's own
+    controller.
     """
     if design.clf is None:
         raise ValueError("design carries no functional parameters (uncertified)")
@@ -357,11 +359,11 @@ def lyapunov_value_and_rate(w, y, design, loop, shapes, eigsys, F):
     c, norm_sq = modal_state(w, eigsys, loop.lambdas.size)
     u = transform_state(w, y, shapes, "to_u")
     wr = eigsys.grid.weights * eigsys.r_samples
-    f = eigsys.phis[:c.size] @ (wr * F.evaluate(u))
+    f = (eigsys.phis[:loop.lambdas.size] @ (wr * F.evaluate(u)).T).T
     v = loop.controls(c, y, f)
-    V = float(loop.value(c[None, :], y[None, :], norm_sq)[0])
-    bound = -design.clf.theta * (norm_sq + float(y @ y))
-    return V, loop.rate(c, y, v, f), bound
+    V = loop.value(c, y, norm_sq)
+    bound = -design.clf.theta * (norm_sq + np.sum(y * y, axis=-1))
+    return per_row(V), loop.rate(c, y, v, f), per_row(bound)
 
 
 def export_controller_coefficients_csv(design, path):

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MuCollidesWithSpectrum, MuNotPositive
-from .spectral import collocation, derivative_4th, inner_product, sl_apply
+from .spectral import (
+    RESIDUAL_NODES,
+    collocation,
+    derivative_4th,
+    inner_product,
+    residual_weights,
+    sl_apply,
+)
 
 MU_GAP_REL = 1e-6
 BVP_RESIDUAL_TOL = 1e-5
@@ -145,10 +152,9 @@ def bvp_residual_function(problem, grid, mu, phi):
 
 def shape_residuals(problem, grid, mu, phi):
     """(interior residual r-norm, left BC residual, right BC residual)."""
-    r = problem.r(grid.x)
     res = bvp_residual_function(problem, grid, mu, phi)
-    sl = slice(4, grid.n_points - 4)
-    rnorm = float(np.sqrt(np.sum((grid.weights * r)[sl] * res[sl] ** 2)))
+    w = residual_weights(problem, grid)
+    rnorm = float(np.sqrt(np.sum(w * res[RESIDUAL_NODES] ** 2)))
     d0, d1 = derivative_4th(phi, grid.h)[[0, -1]]
     left = abs(problem.b1 * phi[0] + problem.b2 * d0)
     right = abs(problem.a1 * phi[-1] + problem.a2 * d1 - 1.0)

@@ -451,20 +451,36 @@ def sl_apply(problem, grid, f):
     return -derivative_4th(pd, h) + (q[:, None] * f if f.ndim == 2 else q * f)
 
 
+RESIDUAL_NODES = slice(4, -4)
+
+
+def residual_weights(problem, grid):
+    """Simpson r-weights of the nodes RESIDUAL_NODES where sl_apply residuals are measured.
+
+    The four nodes nearest each end, where the one-sided stencils interact,
+    are not among them.  A node whose nine-point stencil has points strictly
+    on both sides of an interior knot gets weight 0: p, q or r kink there,
+    u'' jumps, and a polynomial stencil across the jump measures the
+    stencil, not the function.
+    """
+    w = (grid.weights * problem.r(grid.x))[RESIDUAL_NODES]
+    x = grid.x
+    for knot in problem.knots[1:-1]:            # node i's stencil spans x[i-4]..x[i+4]
+        w = np.where((x[:-8] < knot) & (knot < x[8:]), 0.0, w)
+    return w
+
+
 def operator_residuals(problem, grid, lambdas, phis):
-    """r-weighted norms of A phi_n - lambda_n phi_n over interior nodes.
+    """r-weighted norms of A phi_n - lambda_n phi_n over the residual_weights nodes.
 
     The differential expression is evaluated with fourth-order stencils
-    independent of the discretization that produced the eigenpairs; the
-    norm excludes the four nodes nearest each end where the one-sided
-    stencils interact.
+    independent of the discretization that produced the eigenpairs.
     """
     r = problem.r(grid.x)
     lhs = sl_apply(problem, grid, phis.T)
     res = lhs - r[:, None] * phis.T * lambdas[None, :]
-    sl = slice(4, grid.n_points - 4)
-    w = (grid.weights * r)[sl, None]
-    return np.sqrt(np.sum(w * res[sl] ** 2, axis=0))
+    w = residual_weights(problem, grid)
+    return np.sqrt(np.sum(w[:, None] * res[RESIDUAL_NODES] ** 2, axis=0))
 
 
 def _closed_form(problem, K, x=()):
@@ -562,14 +578,16 @@ def boundary_residuals(eigsys):
 
 
 def project(w, eigsys, N):
-    """Modal coefficients against the first N eigenfunctions, plus remainder."""
+    """Modal coefficients against the first N eigenfunctions, per row of w.
+
+    w is one grid state (n_points,) or states as rows (S, n_points); the
+    coefficients are (N,) or (S, N).
+    """
     if N > eigsys.K:
         raise CutoffExceedsComputedModes(f"N={N} exceeds computed modes K={eigsys.K}")
-    w = np.asarray(w, dtype=float)
     wr = eigsys.grid.weights * eigsys.r_samples
-    coeffs = eigsys.phis[:N] @ (wr * w)
-    remainder = w - coeffs @ eigsys.phis[:N]
-    return coeffs, remainder
+    # phis @ (.).T: one state is a matrix-vector product, rows one matrix-matrix product
+    return (eigsys.phis[:N] @ (wr * np.asarray(w, dtype=float)).T).T
 
 
 def check_assumption_h(eigsys, N):

@@ -92,10 +92,10 @@ def test_criterion_5_clf_certificate_suite():
                                   bundle.shapes)
     lo, hi = coercivity_constants(params, gains)
     loop = linear_loop(eig, shapes, gains, params, law, eig.K)
-    states = pipeline.random_states(eig, 1, 200, seed=0)
+    W, Y = pipeline.random_states(eig, 1, 200, seed=0)
     coerc_ok = diss_ok = True
     dual_worst = 0.0
-    for w, y in states:
+    for w, y in zip(W, Y):
         V = lyapunov_value(w, y, loop, eig)
         size = eig.norm_sq(w) + float(y @ y)
         tol = 1e-6 * max(1.0, abs(V))
@@ -103,7 +103,7 @@ def test_criterion_5_clf_certificate_suite():
         vdot, bound = lyapunov_rate_and_bound(w, y, params, loop, law, eig)
         diss_ok &= (vdot <= bound + 1e-6 * (1.0 + abs(bound)))
         v_quad = feedback_controls(law, w, y, eig)
-        c, _ = project(w, eig, eig.K)
+        c = project(w, eig, eig.K)
         v_modal = feedback_controls_modal(c, y, gains, params, loop.T)
         dual_worst = max(dual_worst, float(np.max(np.abs(v_quad - v_modal))))
     dt, in_budget = elapsed_ok(t0, 30.0)

@@ -101,8 +101,8 @@ def test_weighting_operator_symmetry(two_mode_bundle, seed):
     rng = np.random.default_rng(seed)
     w, _ = random_modal_state(eig, 2, rng)
     u, _ = random_modal_state(eig, 2, rng)
-    cw, _ = project(w, eig, 2)
-    cu, _ = project(u, eig, 2)
+    cw = project(w, eig, 2)
+    cu = project(u, eig, 2)
     Gw = (R @ cw) @ eig.phis[:2]
     Gu = (R @ cu) @ eig.phis[:2]
     lhs = eig.inner(Gw, u)
@@ -170,7 +170,7 @@ def test_kernel_dual_path(single_mode_bundle_L1):
     for _ in range(100):
         w, y = random_modal_state(eig, 1, rng)
         v_quad = feedback_controls(bundle.law, w, y, eig)
-        c, _ = project(w, eig, eig.K)
+        c = project(w, eig, eig.K)
         v_modal = feedback_controls_modal(c, y, bundle.gains, bundle.params, coupling)
         worst = max(worst, float(np.max(np.abs(v_quad - v_modal))))
     assert worst <= 1e-8
@@ -230,7 +230,7 @@ def test_modal_relation_of_transformed_state(two_mode_bundle, grid):
     rng = np.random.default_rng(11)
     u, y = random_modal_state(bundle.eigsys, 2, rng)
     w = transform_state(u, y, bundle.shapes, "to_w")
-    c, _ = project(w, bundle.eigsys, 2)
+    c = project(w, bundle.eigsys, 2)
     for n in (1, 2):
         sin_n = np.sin(n * PI * grid.x)
         integral = float((sin_n * u) @ grid.weights)
@@ -284,7 +284,7 @@ def test_tail_state_diagonal_rate(single_mode_bundle):
     w = amps @ eig.phis[N:N + 20]
     vdot, _ = lyapunov_rate_and_bound(
         w, [0.0], bundle.params, loop_of(bundle), bundle.law, eig, v=np.zeros(1))
-    c, _ = project(w, eig, eig.K)
+    c = project(w, eig, eig.K)
     gamma = bundle.params.gamma
     direct = -gamma * float((eig.lambdas[N:] * c[N:] ** 2).sum())
     assert abs(vdot - direct) <= 1e-9 * max(1.0, abs(direct))

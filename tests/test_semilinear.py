@@ -124,7 +124,7 @@ def test_feedback_linearization_identity(two_mode_bundle):
     rng = np.random.default_rng(9)
     for _ in range(20):
         w, y = random_modal_state(eig, 2, rng)
-        c, _ = project(w, eig, eig.K)
+        c = project(w, eig, eig.K)
         u = w + y @ bundle.shapes.varphis
         f_all = eig.phis @ (eig.grid.weights * eig.r_samples * F.evaluate(u))
         v = loop.controls(c, y, f_all)
@@ -143,7 +143,7 @@ def test_domination_identity(two_mode_bundle):
     coupling = loop.T
     rng = np.random.default_rng(10)
     w, y = random_modal_state(eig, 2, rng)
-    c, _ = project(w, eig, eig.K)
+    c = project(w, eig, eig.K)
     u = w + y @ bundle.shapes.varphis
     f_all = eig.phis @ (eig.grid.weights * eig.r_samples * F.evaluate(u))
     v = loop.controls(c, y)

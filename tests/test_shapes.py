@@ -4,6 +4,8 @@ import pytest
 from clfpde.errors import MuCollidesWithSpectrum, MuNotPositive
 from clfpde.reduced import input_vector_closed_form
 from clfpde.shapes import (
+    BVP_RESIDUAL_TOL,
+    bvp_residual_function,
     orthogonality_defect,
     shape_residuals,
     solve_shape_bvp,
@@ -40,6 +42,28 @@ def test_variable_coefficient_shape(varcoef_problem, varcoef_eigsys, grid):
     rnorm, left, right = shape_residuals(varcoef_problem, grid, mu, phi)
     assert rnorm <= 1e-5
     assert left <= 1e-6 and right <= 1e-6
+
+
+def test_kinked_p_shape_residual(grid):
+    # p kinks at x = 0.5, so the shape's phi'' jumps there: the stencils
+    # straddling the knot are left out, and a perturbed mu still fails
+    prob = SLProblem(Coefficient.table([0.0, 0.5, 1.0], [1.0, 2.0, 1.0], order=1),
+                     Coefficient.constant(0.0), Coefficient.constant(1.0), 1.0, 0.0, 1.0, 0.0)
+    eig = eigensolve(prob, grid, 24)
+    mu = 0.5 * (eig.lambdas[1] + eig.lambdas[2])
+    phi = solve_shape_bvp(prob, eig, mu, grid)
+    assert shape_residuals(prob, grid, mu, phi)[0] <= 1e-3 * BVP_RESIDUAL_TOL
+    assert shape_residuals(prob, grid, mu * (1.0 + 1e-3), phi)[0] > BVP_RESIDUAL_TOL
+
+
+def test_shape_residual_without_interior_knots_is_unchanged(two_mode_bundle, grid):
+    prob = two_mode_bundle.config.problem
+    r = prob.r(grid.x)
+    sl = slice(4, grid.n_points - 4)
+    for mu, phi in zip(two_mode_bundle.shapes.mus, two_mode_bundle.shapes.varphis):
+        res = bvp_residual_function(prob, grid, mu, phi)
+        ref = float(np.sqrt(np.sum((grid.weights * r)[sl] * res[sl] ** 2)))
+        assert shape_residuals(prob, grid, mu, phi)[0] == ref
 
 
 def test_robin_actuated_shape_analytic(grid):

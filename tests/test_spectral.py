@@ -9,14 +9,14 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import clfpde
-from clfpde import spectral
+from clfpde import pipeline, spectral
 from clfpde.errors import (
     CutoffExceedsComputedModes,
     DimensionMismatch,
     GridTooCoarse,
     NonPositiveCoefficient,
 )
-from clfpde.presets import dirichlet_problem
+from clfpde.presets import dirichlet_problem, preset_config
 from clfpde.spectral import (
     Coefficient,
     SLProblem,
@@ -225,6 +225,54 @@ def test_kinked_table_coefficient(grid, K):
     assert np.all((base - 2.0 < eig.lambdas) & (eig.lambdas < base - 1.0))
 
 
+def kinked_p_problem():
+    """p = table(order=1): 0 0.5 1 | 1 2 1, q = 0, r = 1, Dirichlet ends: u'' jumps at x = 0.5."""
+    return SLProblem(Coefficient.table([0.0, 0.5, 1.0], [1.0, 2.0, 1.0], order=1),
+                     Coefficient.constant(0.0), Coefficient.constant(1.0), 1.0, 0.0, 1.0, 0.0)
+
+
+def test_kinked_p_passes_the_residual_contract(grid):
+    # the nine-point stencils straddling the kink measured the jump of u''
+    # there, 0.12 against a tolerance of 5.8e-5; the norm now leaves out the
+    # seven nodes whose stencils cross the knot (a grid node here)
+    prob = kinked_p_problem()
+    eig = eigensolve(prob, grid, 6)
+    _, res, tol = eig.contracts
+    assert np.all(res <= 1e-3 * tol)
+    assert np.count_nonzero(spectral.residual_weights(prob, grid) == 0.0) == 7
+    lambdas = eig.lambdas.copy()
+    lambdas[0] *= 1.0 + 1e-3
+    assert operator_residuals(prob, grid, lambdas, eig.phis)[0] > tol[0]
+
+
+def test_kinked_p_plant_designs_and_certifies(grid):
+    cfg = preset_config("2.4")
+    cfg.problem = kinked_p_problem()
+    cfg.modes = 6
+    bundle = pipeline.design(cfg)
+    assert bundle.eigsys.K == 6 and bundle.law.M <= 6
+    cfg.modes = 96
+    bundle = pipeline.design(cfg.validate())
+    pipeline.certify(bundle)
+    assert bundle.certified, [v.line() for v in bundle.verdicts if not v.passed]
+
+
+@pytest.mark.parametrize("problem", [
+    pytest.param(SLProblem(Coefficient.polynomial([1.0, 0.3, -0.2]),
+                           Coefficient.polynomial([-10.0, 5.0]), Coefficient.polynomial([1.0, 0.2]),
+                           b1=0.6, b2=0.8, a1=0.8, a2=-0.6), id="robin_varcoef"),
+    pytest.param(dirichlet_problem(1.0, -2.0 * PI ** 2), id="closed_form"),
+])
+def test_residuals_without_interior_knots_are_unchanged(grid, problem):
+    # the knot exclusion leaves the residual of a plant without knots bit for bit
+    eig = eigensolve(problem, grid, 24)
+    r = problem.r(grid.x)
+    res = spectral.sl_apply(problem, grid, eig.phis.T) - r[:, None] * eig.phis.T * eig.lambdas
+    sl = slice(4, grid.n_points - 4)
+    ref = np.sqrt(np.sum((grid.weights * r)[sl, None] * res[sl] ** 2, axis=0))
+    assert np.array_equal(operator_residuals(problem, grid, eig.lambdas, eig.phis), ref)
+
+
 @pytest.mark.parametrize("K", [48, 96])
 def test_robin_variable_coefficients_at_large_K(grid, K):
     prob = SLProblem(Coefficient.polynomial([1.0, 0.3, -0.2]), Coefficient.polynomial([-10.0, 5.0]),
@@ -293,9 +341,15 @@ def test_inner_product_dimension_mismatch(grid):
 
 # -- projection --------------------------------------------------------------
 
+def remainder(w, coeffs, eig):
+    """w minus its projection onto the modes of the coefficients."""
+    return w - coeffs @ eig.phis[:coeffs.shape[-1]]
+
+
 def test_project_basis_vector(two_mode_bundle):
     eig = two_mode_bundle.eigsys
-    coeffs, rem = project(eig.phis[0], eig, 5)
+    coeffs = project(eig.phis[0], eig, 5)
+    rem = remainder(eig.phis[0], coeffs, eig)
     assert abs(coeffs[0] - 1.0) < 1e-10
     assert np.max(np.abs(coeffs[1:])) < 1e-10
     assert eig.norm_sq(rem) < 1e-12
@@ -303,15 +357,16 @@ def test_project_basis_vector(two_mode_bundle):
 
 def test_project_zero(two_mode_bundle):
     eig = two_mode_bundle.eigsys
-    coeffs, rem = project(np.zeros(eig.grid.n_points), eig, 4)
-    assert np.all(coeffs == 0.0) and np.all(rem == 0.0)
+    coeffs = project(np.zeros(eig.grid.n_points), eig, 4)
+    assert coeffs.shape == (4,) and np.all(coeffs == 0.0)
 
 
 def test_parseval_split(grid):
     # brute-force quadrature of both sides of the energy split
     eig = eigensolve(dirichlet_problem(1.0, 0.0), grid, 24)
     w = grid.x * (1.0 - grid.x)
-    coeffs, rem = project(w, eig, 10)
+    coeffs = project(w, eig, 10)
+    rem = remainder(w, coeffs, eig)
     lhs = eig.norm_sq(rem) + float(coeffs @ coeffs)
     rhs = eig.norm_sq(w)
     assert abs(lhs - rhs) <= 1e-8
@@ -325,7 +380,8 @@ def test_parseval_split_random_states(varcoef_eigsys, seed):
     rng = np.random.default_rng(seed)
     w = (rng.standard_normal(16) / np.arange(1, 17) ** 1.5) @ eig.phis[:16]
     w += 0.01 * np.sin(37 * PI * eig.grid.x)      # content beyond the cutoff
-    coeffs, rem = project(w, eig, 12)
+    coeffs = project(w, eig, 12)
+    rem = remainder(w, coeffs, eig)
     lhs = eig.norm_sq(rem) + float(coeffs @ coeffs)
     rhs = eig.norm_sq(w)
     assert abs(lhs - rhs) <= 1e-7 * max(rhs, 1e-12)
