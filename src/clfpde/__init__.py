@@ -16,7 +16,6 @@ from .spectral import (            # noqa: F401
     SLProblem,
     check_assumption_h,
     eigensolve,
-    inner_product,
     make_grid,
     project,
 )
@@ -24,7 +23,6 @@ from .shapes import (              # noqa: F401
     ShapeSet,
     build_shape_set,
     orthogonality_defect,
-    solve_shape_bvp,
     validate_mu_set,
 )
 from .reduced import (             # noqa: F401
@@ -43,7 +41,6 @@ from .lyapunov import (            # noqa: F401
     feedback_controls,
     linear_loop,
     lyapunov_rate_and_bound,
-    lyapunov_value,
     select_clf_params,
     transform_input,
     transform_state,

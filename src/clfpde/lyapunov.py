@@ -162,8 +162,7 @@ def modal_state(w, eigsys, n, rel=REMAINDER_ENERGY_REL):
 
 def coupling_table(shapes, eigsys, n_max):
     """<varphi_i, phi_n> for n = 1..n_max; shape (n_max, j)."""
-    wr = eigsys.grid.weights * eigsys.r_samples
-    return (eigsys.phis[:n_max] * wr) @ shapes.varphis.T
+    return eigsys.inner(eigsys.phis[:n_max], shapes.varphis)
 
 
 def truncation_margin(coupling, M, N, gamma, Ls, lambdas):
@@ -235,12 +234,6 @@ def select_clf_params(design, shapes, eigsys, Ls, safety, m_max):
     raise TailBoundFailed(f"no admissible truncation index M <= {m_cap}")
 
 
-def lyapunov_value(w, y, loop, eigsys):
-    """V of the loop at a grid state, or per row of states, through single integrals only."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return per_row(loop.value(project(w, eigsys, loop.N), y, eigsys.norm_sq(w)))
-
-
 def coercivity_constants(params, design):
     """(c_lo, c_hi) with c_lo/2 (||w||^2+|y|^2) <= V <= c_hi/2 (...)."""
     lo = min(design.c1, params.gamma, float(np.min(params.omegas)))
@@ -271,8 +264,7 @@ def build_feedback_law(design, params, shapes, eigsys):
 def feedback_controls(law, w, y, eigsys):
     """Transformed controls v_i = <k_i, w> - omega_i L_i y_i, at one state or per row."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    wr = eigsys.grid.weights * eigsys.r_samples
-    return ((law.kernels * wr) @ np.asarray(w, dtype=float).T).T - law.y_gains * y
+    return eigsys.inner(law.kernels, w).T - law.y_gains * y
 
 
 def feedback_controls_modal(c, y, design, params, coupling):
@@ -313,18 +305,15 @@ def transform_input(v, y, mus, direction):
     raise ValueError(f"direction must be 'to_vbar' or 'to_v', got {direction!r}")
 
 
-def lyapunov_rate_and_bound(w, y, params, loop, law, eigsys, v=None):
-    """Evaluate dV/dt along the loop (linear_loop) and the certified decay bound.
+def lyapunov_rate_and_bound(c, norm_sq, y, v, params, loop):
+    """Evaluate dV/dt along the loop (linear_loop) under controls v and the certified decay bound.
 
-    Returns (vdot, bound), floats at one state and arrays per row of states,
-    with the contract vdot <= bound + tol under the feedback law, whose
-    controls come from the grid kernels; pass an explicit v to probe other
-    controls (the bound then only applies when v follows the law).
+    The state is modal, (c, norm_sq) = modal_state(w, eigsys, n) of the loop's
+    n modes.  Returns (vdot, bound), floats at one state and arrays per row
+    of states, with the contract vdot <= bound + tol when v follows the
+    feedback law (feedback_controls); other v probe other controls.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    c, norm_sq = modal_state(w, eigsys, loop.lambdas.size)
-    if v is None:
-        v = feedback_controls(law, w, y, eigsys)
     v = np.atleast_1d(np.asarray(v, dtype=float))
     bound = -0.5 * ((y * y) @ (params.omegas * loop.mus)) \
         - 0.5 * min(params.gamma * loop.lambdas[loop.N], params.sigma) * norm_sq

@@ -24,7 +24,7 @@ from .lyapunov import (
     feedback_controls_modal,
     linear_loop,
     lyapunov_rate_and_bound,
-    lyapunov_value,
+    modal_state,
     select_clf_params,
     weight_inequality_margins,
 )
@@ -70,7 +70,6 @@ from .spectral import (
     check_assumption_h,
     eigensolve,
     make_grid,
-    project,
 )
 
 SPOT_CHECK_STATES = 20
@@ -126,7 +125,7 @@ def design(cfg):
 
 def design_from_eigensystem(cfg, eigsys):
     """The design chain after the eigensolve: shapes, model, gains, CLF, law, semilinear."""
-    shapes = build_shape_set(cfg.problem, eigsys, cfg.mus, eigsys.grid)
+    shapes = build_shape_set(eigsys, cfg.mus)
     model = build_reduced_model(eigsys, shapes, cfg.N)
     sigmas = cfg.sigma if len(cfg.sigma) == cfg.N else [cfg.sigma[0]] * cfg.N
     gains = design_gains(model, sigmas, cfg.gain_mode)
@@ -195,7 +194,7 @@ def certify(bundle):
     verdicts.append(Verdict("shape_boundary_residual", worst_bc <= SHAPE_BC_TOL,
                             SHAPE_BC_TOL - worst_bc))
 
-    max_offdiag = orthogonality_defect(shapes)
+    max_offdiag = orthogonality_defect(shapes, eig)
     verdicts.append(Verdict("shape_orthogonality", max_offdiag <= ORTHOGONALITY_TOL,
                             ORTHOGONALITY_TOL - max_offdiag))
 
@@ -227,21 +226,22 @@ def certify(bundle):
     verdicts.append(Verdict("clf_kernel_truncation", trunc_m >= 0.0, trunc_m,
                             f"M={params.M}"))
 
-    # The spot checks run on all states at once, one row per state; each
-    # margin is the worst row of its formula.
+    # The spot checks run on all states at once, one row per state, each
+    # projected once; each margin is the worst row of its formula.
     W, Y = random_states(eig, shapes.j, SPOT_CHECK_STATES, cfg.seed)
+    C, norm_sq = modal_state(W, eig, eig.K)
     v_quad = feedback_controls(law, W, Y, eig)
-    v_modal = feedback_controls_modal(project(W, eig, eig.K), Y, gains, params, loop.T)
+    v_modal = feedback_controls_modal(C, Y, gains, params, loop.T)
     dual_dev = float(np.max(np.abs(v_quad - v_modal)))
 
     lo, hi = coercivity_constants(params, gains)
-    V = lyapunov_value(W, Y, loop, eig)
-    size = eig.norm_sq(W) + np.sum(Y * Y, axis=1)
+    V = loop.value(C, Y, norm_sq)
+    size = norm_sq + np.sum(Y * Y, axis=1)
     ctol = COERCIVITY_TOL_REL * np.maximum(1.0, np.abs(V))
     coer_margin = float(np.min(np.minimum(V - 0.5 * lo * size + ctol,
                                           0.5 * hi * size - V + ctol)))
 
-    vdot, bound = lyapunov_rate_and_bound(W, Y, params, loop, law, eig, v=v_quad)
+    vdot, bound = lyapunov_rate_and_bound(C, norm_sq, Y, v_quad, params, loop)
     diss_margin = float(np.min(bound + RATE_TOL_REL * (1.0 + np.abs(bound)) - vdot))
     verdicts.append(Verdict("kernel_dual_path", dual_dev <= DUAL_PATH_TOL,
                             DUAL_PATH_TOL - dual_dev))
@@ -276,7 +276,7 @@ def certify(bundle):
                                     sl.clf.theta, note))
             F = cfg.semilinear.nonlinearity()
             sl_loop = semilinear_loop(eig, shapes, sl, eig.K)
-            _, vdot, bound = lyapunov_value_and_rate(W, Y, sl, sl_loop, shapes, eig, F)
+            _, vdot, bound = lyapunov_value_and_rate(W, C, norm_sq, Y, sl, sl_loop, shapes, eig, F)
             sl_margin = float(np.min(bound + RATE_TOL_REL * (1.0 + np.abs(bound)) - vdot))
             verdicts.append(Verdict("semilinear_dissipation_spot_check",
                                     sl_margin >= 0.0, sl_margin))

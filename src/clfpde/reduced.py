@@ -62,8 +62,7 @@ def build_reduced_model(eigsys, shapes, N):
         raise CutoffNotStrictlyStable(
             f"lambda_{N + 1} = {lambda_next!r} <= 0; pick a larger cutoff"
         )
-    wr = eigsys.grid.weights * eigsys.r_samples
-    B = -(eigsys.phis[:N] * wr) @ shapes.varphis.T
+    B = -eigsys.inner(eigsys.phis[:N], shapes.varphis)
     return ReducedModel(eigsys.lambdas[:N].copy(), B, shapes.mus.copy(), lambda_next)
 
 

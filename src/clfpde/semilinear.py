@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, NoAdmissibleA, NoAdmissibleZeta
-from .lyapunov import ClosedLoop, coupling_table, modal_state, per_row, transform_state
+from .lyapunov import ClosedLoop, coupling_table, per_row, transform_state
 from .reduced import gain_inverse
+from .spectral import project
 from .textio import write_csv
 
 KAPPA_GRID_SIZE = 1024
@@ -344,22 +345,21 @@ def semilinear_loop(eigsys, shapes, design, n):
                       G=design.g if design.controller_kind == "nonlinear" else None)
 
 
-def lyapunov_value_and_rate(w, y, design, loop, shapes, eigsys, F):
+def lyapunov_value_and_rate(w, c, norm_sq, y, design, loop, shapes, eigsys, F):
     """Evaluate the semilinear functional, its rate, and the certified bound.
 
-    loop is the design's semilinear_loop.  Returns (V, Vdot, bound), floats
-    at one grid state and arrays per row of states (F is evaluated once, on
-    all rows), with bound = -theta (||w||^2 + sum y_i^2); the contract
-    Vdot <= bound + tol holds for certified designs under the design's own
-    controller.
+    loop is the design's semilinear_loop of n modes, and (c, norm_sq) =
+    lyapunov.modal_state(w, eigsys, n) is the grid state w in modal form;
+    F(u) is projected here.  Returns (V, Vdot, bound), floats at one grid
+    state and arrays per row of states (F is evaluated once, on all rows),
+    with bound = -theta (||w||^2 + sum y_i^2); the contract Vdot <= bound +
+    tol holds for certified designs under the design's own controller.
     """
     if design.clf is None:
         raise ValueError("design carries no functional parameters (uncertified)")
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    c, norm_sq = modal_state(w, eigsys, loop.lambdas.size)
     u = transform_state(w, y, shapes, "to_u")
-    wr = eigsys.grid.weights * eigsys.r_samples
-    f = (eigsys.phis[:loop.lambdas.size] @ (wr * F.evaluate(u)).T).T
+    f = project(F.evaluate(u), eigsys, loop.lambdas.size)
     v = loop.controls(c, y, f)
     V = loop.value(c, y, norm_sq)
     bound = -design.clf.theta * (norm_sq + np.sum(y * y, axis=-1))

@@ -20,7 +20,6 @@ from .spectral import (
     RESIDUAL_NODES,
     collocation,
     derivative_4th,
-    inner_product,
     residual_weights,
     sl_apply,
 )
@@ -35,15 +34,14 @@ ORTHOGONALITY_TOL = 1e-8
 class ShapeSet:
     """Shape functions with their parameters and squared norms.
 
-    varphis samples them on the grid; nodes and node_values are the
-    collocation they were solved on, from which at() evaluates them anywhere.
+    varphis samples them on the eigensystem's grid; nodes and node_values
+    are the collocation they were solved on, from which at() evaluates them
+    anywhere.
     """
 
     mus: np.ndarray          # (j,)
     varphis: np.ndarray      # (j, n_points)
     norms_sq: np.ndarray     # (j,)
-    grid: "Grid"
-    r_samples: np.ndarray
     nodes: "Collocation"
     node_values: np.ndarray  # (j, n_nodes)
 
@@ -54,10 +52,6 @@ class ShapeSet:
     def at(self, x):
         """The shapes at the points x of [0, 1], (j, x.size)."""
         return self.node_values @ self.nodes.interpolation(x).T
-
-    def gram(self):
-        wphi = self.varphis * (self.grid.weights * self.r_samples)
-        return wphi @ self.varphis.T
 
 
 @dataclass
@@ -99,13 +93,7 @@ def check_mu(mu, eigsys):
         )
 
 
-def solve_shape_bvp(problem, eigsys, mu, grid):
-    """The shape for one mu (see _solve_shapes) sampled on the grid."""
-    col, nodes = _solve_shapes(problem, eigsys, [mu])
-    return nodes[0] @ col.interpolation(grid.x).T
-
-
-def _solve_shapes(problem, eigsys, mus):
+def _solve_shapes(eigsys, mus):
     """The collocation and the node values of the shapes of all mus, one per row.
 
     The collocation (spectral.collocation) resolves the modes up to the
@@ -122,6 +110,7 @@ def _solve_shapes(problem, eigsys, mus):
     """
     for mu in mus:
         check_mu(mu, eigsys)
+    problem = eigsys.problem
     col = collocation(problem, 1 + int(np.count_nonzero(eigsys.lambdas < max(mus))))
     n = col.x.size
     p = problem.p(col.x)
@@ -161,19 +150,19 @@ def shape_residuals(problem, grid, mu, phi):
     return rnorm, left, right
 
 
-def build_shape_set(problem, eigsys, mus, grid):
-    """Solve all shape problems and assemble a validated ShapeSet."""
+def build_shape_set(eigsys, mus):
+    """Solve the shape problems of eigsys's plant for all mus and assemble a validated ShapeSet."""
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    r = problem.r(grid.x)
-    col, nodes = _solve_shapes(problem, eigsys, mus)
-    varphis = nodes @ col.interpolation(grid.x).T
-    norms = np.array([inner_product(phi, phi, grid, r) for phi in varphis])
-    return ShapeSet(mus, varphis, norms, grid, r, col, nodes)
+    col, nodes = _solve_shapes(eigsys, mus)
+    varphis = nodes @ col.interpolation(eigsys.grid.x).T
+    # one dot product per shape: a matrix-vector product would round norms_sq differently
+    norms = np.array([eigsys.norm_sq(phi) for phi in varphis])
+    return ShapeSet(mus, varphis, norms, col, nodes)
 
 
-def orthogonality_defect(shapes):
+def orthogonality_defect(shapes, eigsys):
     """Largest off-diagonal entry of the shape Gram matrix (0 for j = 1)."""
     if shapes.j < 2:
         return 0.0
-    gram = shapes.gram()
+    gram = eigsys.inner(shapes.varphis, shapes.varphis)
     return float(np.max(np.abs(gram - np.diag(np.diag(gram)))))

@@ -240,7 +240,7 @@ def gauss_quadrature(eigsys, shapes, n_modes, Q):
     basis = np.vstack([eigsys.at(x)[:n_modes], shapes.at(x)])
     wr = w * eigsys.problem.r(x)
     samples = np.vstack([eigsys.phis[:n_modes], shapes.varphis])
-    simpson = (samples * (eigsys.grid.weights * eigsys.r_samples)) @ samples.T
+    simpson = eigsys.inner(samples, samples)
     norms = np.sqrt(np.diag(simpson))
     defect = float(np.max(np.abs((basis * wr) @ basis.T - simpson) / np.outer(norms, norms)))
     if not defect <= ORTHONORMALITY_TOL:

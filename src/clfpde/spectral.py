@@ -163,19 +163,6 @@ def make_grid(n_points=2049):
     return Grid(n_points, x, w * (h / 3.0))
 
 
-def inner_product(f, g, grid, r=None):
-    """Composite-Simpson approximation of the r-weighted inner product."""
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape[-1] != grid.n_points or g.shape[-1] != grid.n_points:
-        raise DimensionMismatch(
-            f"grid functions must have {grid.n_points} samples, "
-            f"got {f.shape[-1]} and {g.shape[-1]}"
-        )
-    w = grid.weights if r is None else grid.weights * np.asarray(r, dtype=float)
-    return (f * g) @ w
-
-
 @dataclass
 class EigenSystem:
     """Computed eigenvalues and grid-sampled orthonormal eigenfunctions.
@@ -190,6 +177,10 @@ class EigenSystem:
     The solver's own modes are lambdas, dphi0, dphi1 and the node values
     (none for a closed-form plant); from_modes() derives phis from them, so
     an eigensystem read back from eigen.csv equals the designed one.
+
+    It owns the grid's r-weighted inner product: wr holds the rule's
+    weights (composite Simpson times r), and inner, norm_sq, gram and
+    project apply it.
     """
 
     problem: SLProblem
@@ -243,16 +234,34 @@ class EigenSystem:
             return _closed_form(self.problem, self.K, x)[1] * scale[:, None]
         return self.node_values @ self.nodes.interpolation(x).T
 
-    def inner(self, f, g):
-        return inner_product(f, g, self.grid, self.r_samples)
+    @cached_property
+    def wr(self):
+        """Composite-Simpson weights times r: the r-weighted inner product's rule."""
+        return self.grid.weights * self.r_samples
+
+    def _samples(self, f):
+        """f as float grid samples; DimensionMismatch unless its last axis is the grid."""
+        f = np.asarray(f, dtype=float)
+        if f.shape[-1] != self.grid.n_points:
+            raise DimensionMismatch(
+                f"grid functions must have {self.grid.n_points} samples, got {f.shape[-1]}")
+        return f
+
+    def inner(self, F, G):
+        """<f, g> for every row f of F and row g of G, (rows of F, rows of G).
+
+        A 1-D F or G drops its axis, so two grid functions give a scalar.
+        """
+        return (self._samples(F) * self.wr) @ self._samples(G).T
 
     def norm_sq(self, f):
-        return self.inner(f, f)
+        """||f||^2 of one grid function, or per row of f."""
+        f = self._samples(f)
+        return (f * f) @ self.wr
 
     def gram(self, n=None):
         """Quadrature Gram matrix of the first n eigenfunctions (all by default)."""
-        phis = self.phis[:n]
-        return (phis * (self.grid.weights * self.r_samples)) @ phis.T
+        return self.inner(self.phis[:n], self.phis[:n])
 
     @cached_property
     def contracts(self):
@@ -585,9 +594,8 @@ def project(w, eigsys, N):
     """
     if N > eigsys.K:
         raise CutoffExceedsComputedModes(f"N={N} exceeds computed modes K={eigsys.K}")
-    wr = eigsys.grid.weights * eigsys.r_samples
     # phis @ (.).T: one state is a matrix-vector product, rows one matrix-matrix product
-    return (eigsys.phis[:N] @ (wr * np.asarray(w, dtype=float)).T).T
+    return (eigsys.phis[:N] @ (eigsys.wr * eigsys._samples(w)).T).T
 
 
 def check_assumption_h(eigsys, N):

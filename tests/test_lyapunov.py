@@ -11,7 +11,7 @@ from clfpde.lyapunov import (
     feedback_controls_modal,
     linear_loop,
     lyapunov_rate_and_bound,
-    lyapunov_value,
+    modal_state,
     select_clf_params,
     transform_input,
     transform_state,
@@ -118,15 +118,30 @@ def loop_of(bundle):
     return linear_loop(eig, bundle.shapes, bundle.gains, bundle.params, bundle.law, eig.K)
 
 
+def value_at(w, y, loop, eig):
+    """V of the loop at the grid state (w, y)."""
+    c, norm_sq = modal_state(w, eig, eig.K)
+    return loop.value(c, np.atleast_1d(y), norm_sq)
+
+
+def rate_at(w, y, bundle, loop, v=None):
+    """(dV/dt, bound) at the grid state (w, y), under the feedback law unless v is given."""
+    eig = bundle.eigsys
+    c, norm_sq = modal_state(w, eig, eig.K)
+    if v is None:
+        v = feedback_controls(bundle.law, w, y, eig)
+    return lyapunov_rate_and_bound(c, norm_sq, y, v, bundle.params, loop)
+
+
 def test_value_trivial_zero(single_mode_bundle):
     eig = single_mode_bundle.eigsys
-    V = lyapunov_value(np.zeros(eig.grid.n_points), [0.0], loop_of(single_mode_bundle), eig)
+    V = value_at(np.zeros(eig.grid.n_points), [0.0], loop_of(single_mode_bundle), eig)
     assert V == 0.0
 
 
 def test_value_first_mode(single_mode_bundle):
     eig = single_mode_bundle.eigsys
-    V = lyapunov_value(eig.phis[0], [0.0], loop_of(single_mode_bundle), eig)
+    V = value_at(eig.phis[0], [0.0], loop_of(single_mode_bundle), eig)
     assert abs(V - 0.5) < 1e-10
 
 
@@ -139,7 +154,7 @@ def test_coercivity_sandwich(single_mode_bundle):
     for _ in range(50):
         w, y = random_modal_state(eig, 1, rng)
         size = eig.norm_sq(w) + float(y @ y)
-        V = lyapunov_value(w, y, loop, eig)
+        V = value_at(w, y, loop, eig)
         tol = 1e-6 * max(1.0, abs(V))
         assert 0.5 * lo * size - tol <= V <= 0.5 * hi * size + tol
 
@@ -255,9 +270,7 @@ def test_input_transform(two_mode_bundle):
 
 def test_rate_trivial_zero(single_mode_bundle):
     bundle = single_mode_bundle
-    vdot, bound = lyapunov_rate_and_bound(
-        np.zeros(bundle.grid.n_points), [0.0], bundle.params, loop_of(bundle),
-        bundle.law, bundle.eigsys)
+    vdot, bound = rate_at(np.zeros(bundle.grid.n_points), [0.0], bundle, loop_of(bundle))
     assert vdot == 0.0 and bound == 0.0
 
 
@@ -269,7 +282,7 @@ def test_dissipation_on_random_states(fixture, request):
     rng = np.random.default_rng(23)
     for _ in range(50):
         w, y = random_modal_state(eig, 1, rng)
-        vdot, bound = lyapunov_rate_and_bound(w, y, bundle.params, loop, bundle.law, eig)
+        vdot, bound = rate_at(w, y, bundle, loop)
         assert vdot <= bound + 1e-6 * (1.0 + abs(bound))
 
 
@@ -282,8 +295,7 @@ def test_tail_state_diagonal_rate(single_mode_bundle):
     rng = np.random.default_rng(5)
     amps = rng.standard_normal(20) / np.arange(1, 21) ** 2
     w = amps @ eig.phis[N:N + 20]
-    vdot, _ = lyapunov_rate_and_bound(
-        w, [0.0], bundle.params, loop_of(bundle), bundle.law, eig, v=np.zeros(1))
+    vdot, _ = rate_at(w, [0.0], bundle, loop_of(bundle), v=np.zeros(1))
     c = project(w, eig, eig.K)
     gamma = bundle.params.gamma
     direct = -gamma * float((eig.lambdas[N:] * c[N:] ** 2).sum())
@@ -296,5 +308,4 @@ def test_remainder_guard(single_mode_bundle):
     x = bundle.grid.x
     w = np.sin(150.5 * PI * x)      # far beyond the computed span
     with pytest.raises(RemainderTooLarge):
-        lyapunov_rate_and_bound(w, [0.0], bundle.params, loop_of(bundle),
-                                bundle.law, bundle.eigsys)
+        rate_at(w, [0.0], bundle, loop_of(bundle))

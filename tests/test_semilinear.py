@@ -7,9 +7,10 @@ from clfpde.errors import DegenerateDenominator, NoAdmissibleZeta, SingularB
 from clfpde.lyapunov import (
     CLFParams,
     build_feedback_law,
+    feedback_controls,
     linear_loop,
     lyapunov_rate_and_bound,
-    lyapunov_value,
+    modal_state,
 )
 from clfpde.reduced import GainDesign, ReducedModel
 from clfpde import semilinear
@@ -77,6 +78,14 @@ def loop_of(bundle, controller_kind=None):
     if controller_kind is not None:
         sl = replace(sl, controller_kind=controller_kind)
     return semilinear_loop(bundle.eigsys, bundle.shapes, sl, bundle.eigsys.K)
+
+
+def value_and_rate_at(w, y, bundle, loop, F):
+    """(V, dV/dt, bound) of the bundle's semilinear design at the grid state (w, y)."""
+    eig = bundle.eigsys
+    c, norm_sq = modal_state(w, eig, eig.K)
+    return lyapunov_value_and_rate(w, c, norm_sq, y, bundle.sl_design, loop, bundle.shapes,
+                                   eig, F)
 
 
 def modal(values, n):
@@ -374,9 +383,8 @@ def test_uncertified_design_flagged(two_mode_bundle):
 def test_semilinear_value_and_rate_zero_state(two_mode_bundle):
     bundle = two_mode_bundle
     z = np.zeros(bundle.grid.n_points)
-    V, vdot, bound = lyapunov_value_and_rate(
-        z, [0.0, 0.0], bundle.sl_design, loop_of(bundle), bundle.shapes, bundle.eigsys,
-        NonlinearitySpec.make("zero"))
+    V, vdot, bound = value_and_rate_at(z, [0.0, 0.0], bundle, loop_of(bundle),
+                                       NonlinearitySpec.make("zero"))
     assert V == 0.0 and vdot == 0.0 and bound == 0.0
 
 
@@ -387,8 +395,7 @@ def test_semilinear_dissipation_random_states(two_mode_bundle):
     rng = np.random.default_rng(31)
     for _ in range(40):
         w, y = random_modal_state(bundle.eigsys, 2, rng)
-        V, vdot, bound = lyapunov_value_and_rate(
-            w, y, bundle.sl_design, loop, bundle.shapes, bundle.eigsys, F)
+        V, vdot, bound = value_and_rate_at(w, y, bundle, loop, F)
         assert V >= 0.0
         assert vdot <= bound + 1e-6 * (1.0 + abs(bound))
 
@@ -414,9 +421,10 @@ def test_zero_nonlinearity_cross_checks_linear_path(two_mode_bundle):
     rng = np.random.default_rng(17)
     for _ in range(10):
         w, y = random_modal_state(eig, 2, rng)
-        V_sl, vdot_sl, _ = lyapunov_value_and_rate(
-            w, y, sl, sl_loop, bundle.shapes, eig, F)
-        V_lin = lyapunov_value(w, y, lin_loop, eig)
-        vdot_lin, _ = lyapunov_rate_and_bound(w, y, params, lin_loop, law, eig)
+        V_sl, vdot_sl, _ = value_and_rate_at(w, y, bundle, sl_loop, F)
+        c, norm_sq = modal_state(w, eig, eig.K)
+        V_lin = lin_loop.value(c, y, norm_sq)
+        vdot_lin, _ = lyapunov_rate_and_bound(c, norm_sq, y, feedback_controls(law, w, y, eig),
+                                              params, lin_loop)
         assert abs(V_sl - V_lin) <= 1e-12 * max(1.0, abs(V_lin))
         assert abs(vdot_sl - vdot_lin) <= 1e-9 * max(1.0, abs(vdot_lin))

@@ -5,15 +5,20 @@ from clfpde.errors import MuCollidesWithSpectrum, MuNotPositive
 from clfpde.reduced import input_vector_closed_form
 from clfpde.shapes import (
     BVP_RESIDUAL_TOL,
+    build_shape_set,
     bvp_residual_function,
     orthogonality_defect,
     shape_residuals,
-    solve_shape_bvp,
     validate_mu_set,
 )
 from clfpde.spectral import Coefficient, SLProblem, eigensolve
 
 PI = np.pi
+
+
+def shape(eigsys, mu):
+    """The one shape of mu, sampled on eigsys's grid."""
+    return build_shape_set(eigsys, [mu]).varphis[0]
 
 
 def test_two_mode_shapes_match_closed_forms(two_mode_bundle, grid):
@@ -38,7 +43,7 @@ def test_substitution_residuals(two_mode_bundle, grid):
 
 def test_variable_coefficient_shape(varcoef_problem, varcoef_eigsys, grid):
     mu = 7.5
-    phi = solve_shape_bvp(varcoef_problem, varcoef_eigsys, mu, grid)
+    phi = shape(varcoef_eigsys, mu)
     rnorm, left, right = shape_residuals(varcoef_problem, grid, mu, phi)
     assert rnorm <= 1e-5
     assert left <= 1e-6 and right <= 1e-6
@@ -51,7 +56,7 @@ def test_kinked_p_shape_residual(grid):
                      Coefficient.constant(0.0), Coefficient.constant(1.0), 1.0, 0.0, 1.0, 0.0)
     eig = eigensolve(prob, grid, 24)
     mu = 0.5 * (eig.lambdas[1] + eig.lambdas[2])
-    phi = solve_shape_bvp(prob, eig, mu, grid)
+    phi = shape(eig, mu)
     assert shape_residuals(prob, grid, mu, phi)[0] <= 1e-3 * BVP_RESIDUAL_TOL
     assert shape_residuals(prob, grid, mu * (1.0 + 1e-3), phi)[0] > BVP_RESIDUAL_TOL
 
@@ -75,7 +80,7 @@ def test_robin_actuated_shape_analytic(grid):
     mu = 3.0
     k = np.sqrt(mu)
     A = 1.0 / (s * (np.sin(k) + k * np.cos(k)))
-    phi = solve_shape_bvp(prob, eig, mu, grid)
+    phi = shape(eig, mu)
     assert np.max(np.abs(phi - A * np.sin(k * grid.x))) < 1e-6
 
 
@@ -83,11 +88,11 @@ def test_mu_guards(two_mode_bundle, grid):
     prob = two_mode_bundle.config.problem
     eig = two_mode_bundle.eigsys
     with pytest.raises(MuNotPositive):
-        solve_shape_bvp(prob, eig, -1.0, grid)
+        shape(eig, -1.0)
     # a numpy-scalar mu: the message shows plain floats, not np.float64(...)
     with pytest.raises(MuCollidesWithSpectrum,
                        match=r"^mu=[-+.\de]+ within tolerance of eigenvalue 3 \([-+.\de]+\)$"):
-        solve_shape_bvp(prob, eig, eig.lambdas[2], grid)
+        shape(eig, eig.lambdas[2])
     with pytest.raises(MuCollidesWithSpectrum, match=r"^mu=[-+.\de]+ too close to an eigenvalue$"):
         input_vector_closed_form(prob, eig, eig.lambdas[1], 2)
 
@@ -103,20 +108,20 @@ def test_validate_mu_set_verdicts(single_mode_bundle):
 
 
 def test_orthogonality_report(two_mode_bundle):
-    assert orthogonality_defect(two_mode_bundle.shapes) <= 1e-10
+    assert orthogonality_defect(two_mode_bundle.shapes, two_mode_bundle.eigsys) <= 1e-10
 
 
 def test_orthogonality_single_shape(single_mode_bundle):
-    assert orthogonality_defect(single_mode_bundle.shapes) == 0.0
+    assert orthogonality_defect(single_mode_bundle.shapes, single_mode_bundle.eigsys) == 0.0
 
 
 def test_orthogonality_duplicate_fails(two_mode_bundle):
     shapes = two_mode_bundle.shapes
     dup = type(shapes)(
         mus=shapes.mus[[0, 0]], varphis=shapes.varphis[[0, 0]],
-        norms_sq=shapes.norms_sq[[0, 0]], grid=shapes.grid,
-        r_samples=shapes.r_samples, nodes=shapes.nodes, node_values=shapes.node_values[[0, 0]])
-    assert orthogonality_defect(dup) > 0.4      # equals the squared norm 1/2
+        norms_sq=shapes.norms_sq[[0, 0]], nodes=shapes.nodes,
+        node_values=shapes.node_values[[0, 0]])
+    assert orthogonality_defect(dup, two_mode_bundle.eigsys) > 0.4      # the squared norm 1/2
 
 
 def test_build_shape_set_single_mode(single_mode_bundle, grid):

@@ -13,7 +13,7 @@ from clfpde.errors import (
     QuadratureBudgetExceeded,
     RemainderTooLarge,
 )
-from clfpde.lyapunov import linear_loop, lyapunov_value
+from clfpde.lyapunov import linear_loop, modal_state
 from clfpde.semilinear import NonlinearitySpec, lyapunov_value_and_rate, semilinear_loop
 from clfpde.presets import dirichlet_problem, preset_config
 from clfpde.shapes import build_shape_set
@@ -479,7 +479,7 @@ GAUSS_PLANTS = {
 def plant_modes_and_shapes(request, grid):
     prob = GAUSS_PLANTS[request.param]
     eig = eigensolve(prob, grid, 24)
-    return eig, build_shape_set(prob, eig, [7.5, 60.0], grid)
+    return eig, build_shape_set(eig, [7.5, 60.0])
 
 
 def test_node_evaluation_reproduces_the_grid_samples(plant_modes_and_shapes, grid):
@@ -539,8 +539,8 @@ def test_linear_trajectory_V_is_the_certified_functional(single_mode_bundle):
                            w0, y0, cfg)
     loop = linear_loop(eig, bundle.shapes, bundle.gains, bundle.params, bundle.law, 32)
     for k in range(0, traj.samples, 50):
-        w = traj.coeffs[k] @ eig.phis[:32]
-        V = lyapunov_value(w, traj.y[k], loop, eig)
+        c, norm_sq = modal_state(traj.coeffs[k] @ eig.phis[:32], eig, 32)
+        V = loop.value(c, traj.y[k], norm_sq)
         assert abs(V - traj.V[k]) <= 1e-12 * abs(traj.V[k])
     # the exact propagator leaves only the O(h^2) error of the difference (5e-6)
     assert_rate_matches_centred_difference(
@@ -557,8 +557,9 @@ def test_semilinear_trajectory_V_is_the_certified_functional(two_mode_bundle):
     loop = semilinear_loop(eig, shapes, sl, 32)
     Phi = eig.phis[:32]
     for k in range(0, traj.samples, 50):
-        V, _, _ = lyapunov_value_and_rate(traj.coeffs[k] @ Phi, traj.y[k], sl, loop,
-                                          shapes, eig, F)
+        w = traj.coeffs[k] @ Phi
+        c, norm_sq = modal_state(w, eig, 32)
+        V, _, _ = lyapunov_value_and_rate(w, c, norm_sq, traj.y[k], sl, loop, shapes, eig, F)
         assert abs(V - traj.V[k]) <= 1e-12 * abs(traj.V[k])
 
     Phi_w = Phi * (eig.grid.weights * eig.r_samples)

@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from clfpde.spectral import (
     check_assumption_h,
     eigen_contracts,
     eigensolve,
-    inner_product,
     make_grid,
     mode_nodes,
     operator_residuals,
@@ -313,30 +314,59 @@ def test_non_positive_coefficient(grid):
 
 # -- inner products ----------------------------------------------------------
 
-def test_inner_product_normalization(grid):
+@pytest.fixture(scope="module")
+def unit_r_eig(grid):
+    """An eigensystem with r = 1: its inner product is the plain Simpson rule."""
+    return eigensolve(dirichlet_problem(1.0, 0.0), grid, 4)
+
+
+def test_inner_product_normalization(unit_r_eig, grid):
     f = S2 * np.sin(PI * grid.x)
-    assert abs(inner_product(f, f, grid) - 1.0) < 1e-10
+    assert abs(unit_r_eig.inner(f, f) - 1.0) < 1e-10
+    assert abs(unit_r_eig.norm_sq(f) - unit_r_eig.inner(f, f)) <= 1e-15
 
 
-def test_inner_product_benchmark_value(grid):
+def test_inner_product_benchmark_value(unit_r_eig, grid):
     f = S2 * np.sin(PI * grid.x)
     g = np.sin(2.5 * PI * grid.x)
     expected = -4.0 * S2 / (21.0 * PI)
-    assert abs(inner_product(f, g, grid) - expected) < 1e-12
+    assert abs(unit_r_eig.inner(f, g) - expected) < 1e-12
 
 
-def test_inner_product_against_adaptive_quadrature(grid):
+def test_inner_product_against_adaptive_quadrature(unit_r_eig, grid):
     # independent oracle: adaptive Gauss-Kronrod on the closed-form integrand
     f = np.sin(2.5 * PI * grid.x)
     g = np.sin(3.5 * PI * grid.x)
     oracle, _ = quad(lambda x: np.sin(2.5 * PI * x) * np.sin(3.5 * PI * x), 0, 1,
                      limit=200)
-    assert abs(inner_product(f, g, grid) - oracle) < 1e-10
+    assert abs(unit_r_eig.inner(f, g) - oracle) < 1e-10
+    # rows against rows: entry (a, b) is <row a of F, row b of G>
+    F, G = np.vstack([f, g, f]), np.vstack([g, f])
+    cross = unit_r_eig.inner(F, G)
+    assert cross.shape == (3, 2)
+    for a in range(3):
+        for b in range(2):
+            assert abs(cross[a, b] - unit_r_eig.inner(F[a], G[b])) <= 1e-15
+    assert np.allclose(unit_r_eig.norm_sq(F), np.diag(unit_r_eig.inner(F, F)), rtol=0.0,
+                       atol=1e-15)
 
 
-def test_inner_product_dimension_mismatch(grid):
-    with pytest.raises(DimensionMismatch):
-        inner_product(np.zeros(11), np.zeros(grid.n_points), grid)
+def test_inner_product_dimension_mismatch(unit_r_eig, grid):
+    for call in (lambda: unit_r_eig.inner(np.zeros(11), np.zeros(grid.n_points)),
+                 lambda: unit_r_eig.inner(np.zeros((2, grid.n_points)), np.zeros((2, 11))),
+                 lambda: unit_r_eig.norm_sq(np.zeros(11)),
+                 lambda: project(np.zeros(11), unit_r_eig, 2)):
+        with pytest.raises(DimensionMismatch):
+            call()
+
+
+def test_inner_product_rule_lives_in_spectral_only():
+    # EigenSystem owns the r-weighted Simpson rule: no other module reads
+    # the grid's weights or the r samples to write the rule out again
+    src = Path(__file__).resolve().parents[1] / "src" / "clfpde"
+    offenders = [path.name for path in sorted(src.glob("*.py")) if path.name != "spectral.py"
+                 and re.search(r"\.weights\b|\br_samples\b", path.read_text())]
+    assert offenders == []
 
 
 # -- projection --------------------------------------------------------------

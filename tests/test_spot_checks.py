@@ -2,15 +2,19 @@
 
 The batched margins are checked against a per-state reference written here
 with the 1-D evaluator calls, every batched evaluator is checked row by row
-against its 1-D call, and a count guard keeps the pass batched.
+against its 1-D call, and a count guard keeps the pass batched, with the
+states projected once.
 """
 
+import importlib
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clfpde import lyapunov, pipeline, spectral
+import clfpde
+from clfpde import pipeline, semilinear
 from clfpde.config import config_from_text
 from clfpde.errors import RemainderTooLarge
 from clfpde.lyapunov import (
@@ -19,7 +23,6 @@ from clfpde.lyapunov import (
     feedback_controls_modal,
     linear_loop,
     lyapunov_rate_and_bound,
-    lyapunov_value,
     modal_state,
 )
 from clfpde.presets import preset_config
@@ -88,15 +91,16 @@ def per_state_margins(bundle):
     loop = linear_loop(eig, shapes, gains, params, law, eig.K)
     lo, hi = coercivity_constants(params, gains)
     dual_dev, coer, diss = 0.0, np.inf, np.inf
-    for w, y in states:
+    modal = [modal_state(w, eig, eig.K) for w, _ in states]
+    for (w, y), (c, norm_sq) in zip(states, modal):
         v_quad = feedback_controls(law, w, y, eig)
-        v_modal = feedback_controls_modal(project(w, eig, eig.K), y, gains, params, loop.T)
+        v_modal = feedback_controls_modal(c, y, gains, params, loop.T)
         dual_dev = max(dual_dev, float(np.max(np.abs(v_quad - v_modal))))
-        V = lyapunov_value(w, y, loop, eig)
-        size = eig.norm_sq(w) + float(y @ y)
+        V = loop.value(c, y, norm_sq)
+        size = norm_sq + float(y @ y)
         ctol = pipeline.COERCIVITY_TOL_REL * max(1.0, abs(V))
         coer = min(coer, V - 0.5 * lo * size + ctol, 0.5 * hi * size - V + ctol)
-        vdot, bound = lyapunov_rate_and_bound(w, y, params, loop, law, eig, v=v_quad)
+        vdot, bound = lyapunov_rate_and_bound(c, norm_sq, y, v_quad, params, loop)
         diss = min(diss, bound + pipeline.RATE_TOL_REL * (1.0 + abs(bound)) - vdot)
     margins = {"kernel_dual_path": pipeline.DUAL_PATH_TOL - dual_dev,
                "coercivity_spot_check": coer, "dissipation_spot_check": diss}
@@ -105,8 +109,9 @@ def per_state_margins(bundle):
         F = cfg.semilinear.nonlinearity()
         sl_loop = semilinear_loop(eig, shapes, sl, eig.K)
         sl_margin = np.inf
-        for w, y in states:
-            _, vdot, bound = lyapunov_value_and_rate(w, y, sl, sl_loop, shapes, eig, F)
+        for (w, y), (c, norm_sq) in zip(states, modal):
+            _, vdot, bound = lyapunov_value_and_rate(w, c, norm_sq, y, sl, sl_loop, shapes,
+                                                     eig, F)
             sl_margin = min(sl_margin, bound + pipeline.RATE_TOL_REL * (1.0 + abs(bound)) - vdot)
         margins["semilinear_dissipation_spot_check"] = sl_margin
     return margins
@@ -157,6 +162,7 @@ def test_batched_evaluators_match_the_1d_calls_row_by_row(plant):
     rows = list(zip(W, Y))
     loop = linear_loop(eig, shapes, gains, params, law, eig.K)
 
+    # the grid products, on the states W
     C = project(W, eig, eig.K)
     assert C.shape == (7, eig.K)
     assert_rows_match(C, [project(w, eig, eig.K) for w, _ in rows])
@@ -165,25 +171,25 @@ def test_batched_evaluators_match_the_1d_calls_row_by_row(plant):
     assert_rows_match(C, [c for c, _ in singles])
     assert_rows_match(norm_sq, [n for _, n in singles])
     assert all(type(n) is float for _, n in singles)
-
     V_quad = feedback_controls(law, W, Y, eig)
     assert_rows_match(V_quad, [feedback_controls(law, w, y, eig) for w, y in rows])
+
+    # the modal evaluators, on the batch's own rows of (C, norm_sq, Y, V_quad): a
+    # 1-D projection of W rounds differently from the batched one, and dV/dt
+    # would magnify that gap by the cancellation assert_rows_match describes
+    states = list(zip(C, norm_sq, Y, V_quad))
     assert_rows_match(feedback_controls_modal(C, Y, gains, params, loop.T),
                       [feedback_controls_modal(c, y, gains, params, loop.T)
-                       for c, y in zip(C, Y)])
-    values = [lyapunov_value(w, y, loop, eig) for w, y in rows]
-    assert all(type(v) is float for v in values)
-    assert_rows_match(lyapunov_value(W, Y, loop, eig), values)
-    vdot, bound = lyapunov_rate_and_bound(W, Y, params, loop, law, eig)
-    singles = [lyapunov_rate_and_bound(w, y, params, loop, law, eig) for w, y in rows]
+                       for c, _, y, _ in states])
+    vdot, bound = lyapunov_rate_and_bound(C, norm_sq, Y, V_quad, params, loop)
+    singles = [lyapunov_rate_and_bound(c, n, y, v, params, loop) for c, n, y, v in states]
     assert all(type(a) is float and type(b) is float for a, b in singles)
     assert_rows_match(vdot, [a for a, _ in singles])
     assert_rows_match(bound, [b for _, b in singles])
 
-    assert_rows_match(loop.controls(C, Y), [loop.controls(c, y) for c, y in zip(C, Y)])
-    assert_rows_match(loop.value(C, Y, norm_sq),
-                      [loop.value(c, y, n) for c, y, n in zip(C, Y, norm_sq)])
-    rates = [loop.rate(c, y, v) for c, y, v in zip(C, Y, V_quad)]
+    assert_rows_match(loop.controls(C, Y), [loop.controls(c, y) for c, _, y, _ in states])
+    assert_rows_match(loop.value(C, Y, norm_sq), [loop.value(c, y, n) for c, n, y, _ in states])
+    rates = [loop.rate(c, y, v) for c, _, y, v in states]
     assert all(type(r) is float for r in rates)
     assert_rows_match(loop.rate(C, Y, V_quad), rates)
 
@@ -191,8 +197,9 @@ def test_batched_evaluators_match_the_1d_calls_row_by_row(plant):
     if sl is not None:
         F = plant.config.semilinear.nonlinearity()
         sl_loop = semilinear_loop(eig, shapes, sl, eig.K)
-        batched = lyapunov_value_and_rate(W, Y, sl, sl_loop, shapes, eig, F)
-        singles = [lyapunov_value_and_rate(w, y, sl, sl_loop, shapes, eig, F) for w, y in rows]
+        batched = lyapunov_value_and_rate(W, C, norm_sq, Y, sl, sl_loop, shapes, eig, F)
+        singles = [lyapunov_value_and_rate(w, c, n, y, sl, sl_loop, shapes, eig, F)
+                   for w, (c, n, y, _) in zip(W, states)]
         assert all(type(x) is float for single in singles for x in single)
         for k in range(3):
             assert_rows_match(batched[k], [single[k] for single in singles])
@@ -200,14 +207,11 @@ def test_batched_evaluators_match_the_1d_calls_row_by_row(plant):
 
 def test_remainder_guard_fires_per_row(plant):
     eig, shapes = plant.eigsys, plant.shapes
-    loop = linear_loop(eig, shapes, plant.gains, plant.params, plant.law, eig.K)
-    W, Y = pipeline.random_states(eig, shapes.j, 5, plant.config.seed)
+    W, _ = pipeline.random_states(eig, shapes.j, 5, plant.config.seed)
     modal_state(W, eig, eig.K)
     W[3] += np.sin(600.0 * np.pi * eig.grid.x)          # energy far beyond the K modes
     with pytest.raises(RemainderTooLarge, match="in row 3"):
         modal_state(W, eig, eig.K)
-    with pytest.raises(RemainderTooLarge, match="in row 3"):
-        lyapunov_rate_and_bound(W, Y, plant.params, loop, plant.law, eig)
     modal_state(W[[0, 1, 2, 4]], eig, eig.K)
 
 
@@ -216,10 +220,18 @@ def semilinear_bundle():
     return pipeline.design(preset_config("3.3"))
 
 
+def modules_importing_project():
+    """Every clfpde module that looks up spectral.project under its own name."""
+    modules = [importlib.import_module(f"clfpde.{info.name}")
+               for info in pkgutil.iter_modules(clfpde.__path__)]
+    return [module for module in modules if getattr(module, "project", None) is project]
+
+
 @pytest.mark.parametrize("states", [1, 7, pipeline.SPOT_CHECK_STATES, 33])
 def test_certify_is_one_batched_pass(monkeypatch, semilinear_bundle, states):
-    # F is evaluated once on all states, and the projections do not grow
-    # with the state count: the spot checks are not a per-state loop
+    # F is evaluated once on all states, W is projected once and F(u) once
+    # more, whatever the state count: the spot checks are not a per-state
+    # loop, and no evaluator projects W again
     evaluated, projections = [], []
     evaluate = NonlinearitySpec.evaluate
 
@@ -232,11 +244,12 @@ def test_certify_is_one_batched_pass(monkeypatch, semilinear_bundle, states):
         return project(w, eigsys, N)
 
     monkeypatch.setattr(NonlinearitySpec, "evaluate", counting_evaluate)
-    for module in (spectral, lyapunov, pipeline):
+    importers = modules_importing_project()
+    assert semilinear in importers
+    for module in importers:
         monkeypatch.setattr(module, "project", counting_project)
     monkeypatch.setattr(pipeline, "SPOT_CHECK_STATES", states)
     verdicts = pipeline.certify(semilinear_bundle)
     assert "semilinear_dissipation_spot_check" in [v.name for v in verdicts]
     assert evaluated == [states * semilinear_bundle.grid.n_points]
-    assert len(projections) == 4
-    assert all(shape == (states, semilinear_bundle.grid.n_points) for shape in projections)
+    assert projections == [(states, semilinear_bundle.grid.n_points)] * 2
