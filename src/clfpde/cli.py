@@ -197,7 +197,7 @@ def main(argv=None):
         parser.error("check needs --artifact or --config")
     try:
         return args.func(args)
-    except (ConfigError, NonPositiveCoefficient, FileNotFoundError, KeyError) as exc:
+    except (ConfigError, NonPositiveCoefficient, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Instability as exc:

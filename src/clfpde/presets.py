@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RunConfig, SemilinearSettings
+from .errors import ConfigError
 from .sim import SimConfig
 from .spectral import Coefficient, SLProblem
 
@@ -65,7 +66,7 @@ def preset_config(preset_id, **kwargs):
         return single_mode_config(**kwargs)
     if preset_id == "3.3":
         return two_mode_config(**kwargs)
-    raise KeyError(f"unknown benchmark preset {preset_id!r}; known: {PRESET_IDS}")
+    raise ConfigError(f"unknown benchmark preset {preset_id!r}; known: {PRESET_IDS}")
 
 
 # closed-form reference values for the two-mode benchmark

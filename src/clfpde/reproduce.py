@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pipeline
+from .errors import ConfigError
 from .presets import (
     PRESET_IDS,
     preset_config,
@@ -64,7 +65,7 @@ class ReproduceReport:
 
 def reproduce(preset_id, out_dir=None):
     if preset_id not in PRESET_IDS:
-        raise KeyError(f"unknown benchmark id {preset_id!r}; known: {PRESET_IDS}")
+        raise ConfigError(f"unknown benchmark id {preset_id!r}; known: {PRESET_IDS}")
     report = _reproduce_two_mode() if preset_id == "3.3" else _reproduce_single_mode()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

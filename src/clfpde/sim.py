@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     ConfigError,
@@ -135,6 +134,9 @@ def _phi_functions(X, p):
 
     whose top block row they are (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
     """
+    # imported here, as in _records
+    from scipy.linalg import expm
+
     m = X.shape[0]
     W = np.zeros(((p + 1) * m, (p + 1) * m))
     W[:m, :m] = X
@@ -160,6 +162,10 @@ def _records(loop, nonlinear, c, y, times, h):
     Z[0, :n], Z[0, n:] = c, y
     cap = INSTABILITY_FACTOR * max(np.sqrt(float(c @ c)) + np.linalg.norm(y), 1e-12)
     if nonlinear is None:
+        # imported here and in _phi_functions: scipy.linalg is most of clfpde's
+        # import time, and only simulation needs it
+        from scipy.linalg import expm
+
         P = expm(A * h)
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, times.size):

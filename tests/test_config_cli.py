@@ -1,4 +1,7 @@
+import hashlib
+import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -352,8 +355,9 @@ def test_single_input_multi_mode_design(tmp_path):
     assert norms[-1] < 0.05 * norms[0]    # decayed well below the start
 
 
-def test_cli_reproduce_unknown_id():
+def test_cli_reproduce_unknown_id(capsys):
     assert cli_main(["reproduce", "9.9", "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: unknown benchmark id '9.9'; known: ('2.4', '3.3')\n"
 
 
 def test_cli_export_downsample(tmp_path):
@@ -608,8 +612,74 @@ def test_reproduce_reports(tmp_path):
     assert max(r.rel_err for r in rep.rows if r.name.startswith("B_1")) <= 1e-6
     rep2 = reproduce("2.4")
     assert max(r.rel_err for r in rep2.rows if r.name.startswith("kernel_at")) <= 1e-6
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError):
         reproduce("1.1")
+
+
+SHIPPED = ("single_mode", "two_mode_semilinear")
+# sha256 of `clfpde simulate`'s trajectory.csv on each shipped config under BLAS_PIN.
+# The last bits follow the BLAS kernel and thread count, so the pin fixes both;
+# Prescott (SSE3) is an OpenBLAS kernel every x86-64 processor runs.
+TRAJECTORY_SHA256 = {
+    "single_mode": "28c9f8fd87ff521c7c4b3844161f2d6204e437dce335bdbdb9828bc30309b787",
+    "two_mode_semilinear": "4761d76c4daad3d7a509e7b5a6c984a70cf456f784b7385477c6d102c3a08742",
+}
+BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Prescott"}
+
+
+def run_python(args, **env):
+    """A fresh interpreter on clfpde's source tree; its CompletedProcess."""
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable] + args, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, **env))
+
+
+def test_cli_without_simulation_loads_no_scipy(tmp_path):
+    # scipy is imported only by simulation and order-3 tables: it is slow to import
+    code = ("import json, sys\n"
+            "from clfpde.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+            "                                if m == 'scipy' or m.startswith('scipy.'))]))\n")
+    runs = []
+    for name in SHIPPED:
+        cfg, out = str(CONFIGS / f"{name}.cfg"), str(tmp_path / name)
+        runs += [["design", "--config", cfg, "--out", out, "--quiet"],
+                 ["check", "--artifact", os.path.join(out, "artifact"), "--quiet"],
+                 ["check", "--config", cfg, "--quiet"]]
+    traj = tmp_path / "traj.csv"
+    write_csv(traj, ["t", "norm_w"], ([0.1 * k, 1.0 / (k + 1)] for k in range(30)))
+    runs += [["export", "--traj", str(traj), "--quiet"],
+             ["reproduce", "2.4", "--quiet"], ["reproduce", "3.3", "--quiet"]]
+    proc = run_python(["-c", code, json.dumps(runs)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(runs), []]
+
+
+def blas_is_x86_openblas():
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    import scipy
+
+    try:
+        names = [m.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+                 for m in (np, scipy)]
+    except (TypeError, KeyError):
+        return False
+    return all("openblas" in name for name in names)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_cli_simulate_trajectory_bytes(tmp_path, name):
+    if not blas_is_x86_openblas():
+        pytest.skip("the recorded bytes are those of OpenBLAS's Prescott kernel on x86-64")
+    out = tmp_path / name
+    proc = run_python(["-m", "clfpde.cli", "simulate", "--config", str(CONFIGS / f"{name}.cfg"),
+                       "--out", str(out), "--quiet"], **BLAS_PIN)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
+    assert digest == TRAJECTORY_SHA256[name]
 
 
 def test_console_entry_point(tmp_path):

@@ -283,10 +283,10 @@ def test_robin_variable_coefficients_at_large_K(grid, K):
     assert max(np.max(left), np.max(right)) <= spectral.BOUNDARY_RESIDUAL_TOL
 
 
-def test_import_loads_no_sparse_or_interpolate():
-    # neither module is on any shipped path, and both are slow to import
+def test_import_loads_no_scipy():
+    # scipy is imported only where a run needs it (expm, order-3 tables): it is slow to import
     code = ("import sys, clfpde, clfpde.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.sparse', 'scipy.interpolate'))))")
+            "if m == 'scipy' or m.startswith('scipy.')))")
     src = os.path.dirname(os.path.dirname(clfpde.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
