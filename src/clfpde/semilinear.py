@@ -56,15 +56,21 @@ class NonlinearitySpec:
                                     float(scale))
         raise ValueError(f"unknown nonlinearity kind {kind!r}")
 
-    def evaluate(self, s):
+    def evaluate(self, s, out=None):
+        """f(s); into out when given (out may be s), else into a new array."""
         s = np.asarray(s, dtype=float)
         if self.kind == "zero":
-            return np.zeros_like(s)
+            if out is None:
+                return np.zeros_like(s)
+            out.fill(0.0)
+            return out
         if self.kind == "linear_gain":
-            return self.scale * s
+            return np.multiply(self.scale, s, out=out)
         if self.kind == "sine_type":
-            return self.scale * np.sin(s)
-        return self.scale * np.clip(s, -1.0, 1.0)      # saturation
+            f = np.sin(s, out=out)
+        else:                                           # saturation
+            f = np.clip(s, -1.0, 1.0, out=out)
+        return np.multiply(self.scale, f, out=f)
 
     def validate(self):
         s = np.linspace(-10.0, 10.0, 2001)

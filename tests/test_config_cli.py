@@ -622,7 +622,7 @@ SHIPPED = ("single_mode", "two_mode_semilinear")
 # Prescott (SSE3) is an OpenBLAS kernel every x86-64 processor runs.
 TRAJECTORY_SHA256 = {
     "single_mode": "28c9f8fd87ff521c7c4b3844161f2d6204e437dce335bdbdb9828bc30309b787",
-    "two_mode_semilinear": "4761d76c4daad3d7a509e7b5a6c984a70cf456f784b7385477c6d102c3a08742",
+    "two_mode_semilinear": "979bda648a8207d1e8990ef9e6360b2506067c8b144844677c679e7d395daa0c",
 }
 BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Prescott"}
 

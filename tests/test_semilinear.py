@@ -46,6 +46,20 @@ def test_nonlinearity_kinds_validate():
         assert np.all(np.abs(spec.evaluate(s)) <= spec.lbar * np.abs(s) + 1e-12)
 
 
+@pytest.mark.parametrize("kind", ["zero", "linear_gain", "sine_type", "saturation"])
+def test_evaluate_into_a_buffer_is_bitwise_the_new_array(kind):
+    # the simulator evaluates F into preallocated buffers, sometimes in place
+    spec = NonlinearitySpec.make(kind, scale=0.29)
+    s = np.linspace(-3.0, 3.0, 193)
+    fresh = spec.evaluate(s)
+    buf = np.full_like(s, np.nan)
+    assert spec.evaluate(s, out=buf) is buf
+    assert buf.tobytes() == fresh.tobytes()
+    t = s.copy()
+    assert spec.evaluate(t, out=t) is t
+    assert t.tobytes() == fresh.tobytes()
+
+
 def test_nonlinearity_must_vanish_at_zero():
     class Offset(NonlinearitySpec):
         def evaluate(self, s):

@@ -22,6 +22,8 @@ from clfpde.sim import (
     INSTABILITY_FACTOR,
     SimConfig,
     Trajectory,
+    _initial_state,
+    _phi_functions,
     fit_decay_rate,
     gauss_quadrature,
     simulate_linear,
@@ -313,7 +315,7 @@ def test_quadrature_budget_counts_f_evaluations(two_mode_bundle, monkeypatch):
     calls = []
     evaluate = NonlinearitySpec.evaluate
     monkeypatch.setattr(NonlinearitySpec, "evaluate",
-                        lambda self, s: calls.append(1) or evaluate(self, s))
+                        lambda self, s, out=None: calls.append(1) or evaluate(self, s, out))
 
     def run(budget):
         cfg = SimConfig(n_modes=16, dt=1e-3, t_final=1.0, record_stride=10,
@@ -398,6 +400,55 @@ def test_etdrk4_matches_dop853_under_domination(dominating_bundle):
 def test_etdrk4_matches_dop853_on_a_collocated_plant(collocated_semilinear_bundle):
     # the Gauss nodes take the modes and shapes from their collocation nodes: 2.6e-7
     assert etdrk4_error_against_dop853(collocated_semilinear_bundle) <= 1e-6
+
+
+def textbook_etdrk4(bundle, F, n_modes, h, records):
+    """(states, controls) of Cox & Matthews' ETDRK4 step on z' = A z + g(z), written
+    out with the unfolded g(z) = GW F(basis^T z), one step of h per record."""
+    eig, shapes, design = bundle.eigsys, bundle.shapes, bundle.sl_design
+    loop = semilinear_loop(eig, shapes, design, n_modes)
+    basis, wr = gauss_quadrature(eig, shapes, n_modes, GAUSS_NODES_PER_MODE * n_modes)
+    Gext = np.zeros((design.N, n_modes))
+    Gext[:, :design.N] = loop.G
+    GW = np.vstack([np.eye(n_modes) - loop.T @ Gext, Gext]) @ (basis[:n_modes] * wr)
+
+    def g(z):
+        return GW @ F.evaluate(z @ basis)
+
+    A = loop.matrix()
+    E, P1, P2, P3 = _phi_functions(h * A, 3)
+    E2, P1_half = _phi_functions(0.5 * h * A, 1)
+    Q = 0.5 * h * P1_half
+    f1, f2, f3 = h * (P1 - 3.0 * P2 + 4.0 * P3), h * (P2 - 2.0 * P3), h * (4.0 * P3 - P2)
+    c, y = _initial_state(eig, *pipeline.initial_state(bundle), n_modes)
+    zs = [np.concatenate([c, y])]
+    for _ in range(records):
+        z = zs[-1]
+        gz = g(z)
+        a = E2 @ z + Q @ gz
+        ga = g(a)
+        b = E2 @ z + Q @ ga
+        gb = g(b)
+        gc = g(E2 @ a + Q @ (2.0 * gb - gz))
+        zs.append(E @ z + f1 @ gz + 2.0 * f2 @ (ga + gb) + f3 @ gc)
+    Z = np.array(zs)
+    C, Y = Z[:, :n_modes], Z[:, n_modes:]
+    return Z, loop.controls(C, Y) + np.array([g(z)[n_modes:] for z in Z])
+
+
+@pytest.mark.parametrize("kind", ["sine_type", "saturation", "linear_gain"])
+def test_folded_etdrk4_matches_the_textbook_step(two_mode_bundle, kind):
+    # the simulator folds GW into its stage operators and starts the third stage
+    # from E z, not E2 E2 z: equal in exact arithmetic, so only rounding may differ
+    F = NonlinearitySpec.make(kind, scale=0.29)
+    w0, y0 = pipeline.initial_state(two_mode_bundle)
+    cfg = SimConfig(n_modes=16, dt=1e-3, t_final=1.0, record_stride=10)
+    traj = simulate_semilinear(two_mode_bundle.eigsys, two_mode_bundle.shapes,
+                               two_mode_bundle.sl_design, F, w0, y0, cfg)
+    Z, v = textbook_etdrk4(two_mode_bundle, F, 16, 1e-2, 100)
+    assert traj.samples == 101
+    assert np.max(np.abs(np.hstack([traj.coeffs, traj.y]) - Z)) <= 1e-12 * np.max(np.abs(Z))
+    assert np.max(np.abs(traj.v - v)) <= 1e-12 * np.max(np.abs(v))
 
 
 def test_recorded_controls_are_the_loop_controls(two_mode_bundle):
