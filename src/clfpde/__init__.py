@@ -40,10 +40,7 @@ from .lyapunov import (            # noqa: F401
     build_feedback_law,
     feedback_controls,
     linear_loop,
-    lyapunov_rate_and_bound,
     select_clf_params,
-    transform_input,
-    transform_state,
 )
 from .semilinear import (          # noqa: F401
     NonlinearitySpec,

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: design, check, simulate, reproduce, export.
-Exit codes: 0 success, 2 invalid configuration or usage, 3 certification
-failed, 4 simulation instability.
+Exit codes: 0 success, 2 invalid configuration, usage or input/output path,
+3 certification failed, 4 simulation instability.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def main(argv=None):
         parser.error("check needs --artifact or --config")
     try:
         return args.func(args)
-    except (ConfigError, NonPositiveCoefficient, FileNotFoundError) as exc:
+    except (ConfigError, NonPositiveCoefficient, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Instability as exc:

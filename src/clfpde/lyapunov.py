@@ -13,8 +13,8 @@ c_n = <phi_n, w>.  The feedback is v_i = <k_i, w> - omega_i L_i y_i with
 grid kernels k_i spanning modes up to the truncation index M.
 
 ClosedLoop is the one modal form of a designed loop: its operator A, its
-control map, V and dV/dt.  The simulator, the certifier and the rate
-evaluators here and in semilinear all read it; linear_loop builds it for
+control map, V, dV/dt and the certified decay bound that dV/dt must stay
+below.  The simulator and the certifier read it; linear_loop builds it for
 this feedback law (or the open loop), semilinear.semilinear_loop for the
 cancellation and domination controllers.
 """
@@ -66,7 +66,9 @@ class ClosedLoop:
         v  = Kmat c - y_gains y  (+ G f_N under the cancellation controller),
 
     with T the coupling table <varphi_i, phi_n> and f the nonlinearity
-    coefficients <phi_n, F(u)> (zero for a linear plant).
+    coefficients <phi_n, F(u)> (zero for a linear plant).  decay = (s, a, b)
+    is the certified bound dV/dt <= -s (a ||w||^2 + sum_i b_i y_i^2), None
+    for the open loop and an uncertified design.
     """
 
     lambdas: np.ndarray          # (n,)
@@ -78,6 +80,7 @@ class ClosedLoop:
     gamma: float
     omegas: np.ndarray           # (j,)
     G: np.ndarray | None = None  # (j, N) gain on f_1..f_N, cancellation only
+    decay: tuple | None = None   # (s, a, b (j,)) of the certified decay bound
 
     @property
     def N(self):
@@ -118,6 +121,13 @@ class ClosedLoop:
                         + (y * v) @ self.omegas
                         - (y * y) @ (self.mus * self.omegas))
 
+    def bound(self, norm_sq, y):
+        """The certified bound on dV/dt at one state or per row of (||w||^2, y)."""
+        if self.decay is None:
+            raise ValueError("no certified decay bound: open loop or uncertified design")
+        s, a, b = self.decay
+        return per_row(-s * (a * norm_sq + (y * y) @ b))
+
 
 def per_row(x):
     """A per-row result: an array for rows, a float for one state."""
@@ -127,17 +137,19 @@ def per_row(x):
 def linear_loop(eigsys, shapes, design, params, law, n):
     """The loop of the first n modes under the feedback law.
 
-    law=None is the open loop (v = 0) with unit weights, V = (|c|^2 + |y|^2) / 2.
+    law=None is the open loop (v = 0) with unit weights, V = (|c|^2 + |y|^2) / 2,
+    and no decay bound; the law's is (1/2, min(gamma lambda_{N+1}, sigma), omega mu).
     """
     j = shapes.j
     Kmat = np.zeros((j, n))
     if law is None:
-        y_gains, R, gamma, omegas = np.zeros(j), np.eye(1), 1.0, np.ones(j)
+        y_gains, R, gamma, omegas, decay = np.zeros(j), np.eye(1), 1.0, np.ones(j), None
     else:
         Kmat[:, :law.M] = law.kernel_coeffs
         y_gains, R, gamma, omegas = law.y_gains, design.R, params.gamma, params.omegas
+        decay = (0.5, min(gamma * eigsys.lambdas[R.shape[0]], params.sigma), omegas * shapes.mus)
     return ClosedLoop(eigsys.lambdas[:n], shapes.mus, coupling_table(shapes, eigsys, n),
-                      Kmat, y_gains, R, gamma, omegas)
+                      Kmat, y_gains, R, gamma, omegas, decay=decay)
 
 
 def modal_state(w, eigsys, n, rel=REMAINDER_ENERGY_REL):
@@ -280,44 +292,6 @@ def feedback_controls_modal(c, y, design, params, coupling):
     g_term = (c[..., :N] @ design.R.T) @ coupling[:N]                # <Gw, varphi_i>
     tail_term = params.gamma * (c[..., N:params.M] @ coupling[N:params.M])
     return base + params.Ls * (g_term + tail_term - params.omegas * y)
-
-
-def transform_state(u, y, shapes, direction):
-    """Absorb the boundary state into the domain (to_w) or restore it (to_u)."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    shift = y @ shapes.varphis
-    if direction == "to_w":
-        return np.asarray(u, dtype=float) - shift
-    if direction == "to_u":
-        return np.asarray(u, dtype=float) + shift
-    raise ValueError(f"direction must be 'to_w' or 'to_u', got {direction!r}")
-
-
-def transform_input(v, y, mus, direction):
-    """Affine input transformation between v and the raw boundary rate."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    if direction == "to_vbar":
-        return -mus * y + v
-    if direction == "to_v":
-        return v + mus * y
-    raise ValueError(f"direction must be 'to_vbar' or 'to_v', got {direction!r}")
-
-
-def lyapunov_rate_and_bound(c, norm_sq, y, v, params, loop):
-    """Evaluate dV/dt along the loop (linear_loop) under controls v and the certified decay bound.
-
-    The state is modal, (c, norm_sq) = modal_state(w, eigsys, n) of the loop's
-    n modes.  Returns (vdot, bound), floats at one state and arrays per row
-    of states, with the contract vdot <= bound + tol when v follows the
-    feedback law (feedback_controls); other v probe other controls.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    bound = -0.5 * ((y * y) @ (params.omegas * loop.mus)) \
-        - 0.5 * min(params.gamma * loop.lambdas[loop.N], params.sigma) * norm_sq
-    return loop.rate(c, y, v), per_row(bound)
 
 
 def guaranteed_decay_rate(params, design, shapes, eigsys):

@@ -23,7 +23,6 @@ from .lyapunov import (
     feedback_controls,
     feedback_controls_modal,
     linear_loop,
-    lyapunov_rate_and_bound,
     modal_state,
     select_clf_params,
     weight_inequality_margins,
@@ -45,9 +44,9 @@ from .semilinear import (
     SemilinearDesign,
     build_semilinear_design,
     linear_admissibility_margins,
-    lyapunov_value_and_rate,
     max_growth_bound,
     nonlinear_admissibility_margins,
+    nonlinear_coefficients,
     semilinear_loop,
 )
 from .shapes import (
@@ -152,6 +151,12 @@ def random_states(eigsys, j, count, seed):
     return (draws[:, :n] * decay) @ eigsys.phis[:n], draws[:, n:]
 
 
+def dissipation_margin(loop, C, norm_sq, Y, v, f=0.0):
+    """Worst row of the loop's decay bound, plus RATE_TOL_REL of it, minus dV/dt under v."""
+    bound = loop.bound(norm_sq, Y)
+    return float(np.min(bound + RATE_TOL_REL * (1.0 + np.abs(bound)) - loop.rate(C, Y, v, f)))
+
+
 def certify(bundle):
     """Compute the verdict list for a design bundle and store it."""
     cfg = bundle.config
@@ -241,8 +246,7 @@ def certify(bundle):
     coer_margin = float(np.min(np.minimum(V - 0.5 * lo * size + ctol,
                                           0.5 * hi * size - V + ctol)))
 
-    vdot, bound = lyapunov_rate_and_bound(C, norm_sq, Y, v_quad, params, loop)
-    diss_margin = float(np.min(bound + RATE_TOL_REL * (1.0 + np.abs(bound)) - vdot))
+    diss_margin = dissipation_margin(loop, C, norm_sq, Y, v_quad)
     verdicts.append(Verdict("kernel_dual_path", dual_dev <= DUAL_PATH_TOL,
                             DUAL_PATH_TOL - dual_dev))
     verdicts.append(Verdict("coercivity_spot_check", coer_margin >= 0.0, coer_margin))
@@ -274,10 +278,9 @@ def certify(bundle):
             note = sl.clf.epsilon_convention_note
             verdicts.append(Verdict("semilinear_theta_positive", sl.clf.theta > 0.0,
                                     sl.clf.theta, note))
-            F = cfg.semilinear.nonlinearity()
             sl_loop = semilinear_loop(eig, shapes, sl, eig.K)
-            _, vdot, bound = lyapunov_value_and_rate(W, C, norm_sq, Y, sl, sl_loop, shapes, eig, F)
-            sl_margin = float(np.min(bound + RATE_TOL_REL * (1.0 + np.abs(bound)) - vdot))
+            f = nonlinear_coefficients(cfg.semilinear.nonlinearity(), W, Y, shapes, eig, eig.K)
+            sl_margin = dissipation_margin(sl_loop, C, norm_sq, Y, sl_loop.controls(C, Y, f), f)
             verdicts.append(Verdict("semilinear_dissipation_spot_check",
                                     sl_margin >= 0.0, sl_margin))
         else:

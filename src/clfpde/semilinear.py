@@ -17,6 +17,9 @@ broadcast over an array of kappa, so the design's kappa search, the certify
 verdict and the tests' scans are one call each.  The linear one also
 broadcasts over the shift a of its head margin, which makes the domination
 controller's a search one more call.
+
+semilinear_loop is either controller's lyapunov.ClosedLoop, and
+nonlinear_coefficients projects F(u) at grid states for its controls and rate.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, NoAdmissibleA, NoAdmissibleZeta
-from .lyapunov import ClosedLoop, coupling_table, per_row, transform_state
+from .lyapunov import ClosedLoop, coupling_table
 from .reduced import gain_inverse
 from .spectral import project
 from .textio import write_csv
@@ -335,41 +338,28 @@ def build_semilinear_design(model, shapes, lbar, sigma, controller_kind, kappa=N
 def semilinear_loop(eigsys, shapes, design, n):
     """The loop of the first n modes under the design's controller.
 
-    The scalar weight R becomes R I; an uncertified design (no functional
-    parameters) gets unit weights, V = (|c|^2 + |y|^2) / 2.
+    The scalar weight R becomes R I and the decay bound is (theta, 1, 1); an
+    uncertified design (no functional parameters) gets unit weights,
+    V = (|c|^2 + |y|^2) / 2, and no decay bound.
     """
     N = design.N
     Kmat = np.zeros((N, n))
     Kmat[:, :N] = design.g * (design.sigma - design.lambdas)[None, :]
     clf = design.clf
     if clf is None:
-        R, gamma, omegas = np.eye(N), 1.0, np.ones(N)
+        R, gamma, omegas, decay = np.eye(N), 1.0, np.ones(N), None
     else:
         R, gamma, omegas = clf.R * np.eye(N), clf.gamma, clf.omegas
+        decay = (clf.theta, 1.0, np.ones(N))
     return ClosedLoop(eigsys.lambdas[:n], design.mus, coupling_table(shapes, eigsys, n),
                       Kmat, np.zeros(N), R, gamma, omegas,
-                      G=design.g if design.controller_kind == "nonlinear" else None)
+                      G=design.g if design.controller_kind == "nonlinear" else None,
+                      decay=decay)
 
 
-def lyapunov_value_and_rate(w, c, norm_sq, y, design, loop, shapes, eigsys, F):
-    """Evaluate the semilinear functional, its rate, and the certified bound.
-
-    loop is the design's semilinear_loop of n modes, and (c, norm_sq) =
-    lyapunov.modal_state(w, eigsys, n) is the grid state w in modal form;
-    F(u) is projected here.  Returns (V, Vdot, bound), floats at one grid
-    state and arrays per row of states (F is evaluated once, on all rows),
-    with bound = -theta (||w||^2 + sum y_i^2); the contract Vdot <= bound +
-    tol holds for certified designs under the design's own controller.
-    """
-    if design.clf is None:
-        raise ValueError("design carries no functional parameters (uncertified)")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    u = transform_state(w, y, shapes, "to_u")
-    f = project(F.evaluate(u), eigsys, loop.lambdas.size)
-    v = loop.controls(c, y, f)
-    V = loop.value(c, y, norm_sq)
-    bound = -design.clf.theta * (norm_sq + np.sum(y * y, axis=-1))
-    return per_row(V), loop.rate(c, y, v, f), per_row(bound)
+def nonlinear_coefficients(F, W, Y, shapes, eigsys, n):
+    """f_1..f_n = <phi_n, F(u)> at one grid state or per row of (W, Y), u = W + Y varphi."""
+    return project(F.evaluate(W + Y @ shapes.varphis), eigsys, n)
 
 
 def export_controller_coefficients_csv(design, path):

@@ -15,7 +15,8 @@ leaves all the stiffness in A and a non-stiff g; ETDRK4 (Cox & Matthews,
 J. Comput. Phys. 176, 2002) treats A exactly through phi-functions and g
 explicitly, four quadratures of F per step, each with u on the Gauss nodes.
 The recorded V is ClosedLoop.value, the same functional the certifier
-evaluates.
+evaluates; the recorded boundary columns are U = sum_i y_i and the raw
+boundary rates vbar_i = y_i' = v_i - mu_i y_i.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     QuadratureBudgetExceeded,
 )
 from .lyapunov import coupling_table  # noqa: F401  (perfbench/spans.py wraps this name)
-from .lyapunov import linear_loop, modal_state, transform_input
+from .lyapunov import linear_loop, modal_state
 from .semilinear import semilinear_loop
 from .spectral import ORTHONORMALITY_TOL, gauss_rule
 from .textio import write_csv
@@ -245,8 +246,7 @@ def _simulate(loop, nonlinear, c, y, cfg, sigma, **flags):
     coeffs, ys, vs = _records(loop, nonlinear, c, y, times, cfg.dt * cfg.record_stride)
     return Trajectory(times, coeffs, ys,
                       np.sqrt(np.sum(coeffs ** 2, axis=1)), np.sqrt(np.sum(ys ** 2, axis=1)),
-                      loop.value(coeffs, ys), np.sum(ys, axis=1), vs,
-                      transform_input(vs, ys, loop.mus, "to_vbar"), **flags)
+                      loop.value(coeffs, ys), np.sum(ys, axis=1), vs, vs - ys * loop.mus, **flags)
 
 
 def simulate_linear(eigsys, shapes, design, params, law, w0, y0, cfg):

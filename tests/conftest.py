@@ -3,6 +3,7 @@ import pytest
 
 from clfpde import pipeline
 from clfpde.presets import preset_config
+from clfpde.semilinear import nonlinear_coefficients
 from clfpde.spectral import Coefficient, SLProblem, eigensolve, make_grid
 
 
@@ -66,3 +67,11 @@ def random_modal_state(eigsys, j, rng, max_mode=40):
     n = min(eigsys.K, max_mode)
     amps = rng.standard_normal(n) / np.arange(1, n + 1) ** 2
     return amps @ eigsys.phis[:n], rng.standard_normal(j)
+
+
+def semilinear_value_rate_bound(loop, F, shapes, eigsys, w, c, norm_sq, y):
+    """(V, dV/dt, bound) of a semilinear loop over all eigsys.K modes at the grid state
+    (w, y), whose modal form is (c, norm_sq); one state or states as rows."""
+    f = nonlinear_coefficients(F, w, y, shapes, eigsys, eigsys.K)
+    return (loop.value(c, y, norm_sq), loop.rate(c, y, loop.controls(c, y, f), f),
+            loop.bound(norm_sq, y))

@@ -15,7 +15,6 @@ from clfpde.lyapunov import (
     feedback_controls,
     feedback_controls_modal,
     linear_loop,
-    lyapunov_rate_and_bound,
     modal_state,
 )
 from clfpde.presets import preset_config, two_mode_reference
@@ -102,7 +101,7 @@ def test_criterion_5_clf_certificate_suite():
         tol = 1e-6 * max(1.0, abs(V))
         coerc_ok &= (0.5 * lo * size - tol <= V <= 0.5 * hi * size + tol)
         v_quad = feedback_controls(law, w, y, eig)
-        vdot, bound = lyapunov_rate_and_bound(c, norm_sq, y, v_quad, params, loop)
+        vdot, bound = loop.rate(c, y, v_quad), loop.bound(norm_sq, y)
         diss_ok &= (vdot <= bound + 1e-6 * (1.0 + abs(bound)))
         v_modal = feedback_controls_modal(c, y, gains, params, loop.T)
         dual_worst = max(dual_worst, float(np.max(np.abs(v_quad - v_modal))))

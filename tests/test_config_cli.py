@@ -617,12 +617,20 @@ def test_reproduce_reports(tmp_path):
 
 
 SHIPPED = ("single_mode", "two_mode_semilinear")
-# sha256 of `clfpde simulate`'s trajectory.csv on each shipped config under BLAS_PIN.
+# sha256 of the files `clfpde simulate` writes on each shipped config under BLAS_PIN.
 # The last bits follow the BLAS kernel and thread count, so the pin fixes both;
 # Prescott (SSE3) is an OpenBLAS kernel every x86-64 processor runs.
-TRAJECTORY_SHA256 = {
-    "single_mode": "28c9f8fd87ff521c7c4b3844161f2d6204e437dce335bdbdb9828bc30309b787",
-    "two_mode_semilinear": "979bda648a8207d1e8990ef9e6360b2506067c8b144844677c679e7d395daa0c",
+SIMULATE_SHA256 = {
+    "single_mode": {
+        "trajectory.csv": "28c9f8fd87ff521c7c4b3844161f2d6204e437dce335bdbdb9828bc30309b787",
+        "artifact/design.txt": "e233915ac02c08bd0b6c16f6ff0664b5541a628e14c8dfd8bccafd41b4684b7f",
+        "report.txt": "cef748ac16b4a7920c958c3b249e792431a49e12add947617c8382eaeff6914d",
+    },
+    "two_mode_semilinear": {
+        "trajectory.csv": "979bda648a8207d1e8990ef9e6360b2506067c8b144844677c679e7d395daa0c",
+        "artifact/design.txt": "64b3d112bddd4765ad1ea81cbba10ecf9a8d1d5e77e514c30d3688d0676529d8",
+        "report.txt": "31c9acaa873fc53f4e97913c9e48b23594d3eac7984c567b970d420edee0f93c",
+    },
 }
 BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Prescott"}
 
@@ -633,6 +641,25 @@ def run_python(args, **env):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable] + args, capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path, **env))
+
+
+@pytest.mark.parametrize("args", [
+    ["design", "--config", "{dir}"],
+    ["design", "--config", str(CONFIGS / "single_mode.cfg"), "--out", "{file}"],
+    ["check", "--artifact", "{file}"],
+    ["export", "--traj", "{dir}"],
+    ["design", "--config", "{not_utf8}"],
+], ids=["config_is_a_directory", "out_is_a_file", "artifact_is_a_file",
+        "traj_is_a_directory", "config_not_utf8"])
+def test_cli_unusable_path_or_bytes_exits_2(tmp_path, args):
+    # an OS error on a path, or a file that is not UTF-8, is one error line, not a traceback
+    (tmp_path / "file").write_text("x\n")
+    (tmp_path / "bytes.cfg").write_bytes(b"\xff\xfe")
+    paths = {"dir": tmp_path, "file": tmp_path / "file", "not_utf8": tmp_path / "bytes.cfg"}
+    proc = run_python(["-m", "clfpde.cli"] + [a.format(**paths) for a in args] + ["--quiet"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_without_simulation_loads_no_scipy(tmp_path):
@@ -678,8 +705,9 @@ def test_cli_simulate_trajectory_bytes(tmp_path, name):
     proc = run_python(["-m", "clfpde.cli", "simulate", "--config", str(CONFIGS / f"{name}.cfg"),
                        "--out", str(out), "--quiet"], **BLAS_PIN)
     assert proc.returncode == 0, proc.stderr
-    digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
-    assert digest == TRAJECTORY_SHA256[name]
+    digests = {path: hashlib.sha256((out / path).read_bytes()).hexdigest()
+               for path in SIMULATE_SHA256[name]}
+    assert digests == SIMULATE_SHA256[name]
 
 
 def test_console_entry_point(tmp_path):

@@ -10,11 +10,8 @@ from clfpde.lyapunov import (
     feedback_controls,
     feedback_controls_modal,
     linear_loop,
-    lyapunov_rate_and_bound,
     modal_state,
     select_clf_params,
-    transform_input,
-    transform_state,
     weight_inequality_margins,
 )
 from clfpde.presets import single_mode_kernel_closed_form, single_mode_tail_sum
@@ -128,9 +125,10 @@ def rate_at(w, y, bundle, loop, v=None):
     """(dV/dt, bound) at the grid state (w, y), under the feedback law unless v is given."""
     eig = bundle.eigsys
     c, norm_sq = modal_state(w, eig, eig.K)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
     if v is None:
         v = feedback_controls(bundle.law, w, y, eig)
-    return lyapunov_rate_and_bound(c, norm_sq, y, v, bundle.params, loop)
+    return loop.rate(c, y, v), loop.bound(norm_sq, y)
 
 
 def test_value_trivial_zero(single_mode_bundle):
@@ -220,31 +218,18 @@ def test_kernel_truncation_guard(single_mode_bundle):
                            single_mode_bundle.shapes, single_mode_bundle.eigsys)
 
 
-# -- transformations ----------------------------------------------------------
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_state_transform_roundtrip(two_mode_bundle, seed):
-    shapes = two_mode_bundle.shapes
-    rng = np.random.default_rng(seed)
-    u, y = random_modal_state(two_mode_bundle.eigsys, 2, rng)
-    w = transform_state(u, y, shapes, "to_w")
-    back = transform_state(w, y, shapes, "to_u")
-    assert np.max(np.abs(back - u)) <= 1e-12 * max(1.0, np.max(np.abs(u)))
-
-
-def test_state_transform_zero_y(two_mode_bundle):
-    u, _ = random_modal_state(two_mode_bundle.eigsys, 2, np.random.default_rng(1))
-    assert np.array_equal(transform_state(u, [0.0, 0.0], two_mode_bundle.shapes, "to_w"), u)
-
+# -- transformed state --------------------------------------------------------
 
 def test_modal_relation_of_transformed_state(two_mode_bundle, grid):
     # c_n = integral of sin(n pi x) u - 4 (-1)^n n y_1 / ((25-4n^2) pi)
-    #       - 4 (-1)^n n y_2 / ((49-4n^2) pi), in the plain-sine convention
+    #       - 4 (-1)^n n y_2 / ((49-4n^2) pi), in the plain-sine convention,
+    # for the state w = u - sum_i y_i varphi_i that absorbs the boundary input,
+    # whose first shape has y_1' = -(5 pi^2/4) y_1 + v_1
     bundle = two_mode_bundle
+    assert abs(bundle.shapes.mus[0] - 5.0 * PI ** 2 / 4.0) < 1e-12
     rng = np.random.default_rng(11)
     u, y = random_modal_state(bundle.eigsys, 2, rng)
-    w = transform_state(u, y, bundle.shapes, "to_w")
+    w = u - y @ bundle.shapes.varphis
     c = project(w, bundle.eigsys, 2)
     for n in (1, 2):
         sin_n = np.sin(n * PI * grid.x)
@@ -255,23 +240,29 @@ def test_modal_relation_of_transformed_state(two_mode_bundle, grid):
         assert abs(c[n - 1] / S2 - expected) < 1e-9
 
 
-def test_input_transform(two_mode_bundle):
-    mus = two_mode_bundle.shapes.mus
-    assert np.all(transform_input([0.0, 0.0], [0.0, 0.0], mus, "to_vbar") == 0.0)
-    v = np.array([0.4, -0.7])
-    y = np.array([1.1, 0.2])
-    vbar = transform_input(v, y, mus, "to_vbar")
-    assert np.allclose(vbar, -mus * y + v)
-    assert abs(mus[0] - 5.0 * PI ** 2 / 4.0) < 1e-12   # y_1' = -(5 pi^2/4) y_1 + v_1
-    assert np.allclose(transform_input(vbar, y, mus, "to_v"), v)
-
-
 # -- derivative of the functional ---------------------------------------------
 
 def test_rate_trivial_zero(single_mode_bundle):
     bundle = single_mode_bundle
     vdot, bound = rate_at(np.zeros(bundle.grid.n_points), [0.0], bundle, loop_of(bundle))
     assert vdot == 0.0 and bound == 0.0
+
+
+def test_decay_bound_of_the_law_and_the_open_loop(single_mode_bundle):
+    # the law's bound is -1/2 (min(gamma lambda_{N+1}, sigma) ||w||^2 + sum_i omega_i mu_i y_i^2);
+    # the open loop certifies none
+    bundle = single_mode_bundle
+    eig, params, shapes = bundle.eigsys, bundle.params, bundle.shapes
+    loop = loop_of(bundle)
+    s, a, b = loop.decay
+    assert (s, a) == (0.5, min(params.gamma * eig.lambdas[bundle.model.N], params.sigma))
+    assert np.array_equal(b, params.omegas * shapes.mus)
+    y = np.array([0.7])
+    assert loop.bound(2.0, y) == -0.5 * (a * 2.0 + b[0] * (y[0] * y[0]))
+    open_loop = linear_loop(eig, shapes, bundle.gains, params, None, eig.K)
+    assert open_loop.decay is None
+    with pytest.raises(ValueError, match="no certified decay bound"):
+        open_loop.bound(2.0, y)
 
 
 @pytest.mark.parametrize("fixture", ["single_mode_bundle", "single_mode_bundle_L1"])

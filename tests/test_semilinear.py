@@ -9,7 +9,6 @@ from clfpde.lyapunov import (
     build_feedback_law,
     feedback_controls,
     linear_loop,
-    lyapunov_rate_and_bound,
     modal_state,
 )
 from clfpde.reduced import GainDesign, ReducedModel
@@ -20,7 +19,6 @@ from clfpde.semilinear import (
     gain_inverse,
     kappa_grid,
     linear_admissibility_margins,
-    lyapunov_value_and_rate,
     max_growth_bound,
     nonlinear_admissibility_margins,
     select_linear_clf_params,
@@ -29,7 +27,7 @@ from clfpde.semilinear import (
 )
 from clfpde.spectral import project
 
-from conftest import random_modal_state
+from conftest import random_modal_state, semilinear_value_rate_bound
 
 PI = np.pi
 S2 = np.sqrt(2.0)
@@ -98,8 +96,8 @@ def value_and_rate_at(w, y, bundle, loop, F):
     """(V, dV/dt, bound) of the bundle's semilinear design at the grid state (w, y)."""
     eig = bundle.eigsys
     c, norm_sq = modal_state(w, eig, eig.K)
-    return lyapunov_value_and_rate(w, c, norm_sq, y, bundle.sl_design, loop, bundle.shapes,
-                                   eig, F)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    return semilinear_value_rate_bound(loop, F, bundle.shapes, eig, w, c, norm_sq, y)
 
 
 def modal(values, n):
@@ -390,6 +388,10 @@ def test_uncertified_design_flagged(two_mode_bundle):
         sigma=1.0, controller_kind="nonlinear")
     assert not design.certified
     assert design.clf is None
+    loop = semilinear_loop(two_mode_bundle.eigsys, two_mode_bundle.shapes, design, 8)
+    assert loop.decay is None
+    with pytest.raises(ValueError, match="no certified decay bound"):
+        loop.bound(1.0, np.zeros(2))
 
 
 # -- functional evaluation -------------------------------------------------------
@@ -438,7 +440,6 @@ def test_zero_nonlinearity_cross_checks_linear_path(two_mode_bundle):
         V_sl, vdot_sl, _ = value_and_rate_at(w, y, bundle, sl_loop, F)
         c, norm_sq = modal_state(w, eig, eig.K)
         V_lin = lin_loop.value(c, y, norm_sq)
-        vdot_lin, _ = lyapunov_rate_and_bound(c, norm_sq, y, feedback_controls(law, w, y, eig),
-                                              params, lin_loop)
+        vdot_lin = lin_loop.rate(c, y, feedback_controls(law, w, y, eig))
         assert abs(V_sl - V_lin) <= 1e-12 * max(1.0, abs(V_lin))
         assert abs(vdot_sl - vdot_lin) <= 1e-9 * max(1.0, abs(vdot_lin))

@@ -14,7 +14,7 @@ from clfpde.errors import (
     RemainderTooLarge,
 )
 from clfpde.lyapunov import linear_loop, modal_state
-from clfpde.semilinear import NonlinearitySpec, lyapunov_value_and_rate, semilinear_loop
+from clfpde.semilinear import NonlinearitySpec, semilinear_loop
 from clfpde.presets import dirichlet_problem, preset_config
 from clfpde.shapes import build_shape_set
 from clfpde.sim import (
@@ -581,6 +581,12 @@ def assert_rate_matches_centred_difference(traj, h, rate_at, tol):
     assert np.max(np.abs(rates - fd)) <= tol * np.max(np.abs(rates))
 
 
+def assert_boundary_columns(traj, loop):
+    """vbar is the raw boundary rate y' = v - mu y and U = sum_i y_i, bit for bit."""
+    assert np.array_equal(traj.vbar, traj.v - traj.y * loop.mus)
+    assert np.array_equal(traj.U, traj.y.sum(axis=1))
+
+
 def test_linear_trajectory_V_is_the_certified_functional(single_mode_bundle):
     bundle = single_mode_bundle
     eig = bundle.eigsys
@@ -593,6 +599,7 @@ def test_linear_trajectory_V_is_the_certified_functional(single_mode_bundle):
         c, norm_sq = modal_state(traj.coeffs[k] @ eig.phis[:32], eig, 32)
         V = loop.value(c, traj.y[k], norm_sq)
         assert abs(V - traj.V[k]) <= 1e-12 * abs(traj.V[k])
+    assert_boundary_columns(traj, loop)
     # the exact propagator leaves only the O(h^2) error of the difference (5e-6)
     assert_rate_matches_centred_difference(
         traj, cfg.dt, lambda k: loop.rate(traj.coeffs[k], traj.y[k], traj.v[k]), 1e-4)
@@ -608,10 +615,10 @@ def test_semilinear_trajectory_V_is_the_certified_functional(two_mode_bundle):
     loop = semilinear_loop(eig, shapes, sl, 32)
     Phi = eig.phis[:32]
     for k in range(0, traj.samples, 50):
-        w = traj.coeffs[k] @ Phi
-        c, norm_sq = modal_state(w, eig, 32)
-        V, _, _ = lyapunov_value_and_rate(w, c, norm_sq, traj.y[k], sl, loop, shapes, eig, F)
+        c, norm_sq = modal_state(traj.coeffs[k] @ Phi, eig, 32)
+        V = loop.value(c, traj.y[k], norm_sq)
         assert abs(V - traj.V[k]) <= 1e-12 * abs(traj.V[k])
+    assert_boundary_columns(traj, loop)
 
     Phi_w = Phi * (eig.grid.weights * eig.r_samples)
 

@@ -22,12 +22,13 @@ from clfpde.lyapunov import (
     feedback_controls,
     feedback_controls_modal,
     linear_loop,
-    lyapunov_rate_and_bound,
     modal_state,
 )
 from clfpde.presets import preset_config
-from clfpde.semilinear import NonlinearitySpec, lyapunov_value_and_rate, semilinear_loop
+from clfpde.semilinear import NonlinearitySpec, semilinear_loop
 from clfpde.spectral import project
+
+from conftest import semilinear_value_rate_bound
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 ROW_RTOL = 1e-13
@@ -100,7 +101,7 @@ def per_state_margins(bundle):
         size = norm_sq + float(y @ y)
         ctol = pipeline.COERCIVITY_TOL_REL * max(1.0, abs(V))
         coer = min(coer, V - 0.5 * lo * size + ctol, 0.5 * hi * size - V + ctol)
-        vdot, bound = lyapunov_rate_and_bound(c, norm_sq, y, v_quad, params, loop)
+        vdot, bound = loop.rate(c, y, v_quad), loop.bound(norm_sq, y)
         diss = min(diss, bound + pipeline.RATE_TOL_REL * (1.0 + abs(bound)) - vdot)
     margins = {"kernel_dual_path": pipeline.DUAL_PATH_TOL - dual_dev,
                "coercivity_spot_check": coer, "dissipation_spot_check": diss}
@@ -110,8 +111,7 @@ def per_state_margins(bundle):
         sl_loop = semilinear_loop(eig, shapes, sl, eig.K)
         sl_margin = np.inf
         for (w, y), (c, norm_sq) in zip(states, modal):
-            _, vdot, bound = lyapunov_value_and_rate(w, c, norm_sq, y, sl, sl_loop, shapes,
-                                                     eig, F)
+            _, vdot, bound = semilinear_value_rate_bound(sl_loop, F, shapes, eig, w, c, norm_sq, y)
             sl_margin = min(sl_margin, bound + pipeline.RATE_TOL_REL * (1.0 + abs(bound)) - vdot)
         margins["semilinear_dissipation_spot_check"] = sl_margin
     return margins
@@ -181,11 +181,9 @@ def test_batched_evaluators_match_the_1d_calls_row_by_row(plant):
     assert_rows_match(feedback_controls_modal(C, Y, gains, params, loop.T),
                       [feedback_controls_modal(c, y, gains, params, loop.T)
                        for c, _, y, _ in states])
-    vdot, bound = lyapunov_rate_and_bound(C, norm_sq, Y, V_quad, params, loop)
-    singles = [lyapunov_rate_and_bound(c, n, y, v, params, loop) for c, n, y, v in states]
-    assert all(type(a) is float and type(b) is float for a, b in singles)
-    assert_rows_match(vdot, [a for a, _ in singles])
-    assert_rows_match(bound, [b for _, b in singles])
+    bounds = [loop.bound(n, y) for _, n, y, _ in states]
+    assert all(type(b) is float for b in bounds)
+    assert_rows_match(loop.bound(norm_sq, Y), bounds)
 
     assert_rows_match(loop.controls(C, Y), [loop.controls(c, y) for c, _, y, _ in states])
     assert_rows_match(loop.value(C, Y, norm_sq), [loop.value(c, y, n) for c, n, y, _ in states])
@@ -197,10 +195,10 @@ def test_batched_evaluators_match_the_1d_calls_row_by_row(plant):
     if sl is not None:
         F = plant.config.semilinear.nonlinearity()
         sl_loop = semilinear_loop(eig, shapes, sl, eig.K)
-        batched = lyapunov_value_and_rate(W, C, norm_sq, Y, sl, sl_loop, shapes, eig, F)
-        singles = [lyapunov_value_and_rate(w, c, n, y, sl, sl_loop, shapes, eig, F)
+        batched = semilinear_value_rate_bound(sl_loop, F, shapes, eig, W, C, norm_sq, Y)
+        singles = [semilinear_value_rate_bound(sl_loop, F, shapes, eig, w, c, n, y)
                    for w, (c, n, y, _) in zip(W, states)]
-        assert all(type(x) is float for single in singles for x in single)
+        assert all(type(x) is float for single in singles for x in single[1:])
         for k in range(3):
             assert_rows_match(batched[k], [single[k] for single in singles])
 
