@@ -38,7 +38,6 @@ from .lyapunov import (            # noqa: F401
     ClosedLoop,
     FeedbackLaw,
     build_feedback_law,
-    feedback_controls,
     linear_loop,
     select_clf_params,
 )

@@ -38,6 +38,7 @@ from .textio import (
     parse_sections,
     parse_value,
     read_csv,
+    read_text,
     row_key,
     write_csv,
 )
@@ -174,8 +175,7 @@ def _check_value(path, section, key, kind, stored, derived):
 def load_artifact(out_dir):
     cfg = load_config(os.path.join(out_dir, "config.cfg"))
     design_path = os.path.join(out_dir, "design.txt")
-    with open(design_path) as fh:
-        sections = parse_sections(fh.read())
+    sections = parse_sections(read_text(design_path))
     verdicts = _parse_verdict_lines(sections.pop("verdicts", {}), design_path)
     grid = make_grid(cfg.n_points)
     cfg.problem.validate_on_grid(grid)

@@ -155,7 +155,7 @@ def build_parser():
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required, help="run configuration file")
         p.add_argument("--out", help="output directory (falls back to CLF_OUT_DIR)")
-        p.add_argument("--seed", type=int, help="override configured seed")
+        p.add_argument("--seed", type=int, help="seed of the semilinear spot-check states")
         p.add_argument("--modes", type=int, help="override simulation mode count")
         p.add_argument("--dt", type=float, help="override simulation time step")
         p.add_argument("--quiet", action="store_true", help="suppress stdout")
@@ -197,7 +197,7 @@ def main(argv=None):
         parser.error("check needs --artifact or --config")
     try:
         return args.func(args)
-    except (ConfigError, NonPositiveCoefficient, OSError, UnicodeDecodeError) as exc:
+    except (ConfigError, NonPositiveCoefficient, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Instability as exc:

@@ -21,7 +21,8 @@ from .errors import ConfigError
 from .semilinear import NonlinearitySpec
 from .sim import INTEGRATOR, SimConfig
 from .spectral import Coefficient, SLProblem
-from .textio import BOOL, FLOAT, FLOATS, INT, STR, Kind, floats, parse_sections, parse_value, vec
+from .textio import (BOOL, FLOAT, FLOATS, INT, STR, Kind, floats, parse_sections, parse_value,
+                     read_text, vec)
 
 
 def _parse_coefficient(text):
@@ -165,8 +166,7 @@ class RunConfig:
 
 
 def load_config(path):
-    with open(path) as fh:
-        return config_from_text(fh.read())
+    return config_from_text(read_text(path))
 
 
 # Every config key, in file order: (section, key, attribute, kind).  The

@@ -13,9 +13,10 @@ c_n = <phi_n, w>.  The feedback is v_i = <k_i, w> - omega_i L_i y_i with
 grid kernels k_i spanning modes up to the truncation index M.
 
 ClosedLoop is the one modal form of a designed loop: its operator A, its
-control map, V, dV/dt and the certified decay bound that dV/dt must stay
-below.  The simulator and the certifier read it; linear_loop builds it for
-this feedback law (or the open loop), semilinear.semilinear_loop for the
+control map, V, dV/dt, the certified decay bound that dV/dt must stay below
+and, for a linear loop, the exact form that decides that bound on the PDE.
+The simulator and the certifier read it; linear_loop builds it for this
+feedback law (or the open loop), semilinear.semilinear_loop for the
 cancellation and domination controllers.
 """
 
@@ -86,15 +87,15 @@ class ClosedLoop:
     def N(self):
         return self.R.shape[0]
 
+    @property
+    def Kv(self):
+        """[Kmat, -diag(y_gains)]: v = Kv z for z = (c, y), f = 0."""
+        return np.hstack([self.Kmat, -np.diag(self.y_gains)])
+
     def matrix(self):
-        """A of the linear loop z' = A z (f = 0)."""
-        n, j = self.T.shape
-        A = np.zeros((n + j, n + j))
-        A[:n, :n] = -np.diag(self.lambdas) - self.T @ self.Kmat
-        A[:n, n:] = self.T * self.y_gains[None, :]
-        A[n:, :n] = self.Kmat
-        A[n:, n:] = -np.diag(self.mus + self.y_gains)
-        return A
+        """A of the linear loop z' = A z (f = 0): diag(-lambda, -mu) + [-T; I] Kv."""
+        return np.diag(-np.concatenate([self.lambdas, self.mus])) \
+            + np.vstack([-self.T, np.eye(self.mus.size)]) @ self.Kv
 
     def controls(self, c, y, f=None):
         """v at one state or per row of (c, y); f enters only under the cancellation gain."""
@@ -110,7 +111,8 @@ class ClosedLoop:
         if norm_sq is None:
             norm_sq = np.sum(C * C, axis=-1)
         quad = np.sum((CN @ self.R.T) * CN, axis=-1)
-        return 0.5 * quad + 0.5 * self.gamma * (norm_sq - head_sq) + 0.5 * ((Y * Y) @ self.omegas)
+        return per_row(0.5 * quad + 0.5 * self.gamma * (norm_sq - head_sq)
+                       + 0.5 * ((Y * Y) @ self.omegas))
 
     def rate(self, c, y, v, f=0.0):
         """dV/dt at one state or per row of (c, y) under controls v, c over all n modes."""
@@ -127,6 +129,34 @@ class ClosedLoop:
             raise ValueError("no certified decay bound: open loop or uncertified design")
         s, a, b = self.decay
         return per_row(-s * (a * norm_sq + (y * y) @ b))
+
+    def dissipation(self, shape_norms_sq, slack=0.0):
+        """Margin of dV/dt <= (1 - slack) bound on the PDE, for the linear loop (f = 0).
+
+        dV/dt - (1 - slack) bound = z^T D z, D = sym(W A) + (1 - slack) s diag(a I, b),
+        W = diag(R, gamma I, omega).  Past the head (the modes Kv reads, at least N,
+        plus y) D is diagonal, -(gamma lambda_n - s a), coupled to the head by
+        -gamma/2 T_n Kv; by Parseval the uncomputed modes add at most gamma^2 |tau|^2
+        Kv^T Kv / (4 (gamma lambda_n - s a)), tau_i^2 = ||varphi_i||^2 - sum_m T_{m,i}^2.
+        Margin: -lambda_max of the head's Schur complement (the least tail entry if <= 0).
+        """
+        (s, a, b), (n, j) = self.decay, self.T.shape
+        s = (1.0 - slack) * s
+        h = max([self.N, *(np.flatnonzero(self.Kmat.any(axis=0)) + 1)])    # the head
+        tail = self.gamma * self.lambdas[h:] - s * a
+        beyond = self.gamma * self.lambdas[-1] - s * a
+        least = min(beyond, float(np.min(tail, initial=np.inf)))
+        if least <= 0.0:
+            return float(least)
+        tau_sq = float(np.sum(np.maximum(0.0, shape_norms_sq - np.sum(self.T * self.T, axis=0))))
+        coupling = (self.T[h:] / tail[:, None]).T @ self.T[h:] + (tau_sq / beyond) * np.eye(j)
+        head = np.r_[:h, n:n + j]
+        Kv, A = self.Kv[:, head], self.matrix()[np.ix_(head, head)]
+        w = np.concatenate([np.full(h - self.N, self.gamma), self.omegas])
+        WA = np.vstack([self.R @ A[:self.N], w[:, None] * A[self.N:]])
+        S = 0.5 * (WA + WA.T) + np.diag(s * np.concatenate([np.full(h, a), b])) \
+            + (0.25 * self.gamma ** 2) * (Kv.T @ coupling @ Kv)
+        return float(-np.linalg.eigvalsh(S)[-1])
 
 
 def per_row(x):
@@ -147,9 +177,15 @@ def linear_loop(eigsys, shapes, design, params, law, n):
     else:
         Kmat[:, :law.M] = law.kernel_coeffs
         y_gains, R, gamma, omegas = law.y_gains, design.R, params.gamma, params.omegas
-        decay = (0.5, min(gamma * eigsys.lambdas[R.shape[0]], params.sigma), omegas * shapes.mus)
+        decay = law_decay(params, design, shapes, eigsys)
     return ClosedLoop(eigsys.lambdas[:n], shapes.mus, coupling_table(shapes, eigsys, n),
                       Kmat, y_gains, R, gamma, omegas, decay=decay)
+
+
+def law_decay(params, design, shapes, eigsys):
+    """(s, a, b) of the law's decay bound: (1/2, min(gamma lambda_{N+1}, sigma), omega mu)."""
+    a = min(params.gamma * eigsys.lambdas[design.R.shape[0]], params.sigma)
+    return 0.5, a, params.omegas * shapes.mus
 
 
 def modal_state(w, eigsys, n, rel=REMAINDER_ENERGY_REL):
@@ -273,32 +309,9 @@ def build_feedback_law(design, params, shapes, eigsys):
                        shapes.mus.copy(), params.M, N)
 
 
-def feedback_controls(law, w, y, eigsys):
-    """Transformed controls v_i = <k_i, w> - omega_i L_i y_i, at one state or per row."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return eigsys.inner(law.kernels, w).T - law.y_gains * y
-
-
-def feedback_controls_modal(c, y, design, params, coupling):
-    """Inner-product form of the same law, from modal coefficients (one state or rows).
-
-    c must cover at least M modes; coupling is the <varphi_i, phi_n> table.
-    Agreement of this path with the kernel quadrature path is a standing
-    verification target.
-    """
-    N = design.K.shape[1]
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    base = c[..., :N] @ design.K.T
-    g_term = (c[..., :N] @ design.R.T) @ coupling[:N]                # <Gw, varphi_i>
-    tail_term = params.gamma * (c[..., N:params.M] @ coupling[N:params.M])
-    return base + params.Ls * (g_term + tail_term - params.omegas * y)
-
-
 def guaranteed_decay_rate(params, design, shapes, eigsys):
-    """Conservative exponential rate implied by the dissipation and coercivity bounds."""
-    N = design.K.shape[1]
-    num = min(float(np.min(params.omegas * shapes.mus)),
-              min(params.gamma * eigsys.lambdas[N], params.sigma))
+    """Conservative exponential rate implied by the law's decay bound and coercivity."""
+    s, a, b = law_decay(params, design, shapes, eigsys)
     _, hi = coercivity_constants(params, design)
-    return 0.5 * num / hi
+    return s * min(float(np.min(b)), a) / hi
 

@@ -20,8 +20,6 @@ from .lyapunov import (
     FeedbackLaw,
     build_feedback_law,
     coercivity_constants,
-    feedback_controls,
-    feedback_controls_modal,
     linear_loop,
     modal_state,
     select_clf_params,
@@ -74,7 +72,6 @@ from .spectral import (
 SPOT_CHECK_STATES = 20
 DUAL_PATH_TOL = 1e-8
 RATE_TOL_REL = 1e-6
-COERCIVITY_TOL_REL = 1e-6
 CLOSED_FORM_B_TOL = 1e-7
 
 
@@ -142,8 +139,7 @@ def design_from_eigensystem(cfg, eigsys):
 def random_states(eigsys, j, count, seed):
     """Seeded smooth random states within the computed modal span, as rows (W, Y).
 
-    Each state draws its n mode amplitudes and then its j boundary values,
-    so one (count, n + j) draw keeps that order; W = amplitudes @ phis.
+    One (count, n + j) draw keeps each state's order: n mode amplitudes, then j boundary values.
     """
     n = min(eigsys.K, 40)
     draws = np.random.default_rng(seed).standard_normal((count, n + j))
@@ -151,21 +147,10 @@ def random_states(eigsys, j, count, seed):
     return (draws[:, :n] * decay) @ eigsys.phis[:n], draws[:, n:]
 
 
-def dissipation_margin(loop, C, norm_sq, Y, v, f=0.0):
-    """Worst row of the loop's decay bound, plus RATE_TOL_REL of it, minus dV/dt under v."""
-    bound = loop.bound(norm_sq, Y)
-    return float(np.min(bound + RATE_TOL_REL * (1.0 + np.abs(bound)) - loop.rate(C, Y, v, f)))
-
-
 def certify(bundle):
     """Compute the verdict list for a design bundle and store it."""
-    cfg = bundle.config
-    eig = bundle.eigsys
-    shapes = bundle.shapes
-    model = bundle.model
-    gains = bundle.gains
-    params = bundle.params
-    law = bundle.law
+    cfg, eig, shapes, model = bundle.config, bundle.eigsys, bundle.shapes, bundle.model
+    gains, params, law = bundle.gains, bundle.params, bundle.law
     verdicts = []
 
     gram_dev, res, tol = eig.contracts
@@ -231,26 +216,15 @@ def certify(bundle):
     verdicts.append(Verdict("clf_kernel_truncation", trunc_m >= 0.0, trunc_m,
                             f"M={params.M}"))
 
-    # The spot checks run on all states at once, one row per state, each
-    # projected once; each margin is the worst row of its formula.
-    W, Y = random_states(eig, shapes.j, SPOT_CHECK_STATES, cfg.seed)
-    C, norm_sq = modal_state(W, eig, eig.K)
-    v_quad = feedback_controls(law, W, Y, eig)
-    v_modal = feedback_controls_modal(C, Y, gains, params, loop.T)
-    dual_dev = float(np.max(np.abs(v_quad - v_modal)))
-
-    lo, hi = coercivity_constants(params, gains)
-    V = loop.value(C, Y, norm_sq)
-    size = norm_sq + np.sum(Y * Y, axis=1)
-    ctol = COERCIVITY_TOL_REL * np.maximum(1.0, np.abs(V))
-    coer_margin = float(np.min(np.minimum(V - 0.5 * lo * size + ctol,
-                                          0.5 * hi * size - V + ctol)))
-
-    diss_margin = dissipation_margin(loop, C, norm_sq, Y, v_quad)
+    # exact forms: the kernels' modes against Kmat, W's least eigenvalue, dV/dt on the PDE
+    gap = np.linalg.norm(eig.inner(law.kernels, eig.phis) - loop.Kmat, axis=1)
+    dual_dev = float(np.max(gap / np.maximum(1.0, np.linalg.norm(loop.Kmat, axis=1))))
     verdicts.append(Verdict("kernel_dual_path", dual_dev <= DUAL_PATH_TOL,
                             DUAL_PATH_TOL - dual_dev))
-    verdicts.append(Verdict("coercivity_spot_check", coer_margin >= 0.0, coer_margin))
-    verdicts.append(Verdict("dissipation_spot_check", diss_margin >= 0.0, diss_margin))
+    lo, _ = coercivity_constants(params, gains)
+    verdicts.append(Verdict("coercivity", lo > 0.0, lo))
+    diss_margin = loop.dissipation(shapes.norms_sq, RATE_TOL_REL)
+    verdicts.append(Verdict("dissipation", diss_margin >= 0.0, diss_margin))
 
     if bundle.sl_design is not None:
         sl = bundle.sl_design
@@ -278,9 +252,14 @@ def certify(bundle):
             note = sl.clf.epsilon_convention_note
             verdicts.append(Verdict("semilinear_theta_positive", sl.clf.theta > 0.0,
                                     sl.clf.theta, note))
+            # worst row over the seeded states of the bound, plus RATE_TOL_REL of it, minus dV/dt
+            W, Y = random_states(eig, shapes.j, SPOT_CHECK_STATES, cfg.seed)
+            C, norm_sq = modal_state(W, eig, eig.K)
             sl_loop = semilinear_loop(eig, shapes, sl, eig.K)
             f = nonlinear_coefficients(cfg.semilinear.nonlinearity(), W, Y, shapes, eig, eig.K)
-            sl_margin = dissipation_margin(sl_loop, C, norm_sq, Y, sl_loop.controls(C, Y, f), f)
+            bound = sl_loop.bound(norm_sq, Y)
+            sl_margin = float(np.min(bound + RATE_TOL_REL * (1.0 + np.abs(bound))
+                                     - sl_loop.rate(C, Y, sl_loop.controls(C, Y, f), f)))
             verdicts.append(Verdict("semilinear_dissipation_spot_check",
                                     sl_margin >= 0.0, sl_margin))
         else:

@@ -96,10 +96,18 @@ def write_csv(path, header, rows):
             fh.write(",".join(map(str, row)) + "\r\n")
 
 
+def read_text(path):
+    """The UTF-8 text of a file; bytes that do not decode are a ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not utf-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def read_csv(path):
     """Load a table into (header names, float matrix with one row per record)."""
-    with open(path) as fh:
-        lines = fh.readlines()
+    lines = read_text(path).splitlines(keepends=True)
     try:
         if len(lines) < 2:
             raise ValueError("needs a header row and at least one data row")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,40 @@ from clfpde import pipeline
 from clfpde.presets import preset_config
 from clfpde.semilinear import nonlinear_coefficients
 from clfpde.spectral import Coefficient, SLProblem, eigensolve, make_grid
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def shipped_text(name, *edits):
+    text = (CONFIGS / name).read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+PLANTS = {
+    "single_mode": lambda: shipped_text("single_mode.cfg"),
+    "two_mode_semilinear": lambda: shipped_text("two_mode_semilinear.cfg"),
+    # the benchmark's design_sweep plant with its first setting of seed 1
+    "design_sweep": lambda: shipped_text(
+        "single_mode.cfg",
+        ("\np = 1.0", "\np = poly: 1.0 0.3 -0.2"),
+        ("\nq = -19.739208802178716", "\nq = poly: -20.0 5.0"),
+        ("\nr = 1.0", "\nr = poly: 1.0 0.2"),
+        ("\nmodes = 96", "\nmodes = 48"), ("n_modes = 64", "n_modes = 32"), ("\nN = 1", "\nN = 2"),
+        ("mus = 41.94581870462977", "mus = 99.80827166366575"),
+        ("sigma = 1.0", "sigma = 2.7069256484551105 0.6212977436079088"),
+        ("gain_mode = closed_form", "gain_mode = pole_placement"),
+        ("Ls = 0.0", "Ls = 0.22966794144270186"), ("seed = 0", "seed = 1")),
+    # the single-mode plant with q = -12 and a Robin end at x = 0
+    "robin": lambda: shipped_text(
+        "single_mode.cfg",
+        ("q = -19.739208802178716", "q = -12.0"), ("\nmodes = 96", "\nmodes = 48"),
+        ("n_modes = 64", "n_modes = 32"),
+        ("b1 = 1.0", "b1 = 0.8253356149096783"), ("b2 = 0.0", "b2 = 0.5646424733950354")),
+}
 
 
 @pytest.fixture(scope="session")

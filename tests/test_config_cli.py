@@ -623,13 +623,13 @@ SHIPPED = ("single_mode", "two_mode_semilinear")
 SIMULATE_SHA256 = {
     "single_mode": {
         "trajectory.csv": "28c9f8fd87ff521c7c4b3844161f2d6204e437dce335bdbdb9828bc30309b787",
-        "artifact/design.txt": "e233915ac02c08bd0b6c16f6ff0664b5541a628e14c8dfd8bccafd41b4684b7f",
-        "report.txt": "cef748ac16b4a7920c958c3b249e792431a49e12add947617c8382eaeff6914d",
+        "artifact/design.txt": "bc3f41012f849ed45c976e0fe2c45f2d30fb514ba18f92533a4cbf1f15466f49",
+        "report.txt": "479e9eaf9899770318d646b7bfea480d650940c3acfd0bfafb92d4b0d448ef5c",
     },
     "two_mode_semilinear": {
         "trajectory.csv": "979bda648a8207d1e8990ef9e6360b2506067c8b144844677c679e7d395daa0c",
-        "artifact/design.txt": "64b3d112bddd4765ad1ea81cbba10ecf9a8d1d5e77e514c30d3688d0676529d8",
-        "report.txt": "31c9acaa873fc53f4e97913c9e48b23594d3eac7984c567b970d420edee0f93c",
+        "artifact/design.txt": "76fed1f2deb3df9e637f2901274b6f309a5c14a5842156bb6206fdd8777df63e",
+        "report.txt": "f2daea4f261d64b9060fbb2abce48022e665895c1301575c25676a95eb0d4979",
     },
 }
 BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Prescott"}
@@ -649,10 +649,12 @@ def run_python(args, **env):
     ["check", "--artifact", "{file}"],
     ["export", "--traj", "{dir}"],
     ["design", "--config", "{not_utf8}"],
+    ["export", "--traj", "{not_utf8}"],
 ], ids=["config_is_a_directory", "out_is_a_file", "artifact_is_a_file",
-        "traj_is_a_directory", "config_not_utf8"])
+        "traj_is_a_directory", "config_not_utf8", "traj_not_utf8"])
 def test_cli_unusable_path_or_bytes_exits_2(tmp_path, args):
-    # an OS error on a path, or a file that is not UTF-8, is one error line, not a traceback
+    # an OS error on a path, or a file that is not UTF-8, is one error line that
+    # names the path, not a traceback
     (tmp_path / "file").write_text("x\n")
     (tmp_path / "bytes.cfg").write_bytes(b"\xff\xfe")
     paths = {"dir": tmp_path, "file": tmp_path / "file", "not_utf8": tmp_path / "bytes.cfg"}
@@ -660,6 +662,7 @@ def test_cli_unusable_path_or_bytes_exits_2(tmp_path, args):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+    assert next(a for a in args if a.startswith("{")).format(**paths) in proc.stderr
 
 
 def test_cli_without_simulation_loads_no_scipy(tmp_path):

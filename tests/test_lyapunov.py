@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clfpde import pipeline
+from clfpde.config import config_from_text
 from clfpde.errors import KernelTruncationExceedsModes, RemainderTooLarge, TailBoundFailed
 from clfpde.lyapunov import (
     build_feedback_law,
     coercivity_constants,
-    coupling_table,
-    feedback_controls,
-    feedback_controls_modal,
     linear_loop,
     modal_state,
     select_clf_params,
@@ -17,7 +16,7 @@ from clfpde.lyapunov import (
 from clfpde.presets import single_mode_kernel_closed_form, single_mode_tail_sum
 from clfpde.spectral import project
 
-from conftest import random_modal_state
+from conftest import PLANTS, random_modal_state
 
 PI = np.pi
 S2 = np.sqrt(2.0)
@@ -127,7 +126,7 @@ def rate_at(w, y, bundle, loop, v=None):
     c, norm_sq = modal_state(w, eig, eig.K)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if v is None:
-        v = feedback_controls(bundle.law, w, y, eig)
+        v = loop.controls(c, y)
     return loop.rate(c, y, v), loop.bound(norm_sq, y)
 
 
@@ -174,17 +173,25 @@ def test_zero_L_kernel_reduction(single_mode_bundle):
     assert np.max(np.abs(bundle.law.kernels - direct)) <= 1e-10
 
 
+def grid_controls(law, w, y, eig):
+    """The law's controls from its grid kernels: v_i = <k_i, w> - omega_i L_i y_i."""
+    return eig.inner(law.kernels, w).T - law.y_gains * np.asarray(y, dtype=float)
+
+
 def test_kernel_dual_path(single_mode_bundle_L1):
+    # the grid kernels project onto the loop's modal gains, and so the grid
+    # and modal controls agree at every state
     bundle = single_mode_bundle_L1
     eig = bundle.eigsys
-    coupling = coupling_table(bundle.shapes, eig, eig.K)
+    loop = loop_of(bundle)
+    assert np.max(np.abs(eig.inner(bundle.law.kernels, eig.phis) - loop.Kmat)) \
+        <= 1e-8 * max(1.0, np.max(np.abs(loop.Kmat)))
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(100):
         w, y = random_modal_state(eig, 1, rng)
-        v_quad = feedback_controls(bundle.law, w, y, eig)
-        c = project(w, eig, eig.K)
-        v_modal = feedback_controls_modal(c, y, bundle.gains, bundle.params, coupling)
+        v_quad = grid_controls(bundle.law, w, y, eig)
+        v_modal = loop.controls(project(w, eig, eig.K), y)
         worst = max(worst, float(np.max(np.abs(v_quad - v_modal))))
     assert worst <= 1e-8
 
@@ -192,19 +199,19 @@ def test_kernel_dual_path(single_mode_bundle_L1):
 def test_feedback_trivials(single_mode_bundle):
     bundle = single_mode_bundle
     eig = bundle.eigsys
-    v = feedback_controls(bundle.law, np.zeros(eig.grid.n_points), [0.0], eig)
+    v = grid_controls(bundle.law, np.zeros(eig.grid.n_points), [0.0], eig)
     assert np.all(v == 0.0)
     # L = 0: controls are independent of y
     w, _ = random_modal_state(eig, 1, np.random.default_rng(0))
-    v1 = feedback_controls(bundle.law, w, [0.0], eig)
-    v2 = feedback_controls(bundle.law, w, [5.0], eig)
+    v1 = grid_controls(bundle.law, w, [0.0], eig)
+    v2 = grid_controls(bundle.law, w, [5.0], eig)
     assert np.allclose(v1, v2)
 
 
 def test_feedback_coefficient_pickoff(single_mode_bundle):
     # evaluating the law on the first eigenfunction picks off the gain entry
     bundle = single_mode_bundle
-    v = feedback_controls(bundle.law, bundle.eigsys.phis[0], [0.0], bundle.eigsys)
+    v = grid_controls(bundle.law, bundle.eigsys.phis[0], [0.0], bundle.eigsys)
     assert abs(v[0] - bundle.gains.K[0, 0]) < 1e-8 * abs(bundle.gains.K[0, 0])
 
 
@@ -300,3 +307,65 @@ def test_remainder_guard(single_mode_bundle):
     w = np.sin(150.5 * PI * x)      # far beyond the computed span
     with pytest.raises(RemainderTooLarge):
         rate_at(w, [0.0], bundle, loop_of(bundle))
+
+
+# -- the dissipation form ------------------------------------------------------
+
+def at_safety(name, safety):
+    """A PLANTS design at the given [clf] safety, certified."""
+    text = PLANTS[name]()
+    assert "safety = 2.0" in text
+    bundle = pipeline.design(config_from_text(text.replace("safety = 2.0", f"safety = {safety}")))
+    pipeline.certify(bundle)
+    return bundle
+
+
+def weight(loop):
+    """W = diag(R, gamma I, omega), the weight of z = (c, y) in V = z^T W z / 2."""
+    n = loop.lambdas.size
+    W = np.diag(np.concatenate([np.full(n, loop.gamma), loop.omegas]))
+    W[:loop.N, :loop.N] = loop.R
+    return W
+
+
+def dense_form(loop, slack):
+    """sym(W A) + (1 - slack) s diag(a I, b) on all the loop's modes, written out."""
+    s, a, b = loop.decay
+    WA = weight(loop) @ loop.matrix()
+    bound = np.concatenate([np.full(loop.lambdas.size, a), b])
+    return 0.5 * (WA + WA.T) + np.diag((1.0 - slack) * s * bound)
+
+
+@pytest.fixture(scope="module", params=[(name, safety) for name in sorted(PLANTS)
+                                        for safety in ("2.0", "0.1")],
+                ids=lambda p: f"{p[0]}@{p[1]}")
+def plant_at_safety(request):
+    return at_safety(*request.param)
+
+
+def test_dissipation_sign_matches_the_dense_form(plant_at_safety):
+    # the Schur form (tail diagonal, Parseval term past K) and a dense eigvalsh
+    # of the whole computed form decide alike; W's least eigenvalue is coercivity's
+    bundle = plant_at_safety
+    loop = loop_of(bundle)
+    verdicts = {v.name: v for v in bundle.verdicts}
+    margin = loop.dissipation(bundle.shapes.norms_sq, pipeline.RATE_TOL_REL)
+    dense = float(np.linalg.eigvalsh(dense_form(loop, pipeline.RATE_TOL_REL))[-1])
+    assert dense != 0.0
+    assert (margin >= 0.0) == (dense < 0.0)
+    assert verdicts["dissipation"].margin == margin
+    assert verdicts["dissipation"].passed == (margin >= 0.0)
+    lo = float(np.linalg.eigvalsh(weight(loop))[0])
+    assert abs(verdicts["coercivity"].margin - lo) <= 1e-12 * lo
+
+
+def test_non_dissipative_design_fails_dissipation():
+    # at safety 0.1, V of two_mode_semilinear's linear law grows in some
+    # direction (sym(W A) alone has a positive eigenvalue), which 20 random
+    # states missed: the form fails there
+    bundle = at_safety("two_mode_semilinear", "0.1")
+    loop = loop_of(bundle)
+    assert np.linalg.eigvalsh(dense_form(loop, 1.0))[-1] > 0.0
+    verdict = {v.name: v for v in bundle.verdicts}["dissipation"]
+    assert not verdict.passed
+    assert verdict.margin == pytest.approx(-8.4e-3, rel=0.01)

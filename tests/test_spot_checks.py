@@ -1,14 +1,14 @@
-"""certify's spot checks run as one batched pass over the random states.
+"""certify's semilinear spot check runs as one batched pass over the random states.
 
-The batched margins are checked against a per-state reference written here
+Its batched margin is checked against a per-state reference written here
 with the 1-D evaluator calls, every batched evaluator is checked row by row
 against its 1-D call, and a count guard keeps the pass batched, with the
-states projected once.
+states projected once.  A linear design draws no random states: its
+verdicts are exact forms (test_lyapunov).
 """
 
 import importlib
 import pkgutil
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,52 +17,14 @@ import clfpde
 from clfpde import pipeline, semilinear
 from clfpde.config import config_from_text
 from clfpde.errors import RemainderTooLarge
-from clfpde.lyapunov import (
-    coercivity_constants,
-    feedback_controls,
-    feedback_controls_modal,
-    linear_loop,
-    modal_state,
-)
+from clfpde.lyapunov import linear_loop, modal_state
 from clfpde.presets import preset_config
 from clfpde.semilinear import NonlinearitySpec, semilinear_loop
 from clfpde.spectral import project
 
-from conftest import semilinear_value_rate_bound
+from conftest import PLANTS, semilinear_value_rate_bound
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 ROW_RTOL = 1e-13
-
-
-def shipped_text(name, *edits):
-    text = (CONFIGS / name).read_text()
-    for old, new in edits:
-        assert old in text
-        text = text.replace(old, new)
-    return text
-
-
-PLANTS = {
-    "single_mode": lambda: shipped_text("single_mode.cfg"),
-    "two_mode_semilinear": lambda: shipped_text("two_mode_semilinear.cfg"),
-    # the benchmark's design_sweep plant with its first setting of seed 1
-    "design_sweep": lambda: shipped_text(
-        "single_mode.cfg",
-        ("\np = 1.0", "\np = poly: 1.0 0.3 -0.2"),
-        ("\nq = -19.739208802178716", "\nq = poly: -20.0 5.0"),
-        ("\nr = 1.0", "\nr = poly: 1.0 0.2"),
-        ("\nmodes = 96", "\nmodes = 48"), ("n_modes = 64", "n_modes = 32"), ("\nN = 1", "\nN = 2"),
-        ("mus = 41.94581870462977", "mus = 99.80827166366575"),
-        ("sigma = 1.0", "sigma = 2.7069256484551105 0.6212977436079088"),
-        ("gain_mode = closed_form", "gain_mode = pole_placement"),
-        ("Ls = 0.0", "Ls = 0.22966794144270186"), ("seed = 0", "seed = 1")),
-    # the single-mode plant with q = -12 and a Robin end at x = 0
-    "robin": lambda: shipped_text(
-        "single_mode.cfg",
-        ("q = -19.739208802178716", "q = -12.0"), ("\nmodes = 96", "\nmodes = 48"),
-        ("n_modes = 64", "n_modes = 32"),
-        ("b1 = 1.0", "b1 = 0.8253356149096783"), ("b2 = 0.0", "b2 = 0.5646424733950354")),
-}
 
 
 @pytest.fixture(scope="module", params=sorted(PLANTS))
@@ -85,36 +47,21 @@ def per_state_draws(eigsys, j, count, seed):
 
 
 def per_state_margins(bundle):
-    """The spot-check margins of certify, one state at a time through the 1-D calls."""
-    cfg, eig, shapes = bundle.config, bundle.eigsys, bundle.shapes
-    gains, params, law = bundle.gains, bundle.params, bundle.law
-    states = per_state_draws(eig, shapes.j, pipeline.SPOT_CHECK_STATES, cfg.seed)
-    loop = linear_loop(eig, shapes, gains, params, law, eig.K)
-    lo, hi = coercivity_constants(params, gains)
-    dual_dev, coer, diss = 0.0, np.inf, np.inf
-    modal = [modal_state(w, eig, eig.K) for w, _ in states]
-    for (w, y), (c, norm_sq) in zip(states, modal):
-        v_quad = feedback_controls(law, w, y, eig)
-        v_modal = feedback_controls_modal(c, y, gains, params, loop.T)
-        dual_dev = max(dual_dev, float(np.max(np.abs(v_quad - v_modal))))
-        V = loop.value(c, y, norm_sq)
-        size = norm_sq + float(y @ y)
-        ctol = pipeline.COERCIVITY_TOL_REL * max(1.0, abs(V))
-        coer = min(coer, V - 0.5 * lo * size + ctol, 0.5 * hi * size - V + ctol)
-        vdot, bound = loop.rate(c, y, v_quad), loop.bound(norm_sq, y)
-        diss = min(diss, bound + pipeline.RATE_TOL_REL * (1.0 + abs(bound)) - vdot)
-    margins = {"kernel_dual_path": pipeline.DUAL_PATH_TOL - dual_dev,
-               "coercivity_spot_check": coer, "dissipation_spot_check": diss}
+    """certify's spot-check margins, one state at a time through the 1-D calls:
+    the semilinear dissipation margin of a design with a CLF, none otherwise."""
     sl = bundle.sl_design
-    if sl is not None and sl.clf is not None:
-        F = cfg.semilinear.nonlinearity()
-        sl_loop = semilinear_loop(eig, shapes, sl, eig.K)
-        sl_margin = np.inf
-        for (w, y), (c, norm_sq) in zip(states, modal):
-            _, vdot, bound = semilinear_value_rate_bound(sl_loop, F, shapes, eig, w, c, norm_sq, y)
-            sl_margin = min(sl_margin, bound + pipeline.RATE_TOL_REL * (1.0 + abs(bound)) - vdot)
-        margins["semilinear_dissipation_spot_check"] = sl_margin
-    return margins
+    if sl is None or sl.clf is None:
+        return {}
+    cfg, eig, shapes = bundle.config, bundle.eigsys, bundle.shapes
+    states = per_state_draws(eig, shapes.j, pipeline.SPOT_CHECK_STATES, cfg.seed)
+    F = cfg.semilinear.nonlinearity()
+    sl_loop = semilinear_loop(eig, shapes, sl, eig.K)
+    sl_margin = np.inf
+    for w, y in states:
+        c, norm_sq = modal_state(w, eig, eig.K)
+        _, vdot, bound = semilinear_value_rate_bound(sl_loop, F, shapes, eig, w, c, norm_sq, y)
+        sl_margin = min(sl_margin, bound + pipeline.RATE_TOL_REL * (1.0 + abs(bound)) - vdot)
+    return {"semilinear_dissipation_spot_check": sl_margin}
 
 
 def assert_rows_match(batched, singles):
@@ -141,18 +88,24 @@ def test_random_states_keep_the_per_state_draw_order(plant):
     assert_rows_match(W, [w for w, _ in states])
 
 
-def test_batched_margins_match_the_per_state_reference(plant):
+def test_batched_margins_match_the_per_state_reference(plant, monkeypatch):
+    # the linear plants draw no states at all
+    drawn = []
+    random_states = pipeline.random_states
+
+    def counting_random_states(*args):
+        drawn.append(args)
+        return random_states(*args)
+
+    monkeypatch.setattr(pipeline, "random_states", counting_random_states)
+    verdicts = pipeline.certify(plant)
     assert plant.certified
-    # kernel_dual_path's margin is the rounding-level gap of two paths to
-    # the same controls, so only its size is bounded, not its digits
-    margins = {v.name: v.margin for v in plant.verdicts}
+    margins = {v.name: v.margin for v in verdicts if v.name.endswith("spot_check")}
     reference = per_state_margins(plant)
+    assert margins.keys() == reference.keys()
+    assert len(drawn) == len(reference)
     for name, ref in reference.items():
-        if name == "kernel_dual_path":
-            assert pipeline.DUAL_PATH_TOL - margins[name] <= 1e-11
-            assert pipeline.DUAL_PATH_TOL - ref <= 1e-11
-        else:
-            assert abs(margins[name] - ref) <= 1e-12, name
+        assert abs(margins[name] - ref) <= 1e-12, name
 
 
 def test_batched_evaluators_match_the_1d_calls_row_by_row(plant):
@@ -171,25 +124,22 @@ def test_batched_evaluators_match_the_1d_calls_row_by_row(plant):
     assert_rows_match(C, [c for c, _ in singles])
     assert_rows_match(norm_sq, [n for _, n in singles])
     assert all(type(n) is float for _, n in singles)
-    V_quad = feedback_controls(law, W, Y, eig)
-    assert_rows_match(V_quad, [feedback_controls(law, w, y, eig) for w, y in rows])
 
-    # the modal evaluators, on the batch's own rows of (C, norm_sq, Y, V_quad): a
+    # the modal evaluators, on the batch's own rows of (C, norm_sq, Y, V): a
     # 1-D projection of W rounds differently from the batched one, and dV/dt
     # would magnify that gap by the cancellation assert_rows_match describes
-    states = list(zip(C, norm_sq, Y, V_quad))
-    assert_rows_match(feedback_controls_modal(C, Y, gains, params, loop.T),
-                      [feedback_controls_modal(c, y, gains, params, loop.T)
-                       for c, _, y, _ in states])
+    V = loop.controls(C, Y)
+    states = list(zip(C, norm_sq, Y, V))
+    assert_rows_match(V, [loop.controls(c, y) for c, _, y, _ in states])
     bounds = [loop.bound(n, y) for _, n, y, _ in states]
     assert all(type(b) is float for b in bounds)
     assert_rows_match(loop.bound(norm_sq, Y), bounds)
-
-    assert_rows_match(loop.controls(C, Y), [loop.controls(c, y) for c, _, y, _ in states])
-    assert_rows_match(loop.value(C, Y, norm_sq), [loop.value(c, y, n) for c, n, y, _ in states])
+    values = [loop.value(c, y, n) for c, n, y, _ in states]
+    assert all(type(v) is float for v in values)
+    assert_rows_match(loop.value(C, Y, norm_sq), values)
     rates = [loop.rate(c, y, v) for c, _, y, v in states]
     assert all(type(r) is float for r in rates)
-    assert_rows_match(loop.rate(C, Y, V_quad), rates)
+    assert_rows_match(loop.rate(C, Y, V), rates)
 
     sl = plant.sl_design
     if sl is not None:
@@ -198,7 +148,7 @@ def test_batched_evaluators_match_the_1d_calls_row_by_row(plant):
         batched = semilinear_value_rate_bound(sl_loop, F, shapes, eig, W, C, norm_sq, Y)
         singles = [semilinear_value_rate_bound(sl_loop, F, shapes, eig, w, c, n, y)
                    for w, (c, n, y, _) in zip(W, states)]
-        assert all(type(x) is float for single in singles for x in single[1:])
+        assert all(type(x) is float for single in singles for x in single)
         for k in range(3):
             assert_rows_match(batched[k], [single[k] for single in singles])
 
