@@ -44,8 +44,6 @@ def _out_dir(args, cfg=None):
 
 def _load_cfg(args):
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.modes is not None:
         cfg.sim.n_modes = args.modes
     if args.dt is not None:
@@ -155,7 +153,6 @@ def build_parser():
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required, help="run configuration file")
         p.add_argument("--out", help="output directory (falls back to CLF_OUT_DIR)")
-        p.add_argument("--seed", type=int, help="seed of the semilinear spot-check states")
         p.add_argument("--modes", type=int, help="override simulation mode count")
         p.add_argument("--dt", type=float, help="override simulation time step")
         p.add_argument("--quiet", action="store_true", help="suppress stdout")

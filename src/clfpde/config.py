@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .semilinear import NonlinearitySpec
-from .sim import INTEGRATOR, SimConfig
+from .sim import SimConfig
 from .spectral import Coefficient, SLProblem
 from .textio import (BOOL, FLOAT, FLOATS, INT, STR, Kind, floats, parse_sections, parse_value,
                      read_text, vec)
@@ -89,7 +89,6 @@ class RunConfig:
     mus: list
     n_points: int = 2049
     modes: int = 96
-    richardson: bool = True         # the key stays for file compatibility and accepts only true
     sigma: list = field(default_factory=lambda: [1.0])   # per-mode targets or one value
     gain_mode: str = "closed_form"
     Ls: list = field(default_factory=list)
@@ -100,7 +99,6 @@ class RunConfig:
     w0_modes: list = field(default_factory=lambda: [1.0])
     y0: list = field(default_factory=list)               # empty: j zeros
     out_dir: str | None = None
-    seed: int = 0
 
     def __post_init__(self):
         self.y0 = self.y0 or [0.0] * self.j
@@ -151,13 +149,6 @@ class RunConfig:
             raise ConfigError(f"y0 needs {self.j} values, got {len(self.y0)}")
         if not self.sim.dt > 0.0:
             raise ConfigError("dt must be positive")
-        if self.sim.integrator != INTEGRATOR:
-            raise ConfigError(f"key 'integrator' accepts only {INTEGRATOR!r}, "
-                              f"got {self.sim.integrator!r}")
-        if not self.richardson:
-            raise ConfigError("key 'richardson' accepts only true, got false")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
     @property
@@ -182,7 +173,6 @@ CONFIG_ROWS = [("problem", "p", "problem.p", COEFFICIENT),
                ("problem", "a2", "problem.a2", REAL),
                ("grid", "n_points", "n_points", INT),
                ("spectral", "modes", "modes", INT),
-               ("spectral", "richardson", "richardson", BOOL),
                ("design", "N", "N", INT),
                ("design", "j", "j", INT),
                ("design", "mus", "mus", REALS),
@@ -199,13 +189,18 @@ CONFIG_ROWS = [("problem", "p", "problem.p", COEFFICIENT),
                ("sim", "n_modes", "sim.n_modes", INT),
                ("sim", "dt", "sim.dt", REAL),
                ("sim", "t_final", "sim.t_final", AUTO),
-               ("sim", "integrator", "sim.integrator", STR),
                ("sim", "record_stride", "sim.record_stride", INT),
                ("sim", "max_steps", "sim.max_steps", INT),
                ("sim", "w0_modes", "w0_modes", REALS),
                ("sim", "y0", "y0", REALS),
-               ("output", "out_dir", "out_dir", STR),
-               ("output", "seed", "seed", INT)]
+               ("output", "out_dir", "out_dir", STR)]
+
+# Keys that steer nothing any more, each with the one value it accepts (None: any
+# value of its kind).  Old artifacts and configs still load; the value is ignored
+# and config_to_text does not write the key.
+RETIRED_KEYS = {("spectral", "richardson"): (BOOL, True),
+                ("sim", "integrator"): (STR, "exponential_midpoint"),
+                ("output", "seed"): (INT, None)}
 
 
 def _default(part, name):
@@ -235,10 +230,17 @@ def config_from_text(text):
         raise ConfigError("missing [problem] section")
     for section, keys in sections.items():
         known = [key for row_section, key, _, _ in CONFIG_ROWS if row_section == section]
-        if not known:
+        retired = [key for row_section, key in RETIRED_KEYS if row_section == section]
+        if not known + retired:
             raise ConfigError(f"unknown section [{section}]")
-        for key in keys:
-            if key not in known:
+        for key, text in keys.items():
+            if key in retired:
+                kind, only = RETIRED_KEYS[section, key]
+                value = parse_value(kind.parse, text, f"key {key!r}")
+                if only is not None and value != only:
+                    show = repr if kind is STR else kind.format
+                    raise ConfigError(f"key {key!r} accepts only {show(only)}, got {show(value)}")
+            elif key not in known:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
     try:
         # without coefficients the plant is u_t = u_xx

@@ -13,11 +13,12 @@ c_n = <phi_n, w>.  The feedback is v_i = <k_i, w> - omega_i L_i y_i with
 grid kernels k_i spanning modes up to the truncation index M.
 
 ClosedLoop is the one modal form of a designed loop: its operator A, its
-control map, V, dV/dt, the certified decay bound that dV/dt must stay below
-and, for a linear loop, the exact form that decides that bound on the PDE.
-The simulator and the certifier read it; linear_loop builds it for this
-feedback law (or the open loop), semilinear.semilinear_loop for the
-cancellation and domination controllers.
+control map, V, the certified decay bound (s, a, b) on dV/dt and the exact
+S-lemma form that decides that bound on the PDE for every nonlinearity with
+|F(u)| <= lbar |u| (lbar = 0 for a linear plant).  The simulator and the
+certifier read it; linear_loop builds it for this feedback law (or the open
+loop), semilinear.semilinear_loop for the cancellation and domination
+controllers.
 """
 
 from __future__ import annotations
@@ -97,12 +98,9 @@ class ClosedLoop:
         return np.diag(-np.concatenate([self.lambdas, self.mus])) \
             + np.vstack([-self.T, np.eye(self.mus.size)]) @ self.Kv
 
-    def controls(self, c, y, f=None):
-        """v at one state or per row of (c, y); f enters only under the cancellation gain."""
-        v = c @ self.Kmat.T - y * self.y_gains
-        if f is not None and self.G is not None:
-            v = v + f[..., :self.N] @ self.G.T
-        return v
+    def controls(self, c, y):
+        """v = Kmat c - y_gains y at one state or per row of (c, y), without G f_N."""
+        return c @ self.Kmat.T - y * self.y_gains
 
     def value(self, C, Y, norm_sq=None):
         """V at one state or per row of (C, Y); norm_sq is ||w||^2, |C|^2 when omitted."""
@@ -114,49 +112,84 @@ class ClosedLoop:
         return per_row(0.5 * quad + 0.5 * self.gamma * (norm_sq - head_sq)
                        + 0.5 * ((Y * Y) @ self.omegas))
 
-    def rate(self, c, y, v, f=0.0):
-        """dV/dt at one state or per row of (c, y) under controls v, c over all n modes."""
-        N = self.N
-        wdot = -self.lambdas * c - v @ self.T.T + f
-        return per_row(np.sum((c[..., :N] @ self.R.T) * wdot[..., :N], axis=-1)
-                        + self.gamma * np.sum(c[..., N:] * wdot[..., N:], axis=-1)
-                        + (y * v) @ self.omegas
-                        - (y * y) @ (self.mus * self.omegas))
+    def dissipation(self, shape_gram, slack=0.0, lbar=0.0, tau=None):
+        """Margin of dV/dt <= (1 - slack) bound on the PDE for every |F(u)| <= lbar |u|.
 
-    def bound(self, norm_sq, y):
-        """The certified bound on dV/dt at one state or per row of (||w||^2, y)."""
+        z = (c, y) and f = <phi_n, F(u)> give z' = A z + E f, E = [I - T Gext; Gext]
+        (Gext = [G, 0], 0 without the cancellation gain), and dV/dt - (1 - slack) bound =
+        z^T D z + z^T W E f, D = sym(W A) + s diag(a I, b), s := (1 - slack) s, W =
+        diag(R, gamma I, omega).  |f|^2 <= lbar^2 ||u||^2 = lbar^2 z^T U z is one quadratic
+        constraint, U = [[I, T], [T^T, shape_gram]], so the S-lemma is lossless: the bound
+        holds iff some tau > 0 gives P(tau) = D + tau lbar^2 U + (W E)(W E)^T / (4 tau) <= 0
+        (lbar = 0: P = D).  Past the head (the modes Kv reads, at least N, plus y) P couples
+        only through T_n: its diagonal is d_n = s a - gamma lambda_n + tau lbar^2 + gamma^2 /
+        (4 tau), plus (gamma^2 / (4 tau)) T_t G G^T T_t^T, which j lifted rows zeta with a
+        -I block carry.  By Parseval the uncomputed modes add at most |tau_s|^2 / |d_K| I to
+        T_t^T |d|^-1 T_t, tau_s,i^2 = ||varphi_i||^2 - sum_m T_{m,i}^2.  Margin: -lambda_max
+        of the (head, zeta) Schur complement, at tau or searched by golden section in log tau
+        where every d_n < 0 (any tau there certifies); gamma (lambda - lbar) - s a, the
+        least over the tail, where no tau is.
+        """
         if self.decay is None:
             raise ValueError("no certified decay bound: open loop or uncertified design")
-        s, a, b = self.decay
-        return per_row(-s * (a * norm_sq + (y * y) @ b))
-
-    def dissipation(self, shape_norms_sq, slack=0.0):
-        """Margin of dV/dt <= (1 - slack) bound on the PDE, for the linear loop (f = 0).
-
-        dV/dt - (1 - slack) bound = z^T D z, D = sym(W A) + (1 - slack) s diag(a I, b),
-        W = diag(R, gamma I, omega).  Past the head (the modes Kv reads, at least N,
-        plus y) D is diagonal, -(gamma lambda_n - s a), coupled to the head by
-        -gamma/2 T_n Kv; by Parseval the uncomputed modes add at most gamma^2 |tau|^2
-        Kv^T Kv / (4 (gamma lambda_n - s a)), tau_i^2 = ||varphi_i||^2 - sum_m T_{m,i}^2.
-        Margin: -lambda_max of the head's Schur complement (the least tail entry if <= 0).
-        """
-        (s, a, b), (n, j) = self.decay, self.T.shape
+        (s, a, b), (n, j), g = self.decay, self.T.shape, self.gamma
         s = (1.0 - slack) * s
         h = max([self.N, *(np.flatnonzero(self.Kmat.any(axis=0)) + 1)])    # the head
-        tail = self.gamma * self.lambdas[h:] - s * a
-        beyond = self.gamma * self.lambdas[-1] - s * a
-        least = min(beyond, float(np.min(tail, initial=np.inf)))
-        if least <= 0.0:
-            return float(least)
-        tau_sq = float(np.sum(np.maximum(0.0, shape_norms_sq - np.sum(self.T * self.T, axis=0))))
-        coupling = (self.T[h:] / tail[:, None]).T @ self.T[h:] + (tau_sq / beyond) * np.eye(j)
+        Tt = self.T[h:]
+        tail = g * self.lambdas[h:] - s * a
+        beyond = g * self.lambdas[-1] - s * a
+        room = min(beyond, float(np.min(tail, initial=np.inf)))
+        if room - g * lbar <= 0.0:
+            return float(room - g * lbar)
+        tau_sq = float(np.sum(np.maximum(0.0, np.diag(shape_gram) - np.sum(self.T ** 2, axis=0))))
         head = np.r_[:h, n:n + j]
         Kv, A = self.Kv[:, head], self.matrix()[np.ix_(head, head)]
-        w = np.concatenate([np.full(h - self.N, self.gamma), self.omegas])
+        w = np.concatenate([np.full(h - self.N, g), self.omegas])
         WA = np.vstack([self.R @ A[:self.N], w[:, None] * A[self.N:]])
-        S = 0.5 * (WA + WA.T) + np.diag(s * np.concatenate([np.full(h, a), b])) \
-            + (0.25 * self.gamma ** 2) * (Kv.T @ coupling @ Kv)
-        return float(-np.linalg.eigvalsh(S)[-1])
+        D = 0.5 * (WA + WA.T) + np.diag(s * np.concatenate([np.full(h, a), b]))
+        if lbar == 0.0:
+            coupling = (Tt / tail[:, None]).T @ Tt + (tau_sq / beyond) * np.eye(j)
+            return float(-np.linalg.eigvalsh(D + (0.25 * g ** 2) * (Kv.T @ coupling @ Kv))[-1])
+
+        G = self.G if self.G is not None else np.zeros((j, 0))
+        m, q = h + j, G.shape[1]
+        G0, Th = np.hstack([G, np.zeros((j, h - q))]), self.T[:h]    # Gext on the head's f
+        E = np.vstack([np.eye(h) - Th @ G0, G0])
+        WE = np.vstack([self.R @ E[:self.N], w[:, None] * E[self.N:]])
+        # on the (head, zeta) rows the complement at tau is k[:3] . F + L^T Q L, with
+        # L = k . Ls, k = (1, tau lbar^2, 1 / (4 tau), 1 / (2 sqrt tau)), Q = T_t^T |d|^-1 T_t
+        F, Ls = np.zeros((3, m + q, m + q)), np.zeros((4, j, m + q))
+        F[:, :m, :m] = D, np.block([[np.eye(h), Th], [Th.T, shape_gram]]), WE @ WE.T
+        F[0, m:, m:] = -np.eye(q)
+        Ls[:3, :, :m] = -0.5 * g * Kv, np.eye(m)[h:], -g * (G0 @ WE.T)
+        Ls[3, :, m:] = g * G
+        F, Ls = F.reshape(3, -1), Ls.reshape(4, -1)
+        TT = (Tt[:, :, None] * Tt[:, None, :]).reshape(-1, j * j)
+
+        def form(tau):
+            shift = tau * lbar ** 2 + g * g / (4.0 * tau)
+            Q = ((1.0 / (tail - shift)) @ TT).reshape(j, j) \
+                + (tau_sq / (beyond - shift)) * np.eye(j)
+            k = np.array([1.0, tau * lbar ** 2, 0.25 / tau, 0.5 / np.sqrt(tau)])
+            L = (k @ Ls).reshape(j, m + q)
+            return float(-np.linalg.eigvalsh((k[:3] @ F).reshape(m + q, m + q) + L.T @ Q @ L)[-1])
+
+        if tau is not None:
+            return form(tau)
+        # the roots of lbar^2 tau^2 - room tau + gamma^2 / 4 bound the interval
+        wide = room + np.sqrt((room - g * lbar) * (room + g * lbar))
+        lo, hi = np.log(g * g / (2.0 * wide)), np.log(wide / (2.0 * lbar ** 2))
+        r = 0.5 * (np.sqrt(5.0) - 1.0)
+        x1, x2 = hi - r * (hi - lo), lo + r * (hi - lo)
+        f1, f2 = form(np.exp(x1)), form(np.exp(x2))
+        for _ in range(20):                     # the interval shrinks to 0.618^20 = 6.6e-5
+            if f1 >= f2:
+                hi, x2, f2, x1 = x2, x1, f1, x2 - r * (x2 - lo)
+                f1 = form(np.exp(x1))
+            else:
+                lo, x1, f1, x2 = x1, x2, f2, x1 + r * (hi - x1)
+                f2 = form(np.exp(x2))
+        return max(f1, f2)
 
 
 def per_row(x):
@@ -189,22 +222,14 @@ def law_decay(params, design, shapes, eigsys):
 
 
 def modal_state(w, eigsys, n, rel=REMAINDER_ENERGY_REL):
-    """(c_1..c_n, ||w||^2) of a grid state or per row of states.
-
-    RemainderTooLarge when the energy outside the first n modes exceeds rel
-    of the total in any row.
-    """
+    """(c_1..c_n, ||w||^2) of a grid state; RemainderTooLarge when the energy
+    outside the first n modes exceeds rel of the total."""
     c = project(w, eigsys, n)
-    norm_sq = per_row(eigsys.norm_sq(w))
-    total = np.atleast_1d(norm_sq)
-    rem_sq = total - np.atleast_1d(np.sum(c * c, axis=-1))
-    bad = np.flatnonzero((total > 0.0) & (rem_sq > rel * total))
-    if bad.size:
-        k = bad[0]
-        row = f" in row {k}" if np.ndim(norm_sq) else ""
-        raise RemainderTooLarge(
-            f"remainder energy {rem_sq[k]:.3e} exceeds {rel:g} of total {total[k]:.3e}{row}"
-        )
+    norm_sq = float(eigsys.norm_sq(w))
+    rem_sq = norm_sq - float(np.sum(c * c))
+    if norm_sq > 0.0 and rem_sq > rel * norm_sq:
+        raise RemainderTooLarge(f"remainder energy {rem_sq:.3e} exceeds {rel:g} of total "
+                                f"{norm_sq:.3e}")
     return c, norm_sq
 
 

@@ -31,7 +31,7 @@ def dirichlet_problem(p, q):
     )
 
 
-def single_mode_config(p=1.0, q=-2.0 * np.pi ** 2, sigma=1.0, L=0.0, seed=0):
+def single_mode_config(p=1.0, q=-2.0 * np.pi ** 2, sigma=1.0, L=0.0):
     """Benchmark "2.4": one retained mode, one input."""
     if not (-4.0 * p * np.pi ** 2 < q < -p * np.pi ** 2):
         raise ValueError("q must lie in (-4 p pi^2, -p pi^2) for the single-mode benchmark")
@@ -40,12 +40,12 @@ def single_mode_config(p=1.0, q=-2.0 * np.pi ** 2, sigma=1.0, L=0.0, seed=0):
         problem=dirichlet_problem(p, q),
         N=1, j=1, mus=[mu], sigma=[sigma], Ls=[L],
         sim=SimConfig(t_final=8.0),
-        w0_modes=[1.0, 0.5], y0=[0.3], seed=seed,
+        w0_modes=[1.0, 0.5], y0=[0.3],
     ).validate()
 
 
 def two_mode_config(sigma=1.0, lbar=0.29, scale=None, controller="nonlinear",
-                    kind="sine_type", seed=0):
+                    kind="sine_type"):
     """Benchmark "3.3": two retained modes, two inputs, semilinear plant."""
     semilinear = SemilinearSettings(
         kind=kind, scale=lbar if scale is None else scale,
@@ -57,7 +57,7 @@ def two_mode_config(sigma=1.0, lbar=0.29, scale=None, controller="nonlinear",
         sigma=[sigma], Ls=[0.0, 0.0],
         semilinear=semilinear,
         sim=SimConfig(n_modes=48, dt=2e-4, t_final=6.0),
-        w0_modes=[1.0, 0.5, 0.25], y0=[0.2, -0.1], seed=seed,
+        w0_modes=[1.0, 0.5, 0.25], y0=[0.2, -0.1],
     ).validate()
 
 

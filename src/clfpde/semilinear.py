@@ -18,8 +18,8 @@ verdict and the tests' scans are one call each.  The linear one also
 broadcasts over the shift a of its head margin, which makes the domination
 controller's a search one more call.
 
-semilinear_loop is either controller's lyapunov.ClosedLoop, and
-nonlinear_coefficients projects F(u) at grid states for its controls and rate.
+semilinear_loop is either controller's lyapunov.ClosedLoop; its dissipation
+form at the design's lbar certifies theta for every F with |F(u)| <= lbar |u|.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 from .errors import DegenerateDenominator, NoAdmissibleA, NoAdmissibleZeta
 from .lyapunov import ClosedLoop, coupling_table
 from .reduced import gain_inverse
-from .spectral import project
 from .textio import write_csv
 
 KAPPA_GRID_SIZE = 1024
@@ -355,11 +354,6 @@ def semilinear_loop(eigsys, shapes, design, n):
                       Kmat, np.zeros(N), R, gamma, omegas,
                       G=design.g if design.controller_kind == "nonlinear" else None,
                       decay=decay)
-
-
-def nonlinear_coefficients(F, W, Y, shapes, eigsys, n):
-    """f_1..f_n = <phi_n, F(u)> at one grid state or per row of (W, Y), u = W + Y varphi."""
-    return project(F.evaluate(W + Y @ shapes.varphis), eigsys, n)
 
 
 def export_controller_coefficients_csv(design, path):

@@ -160,9 +160,16 @@ def build_shape_set(eigsys, mus):
     return ShapeSet(mus, varphis, norms, col, nodes)
 
 
+def shape_gram(shapes, eigsys):
+    """The shapes' Gram matrix <varphi_i, varphi_k>, with norms_sq on its diagonal."""
+    gram = eigsys.inner(shapes.varphis, shapes.varphis)
+    np.fill_diagonal(gram, shapes.norms_sq)
+    return gram
+
+
 def orthogonality_defect(shapes, eigsys):
     """Largest off-diagonal entry of the shape Gram matrix (0 for j = 1)."""
     if shapes.j < 2:
         return 0.0
-    gram = eigsys.inner(shapes.varphis, shapes.varphis)
+    gram = shape_gram(shapes, eigsys)
     return float(np.max(np.abs(gram - np.diag(np.diag(gram)))))

@@ -44,7 +44,6 @@ GROWTH_BLOCK = 64
 W0_REMAINDER_REL = 1e-8
 MIN_STEPS = 100
 FIT_MIN_SAMPLES = 20
-INTEGRATOR = "exponential_midpoint"
 # Gauss-Legendre nodes of F's quadrature per simulated mode: at 4 the shipped
 # semilinear trajectory is within 1.1e-11 of the 2049-point Simpson one, flat above
 GAUSS_NODES_PER_MODE = 4
@@ -55,9 +54,6 @@ class SimConfig:
     n_modes: int = 64
     dt: float = 1e-4
     t_final: float | None = None     # None: 5/sigma clipped to [1, 20], fallback 10
-    # the one scheme (exact expm without F, ETDRK4 with F, step dt record_stride);
-    # the key stays for file compatibility and accepts only INTEGRATOR
-    integrator: str = INTEGRATOR
     record_stride: int = 10
     max_steps: int = 2_000_000       # budget of quadratures of F; a zero F makes none
 

@@ -587,15 +587,10 @@ def boundary_residuals(eigsys):
 
 
 def project(w, eigsys, N):
-    """Modal coefficients against the first N eigenfunctions, per row of w.
-
-    w is one grid state (n_points,) or states as rows (S, n_points); the
-    coefficients are (N,) or (S, N).
-    """
+    """Modal coefficients (N,) of the grid state w against the first N eigenfunctions."""
     if N > eigsys.K:
         raise CutoffExceedsComputedModes(f"N={N} exceeds computed modes K={eigsys.K}")
-    # phis @ (.).T: one state is a matrix-vector product, rows one matrix-matrix product
-    return (eigsys.phis[:N] @ (eigsys.wr * eigsys._samples(w)).T).T
+    return eigsys.phis[:N] @ (eigsys.wr * eigsys._samples(w))
 
 
 def check_assumption_h(eigsys, N):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from clfpde import pipeline
+from clfpde.lyapunov import per_row
 from clfpde.presets import preset_config
-from clfpde.semilinear import nonlinear_coefficients
 from clfpde.spectral import Coefficient, SLProblem, eigensolve, make_grid
 
 
@@ -23,7 +23,7 @@ def shipped_text(name, *edits):
 PLANTS = {
     "single_mode": lambda: shipped_text("single_mode.cfg"),
     "two_mode_semilinear": lambda: shipped_text("two_mode_semilinear.cfg"),
-    # the benchmark's design_sweep plant with its first setting of seed 1
+    # the benchmark's design_sweep plant with the first setting its seed 1 draws
     "design_sweep": lambda: shipped_text(
         "single_mode.cfg",
         ("\np = 1.0", "\np = poly: 1.0 0.3 -0.2"),
@@ -33,7 +33,7 @@ PLANTS = {
         ("mus = 41.94581870462977", "mus = 99.80827166366575"),
         ("sigma = 1.0", "sigma = 2.7069256484551105 0.6212977436079088"),
         ("gain_mode = closed_form", "gain_mode = pole_placement"),
-        ("Ls = 0.0", "Ls = 0.22966794144270186"), ("seed = 0", "seed = 1")),
+        ("Ls = 0.0", "Ls = 0.22966794144270186")),
     # the single-mode plant with q = -12 and a Robin end at x = 0
     "robin": lambda: shipped_text(
         "single_mode.cfg",
@@ -105,9 +105,58 @@ def random_modal_state(eigsys, j, rng, max_mode=40):
     return amps @ eigsys.phis[:n], rng.standard_normal(j)
 
 
+# Certify draws no random state and evaluates no nonlinearity; the spot checks that
+# did now run here, on the helpers below.
+
+def random_states(eigsys, j, count, seed):
+    """Seeded smooth random states within the computed modal span, as rows (W, Y).
+
+    One (count, n + j) draw keeps each state's order: n mode amplitudes, then j boundary values.
+    """
+    n = min(eigsys.K, 40)
+    draws = np.random.default_rng(seed).standard_normal((count, n + j))
+    decay = 1.0 / np.arange(1, n + 1) ** 2
+    return (draws[:, :n] * decay) @ eigsys.phis[:n], draws[:, n:]
+
+
+def modal_coefficients(W, eigsys, n):
+    """spectral.project of one grid state, or of states as rows: (n,) or (S, n)."""
+    return (eigsys.phis[:n] @ (eigsys.wr * W).T).T
+
+
+def nonlinear_coefficients(F, W, Y, shapes, eigsys, n):
+    """f_1..f_n = <phi_n, F(u)> at one grid state or per row of (W, Y), u = W + Y varphi."""
+    return modal_coefficients(F.evaluate(W + Y @ shapes.varphis), eigsys, n)
+
+
+def controls(loop, c, y, f=None):
+    """loop.controls plus the cancellation gain's G f_N when the coefficients f are given."""
+    v = loop.controls(c, y)
+    if f is not None and loop.G is not None:
+        v = v + f[..., :loop.N] @ loop.G.T
+    return v
+
+
+def rate(loop, c, y, v, f=0.0):
+    """dV/dt of the loop at one state or per row of (c, y) under controls v, c over all
+    the loop's modes, f the nonlinearity's coefficients."""
+    N = loop.N
+    wdot = -loop.lambdas * c - v @ loop.T.T + f
+    return per_row(np.sum((c[..., :N] @ loop.R.T) * wdot[..., :N], axis=-1)
+                   + loop.gamma * np.sum(c[..., N:] * wdot[..., N:], axis=-1)
+                   + (y * v) @ loop.omegas
+                   - (y * y) @ (loop.mus * loop.omegas))
+
+
+def bound(loop, norm_sq, y):
+    """The loop's certified bound -s (a ||w||^2 + sum_i b_i y_i^2) at one state or per row."""
+    s, a, b = loop.decay
+    return per_row(-s * (a * norm_sq + (y * y) @ b))
+
+
 def semilinear_value_rate_bound(loop, F, shapes, eigsys, w, c, norm_sq, y):
     """(V, dV/dt, bound) of a semilinear loop over all eigsys.K modes at the grid state
     (w, y), whose modal form is (c, norm_sq); one state or states as rows."""
     f = nonlinear_coefficients(F, w, y, shapes, eigsys, eigsys.K)
-    return (loop.value(c, y, norm_sq), loop.rate(c, y, loop.controls(c, y, f), f),
-            loop.bound(norm_sq, y))
+    return (loop.value(c, y, norm_sq), rate(loop, c, y, controls(loop, c, y, f), f),
+            bound(loop, norm_sq, y))

@@ -152,14 +152,24 @@ def _tree(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("seed", [2, 3, 5, 6, 7])
-def test_artifact_roundtrip_reproduces_semilinear_verdicts(tmp_path, seed):
+ROUND_TRIP_DESIGNS = {
+    "two_mode_semilinear": lambda: load_config(CONFIGS / "two_mode_semilinear.cfg"),
+    "cancellation-sigma0.5-lbar0.1": lambda: preset_config("3.3", sigma=0.5, lbar=0.1),
+    "cancellation-sigma2-lbar0.2": lambda: preset_config("3.3", sigma=2.0, lbar=0.2),
+    "domination-sigma20-lbar0.1": lambda: preset_config("3.3", sigma=20.0, lbar=0.1,
+                                                        controller="linear"),
+    "domination-sigma100-lbar0.005": lambda: preset_config("3.3", sigma=100.0, lbar=0.005,
+                                                           controller="linear"),
+}
+
+
+@pytest.mark.parametrize("name", list(ROUND_TRIP_DESIGNS))
+def test_artifact_roundtrip_reproduces_semilinear_verdicts(tmp_path, name):
     # the reloaded eigenfunctions are C-ordered; the designed ones must be
     # too, or BLAS sums the kernel products in another order and the
-    # kernel_dual_path margin moves by more than 1e-12
-    cfg = load_config(CONFIGS / "two_mode_semilinear.cfg")
-    cfg.seed = seed
-    bundle = pipeline.design(cfg)
+    # kernel_dual_path margin moves by more than 1e-12.  The S-lemma search
+    # reads the design alone, so its margin comes back bit for bit
+    bundle = pipeline.design(ROUND_TRIP_DESIGNS[name]())
     pipeline.certify(bundle)
     assert bundle.certified
     out = tmp_path / "artifact"
@@ -168,6 +178,35 @@ def test_artifact_roundtrip_reproduces_semilinear_verdicts(tmp_path, seed):
     stored = list(loaded.verdicts)
     pipeline.certify(loaded)
     assert compare_verdicts(stored, loaded.verdicts)
+    margins = [{v.name: v.margin for v in verdicts} for verdicts in (stored, loaded.verdicts)]
+    assert margins[0]["semilinear_dissipation"] == margins[1]["semilinear_dissipation"]
+
+
+def test_retired_keys_load_and_are_not_written():
+    # [spectral] richardson, [sim] integrator and [output] seed steer nothing:
+    # a file may still set them, seed to any integer and the others to their
+    # one value, and the canonical text leaves them out
+    text = (CONFIGS / "two_mode_semilinear.cfg").read_text()
+    for line in ("richardson = true", "integrator = exponential_midpoint", "seed = 0"):
+        assert line in text
+    canonical = config_to_text(config_from_text(text))
+    assert not re.search(r"^(richardson|integrator|seed) =", canonical, re.M)
+    assert config_to_text(config_from_text(text.replace("seed = 0", "seed = -7"))) == canonical
+    with pytest.raises(ConfigError, match="key 'seed': cannot parse 'abc'"):
+        config_from_text(text.replace("seed = 0", "seed = abc"))
+
+
+def test_benchmark_sweep_template_loads():
+    # perfbench writes its design_sweep configs with all three retired keys
+    sys.path.insert(0, str(CONFIGS.parent / "perfbench"))
+    try:
+        import inputs
+    finally:
+        sys.path.remove(str(CONFIGS.parent / "perfbench"))
+    text = inputs.SWEEP_TEMPLATE.format(p="1.0 0.3 -0.2", q="-20.0 5.0", r="1.0 0.2", modes=48,
+                                        mu=99.8, s1=2.7, s2=0.6, L=0.2, seed=-3)
+    cfg = config_from_text(text)
+    assert (cfg.modes, cfg.N, cfg.sim.n_modes) == (48, 2, 32)
 
 
 def test_eigen_contracts_evaluated_once_per_eigensystem(tmp_path, monkeypatch):
@@ -458,7 +497,7 @@ def _edited_config(name, old, new):
     (["simulate", "--config", str(CONFIGS / "single_mode.cfg"), "--dt", "nan"],
      "dt must be positive", None),
     (["check", "--config", str(CONFIGS / "single_mode.cfg"), "--seed", "-1"],
-     "seed must be >= 0", None),
+     "unrecognized arguments: --seed", None),
     (["export", "--traj", "trajectory.csv", "--stride", "0"], "must be >= 1", None),
     (["export", "--traj", "traj.csv"], "traj.csv: needs a header row", _table("")),
     (["export", "--traj", "traj.csv"], "traj.csv", _table("t,a\r\n1,2\r\n3\r\n")),
@@ -596,11 +635,10 @@ def test_cli_overrides(tmp_path):
     cfgpath = quick_config(tmp_path)
     out = tmp_path / "ovr"
     assert cli_main(["simulate", "--config", str(cfgpath), "--out", str(out),
-                     "--seed", "7", "--modes", "24", "--dt", "2e-4",
-                     "--quiet"]) == 0
-    # overrides land in the artifact's canonical config echo
+                     "--modes", "24", "--dt", "2e-4", "--quiet"]) == 0
+    # overrides land in the artifact's canonical config echo, which writes no retired key
     echo = (out / "artifact" / "config.cfg").read_text()
-    assert "seed = 7" in echo
+    assert "seed" not in echo
     assert "n_modes = 24" in echo
     assert "dt = 0.0002" in echo
 
@@ -628,8 +666,8 @@ SIMULATE_SHA256 = {
     },
     "two_mode_semilinear": {
         "trajectory.csv": "979bda648a8207d1e8990ef9e6360b2506067c8b144844677c679e7d395daa0c",
-        "artifact/design.txt": "76fed1f2deb3df9e637f2901274b6f309a5c14a5842156bb6206fdd8777df63e",
-        "report.txt": "f2daea4f261d64b9060fbb2abce48022e665895c1301575c25676a95eb0d4979",
+        "artifact/design.txt": "45c06ed85a088cd6df653ebfe4c2005050e1561e0e9cfedf201da9afa0cb07c4",
+        "report.txt": "d1832088d97c378299c6ccaa23689fa86a3970c057dd5e210ea33502ab00dd87",
     },
 }
 BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Prescott"}

@@ -14,9 +14,10 @@ from clfpde.lyapunov import (
     weight_inequality_margins,
 )
 from clfpde.presets import single_mode_kernel_closed_form, single_mode_tail_sum
+from clfpde.shapes import shape_gram
 from clfpde.spectral import project
 
-from conftest import PLANTS, random_modal_state
+from conftest import PLANTS, bound, random_modal_state, rate
 
 PI = np.pi
 S2 = np.sqrt(2.0)
@@ -127,7 +128,7 @@ def rate_at(w, y, bundle, loop, v=None):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if v is None:
         v = loop.controls(c, y)
-    return loop.rate(c, y, v), loop.bound(norm_sq, y)
+    return rate(loop, c, y, v), bound(loop, norm_sq, y)
 
 
 def test_value_trivial_zero(single_mode_bundle):
@@ -257,7 +258,7 @@ def test_rate_trivial_zero(single_mode_bundle):
 
 def test_decay_bound_of_the_law_and_the_open_loop(single_mode_bundle):
     # the law's bound is -1/2 (min(gamma lambda_{N+1}, sigma) ||w||^2 + sum_i omega_i mu_i y_i^2);
-    # the open loop certifies none
+    # the open loop certifies none, and its dissipation form says so
     bundle = single_mode_bundle
     eig, params, shapes = bundle.eigsys, bundle.params, bundle.shapes
     loop = loop_of(bundle)
@@ -265,11 +266,11 @@ def test_decay_bound_of_the_law_and_the_open_loop(single_mode_bundle):
     assert (s, a) == (0.5, min(params.gamma * eig.lambdas[bundle.model.N], params.sigma))
     assert np.array_equal(b, params.omegas * shapes.mus)
     y = np.array([0.7])
-    assert loop.bound(2.0, y) == -0.5 * (a * 2.0 + b[0] * (y[0] * y[0]))
+    assert bound(loop, 2.0, y) == -0.5 * (a * 2.0 + b[0] * (y[0] * y[0]))
     open_loop = linear_loop(eig, shapes, bundle.gains, params, None, eig.K)
     assert open_loop.decay is None
     with pytest.raises(ValueError, match="no certified decay bound"):
-        open_loop.bound(2.0, y)
+        open_loop.dissipation(shape_gram(shapes, eig), pipeline.RATE_TOL_REL)
 
 
 @pytest.mark.parametrize("fixture", ["single_mode_bundle", "single_mode_bundle_L1"])
@@ -349,7 +350,7 @@ def test_dissipation_sign_matches_the_dense_form(plant_at_safety):
     bundle = plant_at_safety
     loop = loop_of(bundle)
     verdicts = {v.name: v for v in bundle.verdicts}
-    margin = loop.dissipation(bundle.shapes.norms_sq, pipeline.RATE_TOL_REL)
+    margin = loop.dissipation(shape_gram(bundle.shapes, bundle.eigsys), pipeline.RATE_TOL_REL)
     dense = float(np.linalg.eigvalsh(dense_form(loop, pipeline.RATE_TOL_REL))[-1])
     assert dense != 0.0
     assert (margin >= 0.0) == (dense < 0.0)

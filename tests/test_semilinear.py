@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from clfpde import pipeline
+from clfpde.config import load_config
 from clfpde.errors import DegenerateDenominator, NoAdmissibleZeta, SingularB
 from clfpde.lyapunov import (
     CLFParams,
@@ -10,6 +12,8 @@ from clfpde.lyapunov import (
     linear_loop,
     modal_state,
 )
+from clfpde.pipeline import RATE_TOL_REL
+from clfpde.presets import preset_config
 from clfpde.reduced import GainDesign, ReducedModel
 from clfpde import semilinear
 from clfpde.semilinear import (
@@ -24,9 +28,10 @@ from clfpde.semilinear import (
     select_nonlinear_clf_params,
     semilinear_loop,
 )
+from clfpde.shapes import shape_gram
 from clfpde.spectral import project
 
-from conftest import random_modal_state, semilinear_value_rate_bound
+from conftest import CONFIGS, controls, random_modal_state, rate, semilinear_value_rate_bound
 
 PI = np.pi
 S2 = np.sqrt(2.0)
@@ -115,8 +120,8 @@ def test_controls_coefficients_match_quoted_forms(two_mode_bundle):
     rng = np.random.default_rng(4)
     c_sine = rng.standard_normal(2)
     f_sine = rng.standard_normal(2)
-    v = loop_of(two_mode_bundle).controls(modal(S2 * c_sine, K), np.zeros(2),
-                                          modal(S2 * f_sine, K))
+    v = controls(loop_of(two_mode_bundle), modal(S2 * c_sine, K), np.zeros(2),
+                 modal(S2 * f_sine, K))
     sig = sl.sigma
     t1 = (sig + 4.0 * PI ** 2) * c_sine[0] + f_sine[0]
     t2 = (sig + PI ** 2) * c_sine[1] + f_sine[1]
@@ -128,7 +133,7 @@ def test_controls_coefficients_match_quoted_forms(two_mode_bundle):
 def test_zero_nonlinearity_reduces_to_linear_controller(two_mode_bundle):
     c = modal([0.7, -0.3], two_mode_bundle.eigsys.K)
     y = np.zeros(2)
-    assert np.allclose(loop_of(two_mode_bundle).controls(c, y, np.zeros(c.size)),
+    assert np.allclose(controls(loop_of(two_mode_bundle), c, y, np.zeros(c.size)),
                        loop_of(two_mode_bundle, "linear").controls(c, y))
 
 
@@ -147,7 +152,7 @@ def test_feedback_linearization_identity(two_mode_bundle):
         c = project(w, eig, eig.K)
         u = w + y @ bundle.shapes.varphis
         f_all = eig.phis @ (eig.grid.weights * eig.r_samples * F.evaluate(u))
-        v = loop.controls(c, y, f_all)
+        v = controls(loop, c, y, f_all)
         wdot = -eig.lambdas[:2] * c[:2] - coupling[:2] @ v + f_all[:2]
         assert np.max(np.abs(wdot + sl.sigma * c[:2])) <= 1e-7
 
@@ -390,7 +395,8 @@ def test_uncertified_design_flagged(two_mode_bundle):
     loop = semilinear_loop(two_mode_bundle.eigsys, two_mode_bundle.shapes, design, 8)
     assert loop.decay is None
     with pytest.raises(ValueError, match="no certified decay bound"):
-        loop.bound(1.0, np.zeros(2))
+        loop.dissipation(shape_gram(two_mode_bundle.shapes, two_mode_bundle.eigsys),
+                         lbar=design.lbar)
 
 
 # -- functional evaluation -------------------------------------------------------
@@ -413,6 +419,105 @@ def test_semilinear_dissipation_random_states(two_mode_bundle):
         V, vdot, bound = value_and_rate_at(w, y, bundle, loop, F)
         assert V >= 0.0
         assert vdot <= bound + 1e-6 * (1.0 + abs(bound))
+
+
+# -- the S-lemma dissipation form ------------------------------------------------------
+
+def certified_design(cfg):
+    bundle = pipeline.design(cfg)
+    pipeline.certify(bundle)
+    return bundle
+
+
+def dense_s_lemma(loop, gram, lbar, tau):
+    """P(tau) = sym(W A) + s diag(a I, b) + tau lbar^2 U + (W E)(W E)^T / (4 tau) on all
+    the loop's modes, written out: z^T P z bounds dV/dt - (1 - RATE_TOL_REL) bound over
+    every f with |f|^2 <= lbar^2 ||u||^2 = lbar^2 z^T U z, f eliminated."""
+    s, a, b = loop.decay
+    n, j = loop.T.shape
+    W = np.diag(np.concatenate([np.full(n, loop.gamma), loop.omegas]))
+    W[:loop.N, :loop.N] = loop.R
+    Gext = np.zeros((j, n))
+    if loop.G is not None:
+        Gext[:, :loop.N] = loop.G
+    WA, WE = W @ loop.matrix(), W @ np.vstack([np.eye(n) - loop.T @ Gext, Gext])
+    U = np.block([[np.eye(n), loop.T], [loop.T.T, gram]])
+    decay = (1.0 - RATE_TOL_REL) * s * np.concatenate([np.full(n, a), b])
+    return 0.5 * (WA + WA.T) + np.diag(decay) + tau * lbar ** 2 * U + WE @ WE.T / (4.0 * tau)
+
+
+def tau_bracket(loop, lbar):
+    """The roots of lbar^2 tau^2 - (gamma lambda_{N+1} - s a) tau + gamma^2 / 4: between
+    them every tail diagonal of P(tau) is negative."""
+    s, a, _ = loop.decay
+    room = loop.gamma * loop.lambdas[loop.N] - (1.0 - RATE_TOL_REL) * s * a
+    disc = np.sqrt(room ** 2 - (loop.gamma * lbar) ** 2)
+    return (room - disc) / (2.0 * lbar ** 2), (room + disc) / (2.0 * lbar ** 2)
+
+
+DENSE_CASES = {
+    "two_mode_semilinear.cfg": lambda: load_config(CONFIGS / "two_mode_semilinear.cfg"),
+    "cancellation-lbar0.1": lambda: preset_config("3.3", lbar=0.1),
+    "cancellation-lbar0.29": lambda: preset_config("3.3", lbar=0.29),
+    "domination-sigma50-lbar0.02": lambda: preset_config("3.3", sigma=50.0, lbar=0.02,
+                                                         controller="linear"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_CASES))
+def test_semilinear_dissipation_sign_matches_the_dense_s_lemma(name):
+    # at 20 tau across the bracket the Schur form (tail diagonal, lifted rank-j
+    # term, Parseval past K) and a dense eigvalsh of P(tau) on all K modes decide alike
+    bundle = certified_design(DENSE_CASES[name]())
+    sl, eig = bundle.sl_design, bundle.eigsys
+    loop = semilinear_loop(eig, bundle.shapes, sl, eig.K)
+    gram = shape_gram(bundle.shapes, eig)
+    lo, hi = tau_bracket(loop, sl.lbar)
+    for tau in np.geomspace(lo, hi, 22)[1:-1]:
+        schur = loop.dissipation(gram, RATE_TOL_REL, sl.lbar, tau=tau)
+        dense = float(np.linalg.eigvalsh(dense_s_lemma(loop, gram, sl.lbar, tau))[-1])
+        assert dense != 0.0
+        assert (schur >= 0.0) == (dense < 0.0), tau
+    verdict = {v.name: v for v in bundle.verdicts}["semilinear_dissipation"]
+    assert verdict.margin == loop.dissipation(gram, RATE_TOL_REL, sl.lbar)
+    assert verdict.passed
+
+
+def test_shipped_semilinear_dissipation_margin():
+    # the shipped design certifies with the margin the dense form leaves: -lambda_max
+    # of P(tau) reads 2.82e-5 at its best tau
+    bundle = certified_design(load_config(CONFIGS / "two_mode_semilinear.cfg"))
+    verdict = {v.name: v for v in bundle.verdicts}["semilinear_dissipation"]
+    assert verdict.passed and verdict.margin == pytest.approx(2.83e-5, rel=0.01)
+
+
+PAPER_DESIGNS = [("nonlinear", sigma, lbar) for sigma in (0.5, 1.0, 2.0)
+                 for lbar in (0.02, 0.1, 0.2, 0.29)] \
+    + [("linear", sigma, lbar) for sigma in (20.0, 50.0, 100.0) for lbar in (0.005, 0.02, 0.1)]
+
+
+@pytest.fixture(scope="module", params=PAPER_DESIGNS,
+                ids=lambda p: f"{p[0]}-sigma{p[1]:g}-lbar{p[2]:g}")
+def paper_design(request):
+    controller, sigma, lbar = request.param
+    return certified_design(preset_config("3.3", sigma=sigma, lbar=lbar, controller=controller))
+
+
+def test_semilinear_dissipation_certifies_the_paper_designs(paper_design):
+    # every 3.3 design whose admissibility inequalities give theta > 0 certifies
+    sl = paper_design.sl_design
+    assert sl.certified and sl.clf.theta > 0.0
+    verdict = {v.name: v for v in paper_design.verdicts}["semilinear_dissipation"]
+    assert verdict.passed and verdict.margin > 0.0
+
+
+def test_semilinear_dissipation_fails_at_theta_one(paper_design):
+    # the same functional cannot carry the decay rate theta = 1
+    sl = paper_design.sl_design
+    sl = replace(sl, clf=replace(sl.clf, theta=1.0))
+    eig = paper_design.eigsys
+    loop = semilinear_loop(eig, paper_design.shapes, sl, eig.K)
+    assert loop.dissipation(shape_gram(paper_design.shapes, eig), RATE_TOL_REL, sl.lbar) < 0.0
 
 
 def test_zero_nonlinearity_cross_checks_linear_path(two_mode_bundle):
@@ -439,6 +544,6 @@ def test_zero_nonlinearity_cross_checks_linear_path(two_mode_bundle):
         V_sl, vdot_sl, _ = value_and_rate_at(w, y, bundle, sl_loop, F)
         c, norm_sq = modal_state(w, eig, eig.K)
         V_lin = lin_loop.value(c, y, norm_sq)
-        vdot_lin = lin_loop.rate(c, y, eig.inner(law.kernels, w) - law.y_gains * y)
+        vdot_lin = rate(lin_loop, c, y, eig.inner(law.kernels, w) - law.y_gains * y)
         assert abs(V_sl - V_lin) <= 1e-12 * max(1.0, abs(V_lin))
         assert abs(vdot_sl - vdot_lin) <= 1e-9 * max(1.0, abs(vdot_lin))

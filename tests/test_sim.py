@@ -34,6 +34,8 @@ from clfpde.sim import (
 from clfpde.spectral import Coefficient, SLProblem, eigensolve, gauss_rule
 from clfpde.textio import read_csv
 
+from conftest import controls, rate
+
 PI = np.pi
 
 
@@ -370,7 +372,7 @@ def etdrk4_error_against_dop853(bundle):
     def rhs(t, z):
         c, y = z[:32], z[32:]
         f = Phi_w @ F.evaluate(c @ Phi + y @ shapes.varphis)
-        v = loop.controls(c, y, f)
+        v = controls(loop, c, y, f)
         return np.concatenate([-loop.lambdas * c - loop.T @ v + f, -loop.mus * y + v])
 
     ref = solve_ivp(rhs, (0.0, 0.1), etd[0], method="DOP853",
@@ -453,7 +455,7 @@ def test_folded_etdrk4_matches_the_textbook_step(two_mode_bundle, kind):
 
 def test_recorded_controls_are_the_loop_controls(two_mode_bundle):
     # the recorded v comes from the fused quadrature's y-rows; it must equal
-    # loop.controls(c, y, f) with f by direct quadrature at every sample
+    # the loop's controls with G f_N, f by direct quadrature, at every sample
     bundle = two_mode_bundle
     eig, shapes, sl = bundle.eigsys, bundle.shapes, bundle.sl_design
     traj = semilinear_run(bundle, 32, 0.2, 1e-4, 20)
@@ -464,7 +466,7 @@ def test_recorded_controls_are_the_loop_controls(two_mode_bundle):
     assert loop.G is not None and traj.samples == 101
     for k in range(traj.samples):
         c, y = traj.coeffs[k], traj.y[k]
-        v = loop.controls(c, y, Phi_w @ F.evaluate(c @ Phi + y @ shapes.varphis))
+        v = controls(loop, c, y, Phi_w @ F.evaluate(c @ Phi + y @ shapes.varphis))
         assert np.max(np.abs(traj.v[k] - v)) <= 1e-12 * np.max(np.abs(v))
 
 
@@ -602,7 +604,7 @@ def test_linear_trajectory_V_is_the_certified_functional(single_mode_bundle):
     assert_boundary_columns(traj, loop)
     # the exact propagator leaves only the O(h^2) error of the difference (5e-6)
     assert_rate_matches_centred_difference(
-        traj, cfg.dt, lambda k: loop.rate(traj.coeffs[k], traj.y[k], traj.v[k]), 1e-4)
+        traj, cfg.dt, lambda k: rate(loop, traj.coeffs[k], traj.y[k], traj.v[k]), 1e-4)
 
 
 def test_semilinear_trajectory_V_is_the_certified_functional(two_mode_bundle):
@@ -625,7 +627,7 @@ def test_semilinear_trajectory_V_is_the_certified_functional(two_mode_bundle):
     def rate_at(k):
         c, y = traj.coeffs[k], traj.y[k]
         f = Phi_w @ F.evaluate(c @ Phi + y @ shapes.varphis)
-        return loop.rate(c, y, traj.v[k], f)
+        return rate(loop, c, y, traj.v[k], f)
 
     # an ETDRK4 step of h = dt leaves only the O(h^2) error of the difference (1e-6)
     assert_rate_matches_centred_difference(traj, cfg.dt, rate_at, 1e-4)
