@@ -112,7 +112,7 @@ class ClosedLoop:
         return per_row(0.5 * quad + 0.5 * self.gamma * (norm_sq - head_sq)
                        + 0.5 * ((Y * Y) @ self.omegas))
 
-    def dissipation(self, shape_gram, slack=0.0, lbar=0.0, tau=None):
+    def dissipation(self, shape_gram, slack=0.0, lbar=0.0):
         """Margin of dV/dt <= (1 - slack) bound on the PDE for every |F(u)| <= lbar |u|.
 
         z = (c, y) and f = <phi_n, F(u)> give z' = A z + E f, E = [I - T Gext; Gext]
@@ -123,10 +123,10 @@ class ClosedLoop:
         holds iff some tau > 0 gives P(tau) = D + tau lbar^2 U + (W E)(W E)^T / (4 tau) <= 0
         (lbar = 0: P = D).  Past the head (the modes Kv reads, at least N, plus y) P couples
         only through T_n: its diagonal is d_n = s a - gamma lambda_n + tau lbar^2 + gamma^2 /
-        (4 tau), plus (gamma^2 / (4 tau)) T_t G G^T T_t^T, which j lifted rows zeta with a
+        (4 tau), plus (gamma^2 / (4 tau)) T_t G G^T T_t^T, which lifted rows zeta with a
         -I block carry.  By Parseval the uncomputed modes add at most |tau_s|^2 / |d_K| I to
         T_t^T |d|^-1 T_t, tau_s,i^2 = ||varphi_i||^2 - sum_m T_{m,i}^2.  Margin: -lambda_max
-        of the (head, zeta) Schur complement, at tau or searched by golden section in log tau
+        of the (head, zeta) Schur complement at the tau found by golden section in log tau
         where every d_n < 0 (any tau there certifies); gamma (lambda - lbar) - s a, the
         least over the tail, where no tau is.
         """
@@ -142,40 +142,38 @@ class ClosedLoop:
         if room - g * lbar <= 0.0:
             return float(room - g * lbar)
         tau_sq = float(np.sum(np.maximum(0.0, np.diag(shape_gram) - np.sum(self.T ** 2, axis=0))))
+
+        def coupling(shift):    # T_t^T |d|^-1 T_t plus the Parseval rows, |d| = tail - shift
+            return (Tt / (tail - shift)[:, None]).T @ Tt + (tau_sq / (beyond - shift)) * np.eye(j)
+
         head = np.r_[:h, n:n + j]
         Kv, A = self.Kv[:, head], self.matrix()[np.ix_(head, head)]
         w = np.concatenate([np.full(h - self.N, g), self.omegas])
         WA = np.vstack([self.R @ A[:self.N], w[:, None] * A[self.N:]])
         D = 0.5 * (WA + WA.T) + np.diag(s * np.concatenate([np.full(h, a), b]))
         if lbar == 0.0:
-            coupling = (Tt / tail[:, None]).T @ Tt + (tau_sq / beyond) * np.eye(j)
-            return float(-np.linalg.eigvalsh(D + (0.25 * g ** 2) * (Kv.T @ coupling @ Kv))[-1])
+            return float(-np.linalg.eigvalsh(D + (0.25 * g ** 2) * (Kv.T @ coupling(0.0) @ Kv))[-1])
 
         G = self.G if self.G is not None else np.zeros((j, 0))
         m, q = h + j, G.shape[1]
         G0, Th = np.hstack([G, np.zeros((j, h - q))]), self.T[:h]    # Gext on the head's f
         E = np.vstack([np.eye(h) - Th @ G0, G0])
         WE = np.vstack([self.R @ E[:self.N], w[:, None] * E[self.N:]])
-        # on the (head, zeta) rows the complement at tau is k[:3] . F + L^T Q L, with
-        # L = k . Ls, k = (1, tau lbar^2, 1 / (4 tau), 1 / (2 sqrt tau)), Q = T_t^T |d|^-1 T_t
-        F, Ls = np.zeros((3, m + q, m + q)), np.zeros((4, j, m + q))
-        F[:, :m, :m] = D, np.block([[np.eye(h), Th], [Th.T, shape_gram]]), WE @ WE.T
-        F[0, m:, m:] = -np.eye(q)
-        Ls[:3, :, :m] = -0.5 * g * Kv, np.eye(m)[h:], -g * (G0 @ WE.T)
-        Ls[3, :, m:] = g * G
-        F, Ls = F.reshape(3, -1), Ls.reshape(4, -1)
-        TT = (Tt[:, :, None] * Tt[:, None, :]).reshape(-1, j * j)
+        # on the (head, zeta) rows P(tau) = P0 + tau lbar^2 P1 + P2 / (4 tau), and the tail
+        # enters as L^T Q L with L(tau) = L0 + tau lbar^2 L1 + L2 / (4 tau) + L3 / (2 sqrt tau)
+        P0, P1, P2 = (np.zeros((m + q, m + q)) for _ in range(3))
+        P0[:m, :m], P0[m:, m:] = D, -np.eye(q)
+        P1[:m, :m], P2[:m, :m] = np.block([[np.eye(h), Th], [Th.T, shape_gram]]), WE @ WE.T
+        L0, L1, L2, L3 = (np.zeros((j, m + q)) for _ in range(4))
+        L0[:, :m], L1[:, h:m], L3[:, m:] = -0.5 * g * Kv, np.eye(j), g * G
+        L2[:, :m] = -g * (G0 @ WE.T)
 
         def form(tau):
-            shift = tau * lbar ** 2 + g * g / (4.0 * tau)
-            Q = ((1.0 / (tail - shift)) @ TT).reshape(j, j) \
-                + (tau_sq / (beyond - shift)) * np.eye(j)
-            k = np.array([1.0, tau * lbar ** 2, 0.25 / tau, 0.5 / np.sqrt(tau)])
-            L = (k @ Ls).reshape(j, m + q)
-            return float(-np.linalg.eigvalsh((k[:3] @ F).reshape(m + q, m + q) + L.T @ Q @ L)[-1])
+            k1, k2 = tau * lbar ** 2, 0.25 / tau
+            L = L0 + k1 * L1 + k2 * L2 + (0.5 / np.sqrt(tau)) * L3
+            Q = coupling(k1 + g * g * k2)
+            return float(-np.linalg.eigvalsh(P0 + k1 * P1 + k2 * P2 + L.T @ Q @ L)[-1])
 
-        if tau is not None:
-            return form(tau)
         # the roots of lbar^2 tau^2 - room tau + gamma^2 / 4 bound the interval
         wide = room + np.sqrt((room - g * lbar) * (room + g * lbar))
         lo, hi = np.log(g * g / (2.0 * wide)), np.log(wide / (2.0 * lbar ** 2))

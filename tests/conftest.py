@@ -119,14 +119,9 @@ def random_states(eigsys, j, count, seed):
     return (draws[:, :n] * decay) @ eigsys.phis[:n], draws[:, n:]
 
 
-def modal_coefficients(W, eigsys, n):
-    """spectral.project of one grid state, or of states as rows: (n,) or (S, n)."""
-    return (eigsys.phis[:n] @ (eigsys.wr * W).T).T
-
-
 def nonlinear_coefficients(F, W, Y, shapes, eigsys, n):
     """f_1..f_n = <phi_n, F(u)> at one grid state or per row of (W, Y), u = W + Y varphi."""
-    return modal_coefficients(F.evaluate(W + Y @ shapes.varphis), eigsys, n)
+    return eigsys.inner(F.evaluate(W + Y @ shapes.varphis), eigsys.phis[:n])
 
 
 def controls(loop, c, y, f=None):

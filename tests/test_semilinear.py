@@ -31,7 +31,8 @@ from clfpde.semilinear import (
 from clfpde.shapes import shape_gram
 from clfpde.spectral import project
 
-from conftest import CONFIGS, controls, random_modal_state, rate, semilinear_value_rate_bound
+from conftest import (CONFIGS, controls, random_modal_state, random_states, rate,
+                      semilinear_value_rate_bound)
 
 PI = np.pi
 S2 = np.sqrt(2.0)
@@ -410,15 +411,20 @@ def test_semilinear_value_and_rate_zero_state(two_mode_bundle):
 
 
 def test_semilinear_dissipation_random_states(two_mode_bundle):
-    bundle = two_mode_bundle
-    F = NonlinearitySpec.make("sine_type", scale=0.29)
-    loop = loop_of(bundle)
-    rng = np.random.default_rng(31)
-    for _ in range(40):
-        w, y = random_modal_state(bundle.eigsys, 2, rng)
-        V, vdot, bound = value_and_rate_at(w, y, bundle, loop, F)
-        assert V >= 0.0
-        assert vdot <= bound + 1e-6 * (1.0 + abs(bound))
+    # dV/dt under the configured F stays within the bound that semilinear_dissipation
+    # certifies, at seeded random states of a cancellation and of a domination design
+    domination = certified_design(preset_config("3.3", sigma=50.0, lbar=0.02,
+                                                controller="linear"))
+    for bundle in (two_mode_bundle, domination):
+        assert bundle.certified
+        eig, shapes = bundle.eigsys, bundle.shapes
+        F, loop = bundle.config.semilinear.nonlinearity(), loop_of(bundle)
+        for seed in (0, 31):
+            W, Y = random_states(eig, shapes.j, 200, seed)
+            V, vdot, bound = semilinear_value_rate_bound(
+                loop, F, shapes, eig, W, eig.inner(W, eig.phis), eig.norm_sq(W), Y)
+            assert np.all(V >= 0.0)
+            assert np.all(vdot <= bound + RATE_TOL_REL * (1.0 + np.abs(bound)))
 
 
 # -- the S-lemma dissipation form ------------------------------------------------------
@@ -466,21 +472,25 @@ DENSE_CASES = {
 
 @pytest.mark.parametrize("name", sorted(DENSE_CASES))
 def test_semilinear_dissipation_sign_matches_the_dense_s_lemma(name):
-    # at 20 tau across the bracket the Schur form (tail diagonal, lifted rank-j
-    # term, Parseval past K) and a dense eigvalsh of P(tau) on all K modes decide alike
+    # P(tau) written out on all K modes at 20 tau across the bracket: a tau where it is
+    # negative certifies, so the verdict (tail diagonal, lifted rank-j term, Parseval past
+    # K, tau searched) must pass; with theta = 1 it is positive at every tau and fails
     bundle = certified_design(DENSE_CASES[name]())
-    sl, eig = bundle.sl_design, bundle.eigsys
-    loop = semilinear_loop(eig, bundle.shapes, sl, eig.K)
-    gram = shape_gram(bundle.shapes, eig)
-    lo, hi = tau_bracket(loop, sl.lbar)
-    for tau in np.geomspace(lo, hi, 22)[1:-1]:
-        schur = loop.dissipation(gram, RATE_TOL_REL, sl.lbar, tau=tau)
-        dense = float(np.linalg.eigvalsh(dense_s_lemma(loop, gram, sl.lbar, tau))[-1])
-        assert dense != 0.0
-        assert (schur >= 0.0) == (dense < 0.0), tau
+    sl, eig, shapes = bundle.sl_design, bundle.eigsys, bundle.shapes
+    gram = shape_gram(shapes, eig)
+    loop = semilinear_loop(eig, shapes, sl, eig.K)
+    taus = np.geomspace(*tau_bracket(loop, sl.lbar), 22)[1:-1]
+    dense = [float(np.linalg.eigvalsh(dense_s_lemma(loop, gram, sl.lbar, tau))[-1])
+             for tau in taus]
     verdict = {v.name: v for v in bundle.verdicts}["semilinear_dissipation"]
     assert verdict.margin == loop.dissipation(gram, RATE_TOL_REL, sl.lbar)
-    assert verdict.passed
+    assert min(dense) < 0.0 and verdict.passed
+
+    rated = replace(sl, clf=replace(sl.clf, theta=1.0))
+    loop = semilinear_loop(eig, shapes, rated, eig.K)
+    assert all(np.linalg.eigvalsh(dense_s_lemma(loop, gram, sl.lbar, tau))[-1] > 0.0
+               for tau in taus)
+    assert loop.dissipation(gram, RATE_TOL_REL, sl.lbar) < 0.0
 
 
 def test_shipped_semilinear_dissipation_margin():

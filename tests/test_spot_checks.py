@@ -1,13 +1,11 @@
-"""The random-state spot checks, kept as tests: certify draws no random state.
+"""Batched evaluators against their 1-D calls, and certify's freedom from random states.
 
 certify's semilinear_dissipation verdict is an exact S-lemma form that covers
 every nonlinearity within the design's growth bound (test_semilinear checks
-it against a dense form).  The spot check it replaced lives on here: dV/dt
-under the configured F at seeded random states stays within the certified
-bound.  Its batched margin is checked against a per-state reference written
-with the 1-D calls, and every batched evaluator row by row against its 1-D
-call.  A linear design has no such check: its verdicts are exact forms
-(test_lyapunov).
+it against a dense form and dV/dt under the configured F at random states),
+so certify draws no random state.  The tests that evaluate V and dV/dt at
+many states do it as rows; here every batched evaluator is checked row by
+row against its 1-D call.
 """
 
 import numpy as np
@@ -20,11 +18,9 @@ from clfpde.presets import preset_config
 from clfpde.semilinear import NonlinearitySpec, semilinear_loop
 from clfpde.spectral import project
 
-from conftest import (PLANTS, bound, modal_coefficients, random_states, rate,
-                      semilinear_value_rate_bound)
+from conftest import PLANTS, bound, random_states, rate, semilinear_value_rate_bound
 
 ROW_RTOL = 1e-13
-SPOT_STATES = 20        # the states certify's spot check drew
 
 
 @pytest.fixture(scope="module", params=sorted(PLANTS))
@@ -32,50 +28,6 @@ def plant(request):
     bundle = pipeline.design(config_from_text(PLANTS[request.param]()))
     pipeline.certify(bundle)
     return bundle
-
-
-def per_state_draws(eigsys, j, count, seed):
-    """random_states as one state at a time: n amplitudes, then j boundary values."""
-    rng = np.random.default_rng(seed)
-    n = min(eigsys.K, 40)
-    decay = 1.0 / np.arange(1, n + 1) ** 2
-    states = []
-    for _ in range(count):
-        w = (rng.standard_normal(n) * decay) @ eigsys.phis[:n]
-        states.append((w, rng.standard_normal(j)))
-    return states
-
-
-def spot_check_margins(bundle, count=SPOT_STATES, seed=0):
-    """The spot check, batched: the worst state's bound + RATE_TOL_REL (1 + |bound|) -
-    dV/dt under the configured F, for a design with a CLF; none otherwise."""
-    sl = bundle.sl_design
-    if sl is None or sl.clf is None:
-        return {}
-    eig, shapes = bundle.eigsys, bundle.shapes
-    W, Y = random_states(eig, shapes.j, count, seed)
-    loop = semilinear_loop(eig, shapes, sl, eig.K)
-    F = bundle.config.semilinear.nonlinearity()
-    _, vdot, bounds = semilinear_value_rate_bound(
-        loop, F, shapes, eig, W, modal_coefficients(W, eig, eig.K), eig.norm_sq(W), Y)
-    return {"semilinear": float(np.min(bounds + pipeline.RATE_TOL_REL * (1.0 + np.abs(bounds))
-                                       - vdot))}
-
-
-def per_state_margins(bundle, count=SPOT_STATES, seed=0):
-    """spot_check_margins one state at a time through the 1-D calls."""
-    sl = bundle.sl_design
-    if sl is None or sl.clf is None:
-        return {}
-    eig, shapes = bundle.eigsys, bundle.shapes
-    F = bundle.config.semilinear.nonlinearity()
-    loop = semilinear_loop(eig, shapes, sl, eig.K)
-    margin = np.inf
-    for w, y in per_state_draws(eig, shapes.j, count, seed):
-        c, norm_sq = modal_state(w, eig, eig.K)
-        _, vdot, b = semilinear_value_rate_bound(loop, F, shapes, eig, w, c, norm_sq, y)
-        margin = min(margin, b + pipeline.RATE_TOL_REL * (1.0 + abs(b)) - vdot)
-    return {"semilinear": margin}
 
 
 def assert_rows_match(batched, singles):
@@ -93,23 +45,6 @@ def assert_rows_match(batched, singles):
         assert float(np.max(np.abs(row - single))) <= ROW_RTOL * scale
 
 
-def test_random_states_keep_the_per_state_draw_order(plant):
-    eig, j = plant.eigsys, plant.shapes.j
-    W, Y = random_states(eig, j, SPOT_STATES, 0)
-    states = per_state_draws(eig, j, SPOT_STATES, 0)
-    assert W.shape == (SPOT_STATES, eig.grid.n_points)
-    assert np.array_equal(Y, np.array([y for _, y in states]))
-    assert_rows_match(W, [w for w, _ in states])
-
-
-def test_batched_margins_match_the_per_state_reference(plant):
-    margins, reference = spot_check_margins(plant), per_state_margins(plant)
-    assert margins.keys() == reference.keys()
-    for name, ref in reference.items():
-        assert abs(margins[name] - ref) <= 1e-12, name
-        assert ref >= 0.0, name
-
-
 def test_batched_evaluators_match_the_1d_calls_row_by_row(plant):
     eig, shapes, gains, params, law = (plant.eigsys, plant.shapes, plant.gains,
                                        plant.params, plant.law)
@@ -118,7 +53,7 @@ def test_batched_evaluators_match_the_1d_calls_row_by_row(plant):
     loop = linear_loop(eig, shapes, gains, params, law, eig.K)
 
     # the grid products, on the states W
-    C = modal_coefficients(W, eig, eig.K)
+    C = eig.inner(W, eig.phis)
     assert C.shape == (7, eig.K)
     singles = [modal_state(w, eig, eig.K) for w, _ in rows]
     assert_rows_match(C, [project(w, eig, eig.K) for w, _ in rows])
@@ -153,23 +88,6 @@ def test_batched_evaluators_match_the_1d_calls_row_by_row(plant):
         assert all(type(x) is float for single in singles for x in single)
         for k in range(3):
             assert_rows_match(batched[k], [single[k] for single in singles])
-
-
-SEMILINEAR_DESIGNS = {
-    "two_mode_semilinear": lambda: config_from_text(PLANTS["two_mode_semilinear"]()),
-    "domination": lambda: preset_config("3.3", sigma=50.0, lbar=0.02, controller="linear"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(SEMILINEAR_DESIGNS))
-def test_certified_bound_holds_at_200_random_states(name):
-    # what certify's spot check tested at 20 states, now at 200: dV/dt under
-    # the configured F stays within the bound that semilinear_dissipation certifies
-    bundle = pipeline.design(SEMILINEAR_DESIGNS[name]())
-    pipeline.certify(bundle)
-    assert bundle.certified
-    margin = spot_check_margins(bundle, count=200, seed=0)["semilinear"]
-    assert margin >= 0.0
 
 
 def test_certify_draws_no_state_and_evaluates_no_nonlinearity(monkeypatch):
