@@ -10,6 +10,7 @@ draws no random state): both dissipation verdicts are ClosedLoop.dissipation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,11 +112,21 @@ class DesignBundle:
         return all(v.passed for v in self.verdicts)
 
 
+@lru_cache(maxsize=4)
+def plant_eigensystem(problem, n_points, K):
+    """eigensolve(problem, make_grid(n_points), K), solved once per process for the
+    last four (problem, n_points, K) asked for; a solve that raises is not kept."""
+    return eigensolve(problem, make_grid(n_points), K)
+
+
 def design(cfg):
-    """Run the full design chain for a validated configuration."""
-    grid = make_grid(cfg.n_points)
-    eigsys = eigensolve(cfg.problem, grid, cfg.modes)
-    return design_from_eigensystem(cfg, eigsys)
+    """Run the full design chain for a validated configuration.
+
+    The plant's eigensystem comes from plant_eigensystem: the designs of one
+    (plant, n_points, modes) share one read-only EigenSystem, and only the
+    chain on top of it (design_from_eigensystem) runs per design.
+    """
+    return design_from_eigensystem(cfg, plant_eigensystem(cfg.problem, cfg.n_points, cfg.modes))
 
 
 def design_from_eigensystem(cfg, eigsys):

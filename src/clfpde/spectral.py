@@ -160,10 +160,16 @@ def make_grid(n_points=2049):
     w = np.full(n_points, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
-    return Grid(n_points, x, w * (h / 3.0))
+    return Grid(n_points, _read_only(x), _read_only(w * (h / 3.0)))
 
 
-@dataclass
+def _read_only(a):
+    """a, marked read-only: one grid and eigensystem may serve several designs."""
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
 class EigenSystem:
     """Computed eigenvalues and grid-sampled orthonormal eigenfunctions.
 
@@ -176,7 +182,9 @@ class EigenSystem:
 
     The solver's own modes are lambdas, dphi0, dphi1 and the node values
     (none for a closed-form plant); from_modes() derives phis from them, so
-    an eigensystem read back from eigen.csv equals the designed one.
+    an eigensystem read back from eigen.csv equals the designed one.  It is
+    frozen and its arrays are read-only: one eigensystem serves every design
+    of its plant.
 
     It owns the grid's r-weighted inner product: wr holds the rule's
     weights (composite Simpson times r), and inner, norm_sq, gram and
@@ -219,8 +227,11 @@ class EigenSystem:
             phis = node_values @ E
         if raw:
             dphi0, dphi1 = dphi0 * scale, dphi1 * scale
-        return cls(problem, grid, lambdas, phis, dphi0, dphi1, problem.r(grid.x),
-                   nodes, node_values)
+        if nodes is not None:
+            for a in (node_values, *vars(nodes).values()):
+                _read_only(a)
+        modes = (lambdas, phis, dphi0, dphi1, problem.r(grid.x))
+        return cls(problem, grid, *map(_read_only, modes), nodes, node_values)
 
     def at(self, x):
         """The modes at the points x of [0, 1], (K, x.size), as phis samples them on the grid.
@@ -229,15 +240,19 @@ class EigenSystem:
         interpolant through their node values.
         """
         if self.problem.closed_form:
-            _, samples, dphi0, _ = _closed_form(self.problem, self.K, self.grid.x)
-            scale = _normalization(self.problem, self.grid, samples, dphi0)
-            return _closed_form(self.problem, self.K, x)[1] * scale[:, None]
+            return _closed_form(self.problem, self.K, x)[1] * self._closed_form_scale[:, None]
         return self.node_values @ self.nodes.interpolation(x).T
+
+    @cached_property
+    def _closed_form_scale(self):
+        """A closed-form plant's per-mode factor from the closed form to phis."""
+        _, samples, dphi0, _ = _closed_form(self.problem, self.K, self.grid.x)
+        return _read_only(_normalization(self.problem, self.grid, samples, dphi0))
 
     @cached_property
     def wr(self):
         """Composite-Simpson weights times r: the r-weighted inner product's rule."""
-        return self.grid.weights * self.r_samples
+        return _read_only(self.grid.weights * self.r_samples)
 
     def _samples(self, f):
         """f as float grid samples; DimensionMismatch unless its last axis is the grid."""
@@ -266,7 +281,8 @@ class EigenSystem:
     @cached_property
     def contracts(self):
         """eigen_contracts(self), evaluated once: the eigensolve guard and certify share it."""
-        return eigen_contracts(self)
+        defect, res, tol = eigen_contracts(self)
+        return defect, _read_only(res), _read_only(tol)
 
 
 # -- Chebyshev collocation ---------------------------------------------------
@@ -317,7 +333,7 @@ def _barycentric(x, w, xg):
     return E
 
 
-@dataclass
+@dataclass(frozen=True)
 class Collocation:
     """Chebyshev-Lobatto nodes for one plant, one node set per piece.
 

@@ -211,7 +211,9 @@ def test_benchmark_sweep_template_loads():
 
 def test_eigen_contracts_evaluated_once_per_eigensystem(tmp_path, monkeypatch):
     # the eigensolve guard and certify share one evaluation; a loaded
-    # eigensystem evaluates its own when certify first needs it
+    # eigensystem evaluates its own when certify first needs it.  An earlier test
+    # may have designed this plant: clearing the memo makes this design solve it
+    pipeline.plant_eigensystem.cache_clear()
     calls = []
     evaluate = spectral.eigen_contracts
     monkeypatch.setattr(spectral, "eigen_contracts",
