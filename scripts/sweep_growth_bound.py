@@ -30,6 +30,7 @@ def main():
     args = ap.parse_args()
 
     bundle = pipeline.design(preset_config("3.3"))
+    cfg = bundle.config
     sl = bundle.sl_design
     bound = max_growth_bound(sl.mus, sl.norms_sq, sl.g, sl.lambda_next)
     print(f"growth bound (cancellation controller): {bound:.6f}\n")
@@ -43,13 +44,12 @@ def main():
 
     if args.simulate_above:
         print("\nuncertified probes beyond the bound (sine nonlinearity):")
-        w0, y0 = pipeline.initial_state(bundle)
         for lbar in (1.02 * bound, 1.2 * bound):
             design = build_semilinear_design(bundle.model, bundle.shapes, lbar,
                                              sigma=1.0, controller_kind="nonlinear")
             F = NonlinearitySpec.make("sine_type", scale=lbar)
             traj = simulate_semilinear(bundle.eigsys, bundle.shapes, design, F,
-                                       w0, y0, bundle.config.sim)
+                                       cfg.w0_modes, cfg.y0, cfg.sim)
             fit = fit_decay_rate(traj)
             print(f"  lbar={lbar:.4f} certified={traj.certified} "
                   f"fitted rate={fit.rate:.4f} r2={fit.r_squared:.4f}")

@@ -17,7 +17,6 @@ from .spectral import (            # noqa: F401
     check_assumption_h,
     eigensolve,
     make_grid,
-    project,
 )
 from .shapes import (              # noqa: F401
     ShapeSet,

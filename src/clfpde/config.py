@@ -141,8 +141,9 @@ class RunConfig:
                               f"got {self.n_points}")
         if self.sim.n_modes > self.modes:
             raise ConfigError("sim n_modes cannot exceed computed spectral modes")
-        if len(self.w0_modes) > self.modes:
-            raise ConfigError(f"w0_modes has {len(self.w0_modes)} values; modes = {self.modes}")
+        if len(self.w0_modes) > self.sim.n_modes:
+            raise ConfigError(f"w0_modes has {len(self.w0_modes)} values; "
+                              f"sim n_modes = {self.sim.n_modes}")
         if not 0.0 < self.safety < np.inf:
             raise ConfigError(f"safety must be positive and finite, got {self.safety!r}")
         if len(self.y0) != self.j:

@@ -23,10 +23,6 @@ class DimensionMismatch(ToolkitError):
     """Grid functions have incompatible sample counts."""
 
 
-class CutoffExceedsComputedModes(ToolkitError):
-    """Requested mode cutoff exceeds the computed eigensystem size."""
-
-
 # -- shapes ----------------------------------------------------------------
 
 class MuNotPositive(ToolkitError):
@@ -63,10 +59,6 @@ class TailBoundFailed(ToolkitError):
 
 class KernelTruncationExceedsModes(ToolkitError):
     """Kernel truncation index exceeds the computed eigensystem size."""
-
-
-class RemainderTooLarge(ToolkitError):
-    """State has too much energy outside the computed modal span."""
 
 
 # -- semilinear ------------------------------------------------------------

@@ -27,10 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KernelTruncationExceedsModes, RemainderTooLarge, TailBoundFailed
-from .spectral import project
-
-REMAINDER_ENERGY_REL = 1e-6
+from .errors import KernelTruncationExceedsModes, TailBoundFailed
 
 
 @dataclass
@@ -219,18 +216,6 @@ def law_decay(params, design, shapes, eigsys):
     return 0.5, a, params.omegas * shapes.mus
 
 
-def modal_state(w, eigsys, n, rel=REMAINDER_ENERGY_REL):
-    """(c_1..c_n, ||w||^2) of a grid state; RemainderTooLarge when the energy
-    outside the first n modes exceeds rel of the total."""
-    c = project(w, eigsys, n)
-    norm_sq = float(eigsys.norm_sq(w))
-    rem_sq = norm_sq - float(np.sum(c * c))
-    if norm_sq > 0.0 and rem_sq > rel * norm_sq:
-        raise RemainderTooLarge(f"remainder energy {rem_sq:.3e} exceeds {rel:g} of total "
-                                f"{norm_sq:.3e}")
-    return c, norm_sq
-
-
 def coupling_table(shapes, eigsys, n_max):
     """<varphi_i, phi_n> for n = 1..n_max; shape (n_max, j)."""
     return eigsys.inner(eigsys.phis[:n_max], shapes.varphis)
@@ -254,7 +239,7 @@ def truncation_margin(coupling, M, N, gamma, Ls, lambdas):
     return float(4.0 * (lambdas[M] - lambdas[N]) - gamma * float(np.sum(Ls * tails)))
 
 
-def weight_inequality_margins(params, design, shapes, eigsys, coupling=None):
+def weight_inequality_margins(params, design, shapes, eigsys, coupling):
     """Margins of the three admissibility inequalities for (omega, gamma, M).
 
     Returns (per-input margins sigma mu_i - 2 j omega_i |K_i|^2,
@@ -267,8 +252,6 @@ def weight_inequality_margins(params, design, shapes, eigsys, coupling=None):
     y_margins = params.sigma * shapes.mus - 2.0 * j * params.omegas * ksq
     tail_margin = params.sigma * eigsys.lambdas[N] - \
         2.0 * j * params.gamma * float(np.sum(shapes.norms_sq * ksq))
-    if coupling is None:
-        coupling = coupling_table(shapes, eigsys, eigsys.K)
     trunc_margin = truncation_margin(coupling, params.M, N, params.gamma, params.Ls,
                                      eigsys.lambdas)
     return y_margins, float(tail_margin), trunc_margin

@@ -264,25 +264,17 @@ def certify(bundle):
     return verdicts
 
 
-def initial_state(bundle):
-    """Grid initial condition from the configured modal amplitudes."""
-    amps = np.asarray(bundle.config.w0_modes, dtype=float)
-    w0 = amps @ bundle.eigsys.phis[: amps.size]
-    y0 = np.asarray(bundle.config.y0, dtype=float)
-    return w0, y0
-
-
 def simulate(bundle):
-    """Run the configured closed-loop simulation for a designed bundle."""
+    """Run the configured closed-loop simulation for a designed bundle, from the
+    configured modal amplitudes w0_modes and boundary states y0."""
     cfg = bundle.config
-    w0, y0 = initial_state(bundle)
     if cfg.semilinear is not None:
         F = cfg.semilinear.nonlinearity()
         F.validate()
         return simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design,
-                                   F, w0, y0, cfg.sim)
+                                   F, cfg.w0_modes, cfg.y0, cfg.sim)
     return simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains, bundle.params,
-                           bundle.law, w0, y0, cfg.sim)
+                           bundle.law, cfg.w0_modes, cfg.y0, cfg.sim)
 
 
 def report_text(bundle):

@@ -33,7 +33,7 @@ from .errors import (
     QuadratureBudgetExceeded,
 )
 from .lyapunov import coupling_table  # noqa: F401  (perfbench/spans.py wraps this name)
-from .lyapunov import linear_loop, modal_state
+from .lyapunov import linear_loop
 from .semilinear import semilinear_loop
 from .spectral import ORTHONORMALITY_TOL, gauss_rule
 from .textio import write_csv
@@ -41,7 +41,6 @@ from .textio import write_csv
 INSTABILITY_FACTOR = 1e6
 # recorded samples between the ETDRK4 loop's growth checks
 GROWTH_BLOCK = 64
-W0_REMAINDER_REL = 1e-8
 MIN_STEPS = 100
 FIT_MIN_SAMPLES = 20
 # Gauss-Legendre nodes of F's quadrature per simulated mode: at 4 the shipped
@@ -111,12 +110,16 @@ class Trajectory:
         return self.times.size
 
 
-def _initial_state(eigsys, w0, y0, n_modes):
-    """Modal (c0, y0) after the mode-count and remainder checks."""
+def _initial_state(eigsys, c0, y0, n_modes):
+    """Modal (c, y): the amplitudes c0 padded with zeros to n_modes, and y0."""
     if n_modes > eigsys.K:
         raise ConfigError(f"n_modes={n_modes} exceeds computed modes {eigsys.K}")
-    c0, _ = modal_state(w0, eigsys, n_modes, W0_REMAINDER_REL)
-    return c0, np.atleast_1d(np.asarray(y0, dtype=float)).copy()
+    c0 = np.atleast_1d(np.asarray(c0, dtype=float))
+    if c0.size > n_modes:
+        raise ConfigError(f"{c0.size} initial amplitudes exceed n_modes={n_modes}")
+    c = np.zeros(n_modes)
+    c[:c0.size] = c0
+    return c, np.atleast_1d(np.asarray(y0, dtype=float)).copy()
 
 
 def _check_growth(Z, n, times, cap):
@@ -245,11 +248,12 @@ def _simulate(loop, nonlinear, c, y, cfg, sigma, **flags):
                       loop.value(coeffs, ys), np.sum(ys, axis=1), vs, vs - ys * loop.mus, **flags)
 
 
-def simulate_linear(eigsys, shapes, design, params, law, w0, y0, cfg):
-    """Closed-loop linear simulation; pass law=None for the open loop (v = 0)."""
+def simulate_linear(eigsys, shapes, design, params, law, c0, y0, cfg):
+    """Closed-loop linear simulation from the modal amplitudes c0 and boundary
+    states y0; pass law=None for the open loop (v = 0)."""
     if law is not None and cfg.n_modes <= law.M:
         raise ConfigError(f"n_modes={cfg.n_modes} must exceed the kernel truncation M={law.M}")
-    c, y = _initial_state(eigsys, w0, y0, cfg.n_modes)
+    c, y = _initial_state(eigsys, c0, y0, cfg.n_modes)
     loop = linear_loop(eigsys, shapes, design, params, law, cfg.n_modes)
     return _simulate(loop, None, c, y, cfg, design.sigma if design is not None else None,
                      certified=law is not None,
@@ -279,8 +283,9 @@ def gauss_quadrature(eigsys, shapes, n_modes, Q):
     return basis, wr
 
 
-def simulate_semilinear(eigsys, shapes, design, F, w0, y0, cfg):
-    """Closed-loop semilinear simulation under the design's controller.
+def simulate_semilinear(eigsys, shapes, design, F, c0, y0, cfg):
+    """Closed-loop semilinear simulation under the design's controller, from the
+    modal amplitudes c0 and boundary states y0.
 
     Each ETDRK4 stage makes one fused quadrature: u = z @ basis on the Gauss
     nodes of gauss_quadrature (GAUSS_NODES_PER_MODE per mode), basis =
@@ -300,7 +305,7 @@ def simulate_semilinear(eigsys, shapes, design, F, w0, y0, cfg):
     if n_modes < design.N:
         raise ConfigError(f"n_modes={n_modes} must cover the retained modes N={design.N}")
     cfg.check_quadrature_budget(F, design.sigma)
-    c, y = _initial_state(eigsys, w0, y0, n_modes)
+    c, y = _initial_state(eigsys, c0, y0, n_modes)
     loop = semilinear_loop(eigsys, shapes, design, n_modes)
     nonlinear = None
     if F.kind != "zero":

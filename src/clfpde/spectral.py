@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    CutoffExceedsComputedModes,
     DimensionMismatch,
     GridTooCoarse,
     NonPositiveCoefficient,
@@ -187,8 +186,8 @@ class EigenSystem:
     of its plant.
 
     It owns the grid's r-weighted inner product: wr holds the rule's
-    weights (composite Simpson times r), and inner, norm_sq, gram and
-    project apply it.
+    weights (composite Simpson times r), and inner, norm_sq and gram
+    apply it.
     """
 
     problem: SLProblem
@@ -600,13 +599,6 @@ def boundary_residuals(eigsys):
     left = np.abs(pr.b1 * eigsys.phis[:, 0] + pr.b2 * eigsys.dphi0)
     right = np.abs(pr.a1 * eigsys.phis[:, -1] + pr.a2 * eigsys.dphi1)
     return left / amp, right / amp
-
-
-def project(w, eigsys, N):
-    """Modal coefficients (N,) of the grid state w against the first N eigenfunctions."""
-    if N > eigsys.K:
-        raise CutoffExceedsComputedModes(f"N={N} exceeds computed modes K={eigsys.K}")
-    return eigsys.phis[:N] @ (eigsys.wr * eigsys._samples(w))
 
 
 def check_assumption_h(eigsys, N):

@@ -105,6 +105,12 @@ def random_modal_state(eigsys, j, rng, max_mode=40):
     return amps @ eigsys.phis[:n], rng.standard_normal(j)
 
 
+def modal_form(eigsys, w, n=None):
+    """(c_1..c_n, ||w||^2) of a grid state, or per row: its first n modal coefficients
+    (all computed modes by default) and its energy."""
+    return eigsys.inner(w, eigsys.phis[:n]), eigsys.norm_sq(w)
+
+
 # Certify draws no random state and evaluates no nonlinearity; the spot checks that
 # did now run here, on the helpers below.
 

@@ -10,7 +10,7 @@ import numpy as np
 from clfpde import pipeline
 from clfpde.cli import main as cli_main
 from clfpde.config import config_to_text
-from clfpde.lyapunov import coercivity_constants, linear_loop, modal_state
+from clfpde.lyapunov import coercivity_constants, linear_loop
 from clfpde.presets import preset_config, two_mode_reference
 from clfpde.reduced import closed_form_B
 from clfpde.semilinear import (
@@ -22,7 +22,7 @@ from clfpde.semilinear import (
 from clfpde.sim import SimConfig, fit_decay_rate, simulate_linear, simulate_semilinear
 from clfpde.spectral import eigensolve, make_grid
 
-from conftest import bound, random_states, rate
+from conftest import bound, modal_form, random_states, rate
 
 PI = np.pi
 
@@ -91,7 +91,7 @@ def test_criterion_5_clf_certificate_suite():
     coerc_ok = diss_ok = True
     dual_worst = 0.0
     for w, y in zip(W, Y):
-        c, norm_sq = modal_state(w, eig, eig.K)
+        c, norm_sq = modal_form(eig, w)
         V = loop.value(c, y, norm_sq)
         size = eig.norm_sq(w) + float(y @ y)
         tol = 1e-6 * max(1.0, abs(V))
@@ -112,14 +112,14 @@ def test_criterion_6_closed_loop_decay():
     bundle = pipeline.design(preset_config("2.4"))
     pipeline.certify(bundle)
     assert bundle.certified
-    w0, y0 = pipeline.initial_state(bundle)    # phi_1 + 0.5 phi_2, y = 0.3
+    c0 = bundle.config.w0_modes    # phi_1 + 0.5 phi_2, y = 0.3
     traj = pipeline.simulate(bundle)
     fit = fit_decay_rate(traj)
     v_monotone = bool(np.all(np.diff(traj.V)
                              <= 1e-6 * np.maximum(traj.V[:-1], 1e-300)))
     open_cfg = SimConfig(n_modes=64, dt=1e-4, t_final=1.0, record_stride=10)
     open_traj = simulate_linear(bundle.eigsys, bundle.shapes, None, None, None,
-                                w0, [0.0], open_cfg)
+                                c0, [0.0], open_cfg)
     growth = -fit_decay_rate(open_traj).rate
     expected = abs(PI ** 2 - 2.0 * PI ** 2)
     growth_ok = abs(growth - expected) / expected < 0.05
@@ -136,7 +136,6 @@ def test_criterion_7_feedback_linearization_contraction():
     bundle = pipeline.design(preset_config("3.3"))
     pipeline.certify(bundle)
     F = NonlinearitySpec.make("sine_type", scale=0.29)
-    w0, y0 = pipeline.initial_state(bundle)
     sigma = bundle.sl_design.sigma
     T = 0.2
 
@@ -144,7 +143,7 @@ def test_criterion_7_feedback_linearization_contraction():
         cfg = SimConfig(n_modes=32, dt=step, t_final=T,
                         record_stride=int(round(T / step)))
         traj = simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design, F,
-                                   w0, y0, cfg)
+                                   bundle.config.w0_modes, bundle.config.y0, cfg)
         c0, cT = traj.coeffs[0, :2], traj.coeffs[-1, :2]
         return float(np.max(np.abs(cT - c0 * np.exp(-sigma * T)))), float(np.max(np.abs(c0)))
 

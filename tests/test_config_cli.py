@@ -609,6 +609,9 @@ def test_check_artifact_float_tolerance(tmp_path, capsys, request, nudge, code):
     # t_final 8.0: 4000 ETDRK4 steps, 16001 quadratures of F; auto (5 / sigma): 10001
     pytest.param("two_mode_semilinear.cfg", ("max_steps = 2000000", "max_steps = 1000"),
                  "0.0002", "evaluations of F exceed max_steps=1000", id="max_steps"),
+    # the run starts from the two configured amplitudes, which one simulated mode cannot hold
+    pytest.param("single_mode.cfg", ("n_modes = 64", "n_modes = 1"), "1e-4",
+                 "w0_modes has 2 values; sim n_modes = 1", id="w0_modes_beyond_n_modes"),
 ])
 def test_cli_rejects_step_counts_before_writing(tmp_path, capsys, t_final, name, edit,
                                                dt, message):
@@ -662,12 +665,12 @@ SHIPPED = ("single_mode", "two_mode_semilinear")
 # Prescott (SSE3) is an OpenBLAS kernel every x86-64 processor runs.
 SIMULATE_SHA256 = {
     "single_mode": {
-        "trajectory.csv": "28c9f8fd87ff521c7c4b3844161f2d6204e437dce335bdbdb9828bc30309b787",
+        "trajectory.csv": "c00e997d2ec1101a8a6d4d424b02859fe71af8b6daef6e44cb502ba0344afe75",
         "artifact/design.txt": "bc3f41012f849ed45c976e0fe2c45f2d30fb514ba18f92533a4cbf1f15466f49",
         "report.txt": "479e9eaf9899770318d646b7bfea480d650940c3acfd0bfafb92d4b0d448ef5c",
     },
     "two_mode_semilinear": {
-        "trajectory.csv": "979bda648a8207d1e8990ef9e6360b2506067c8b144844677c679e7d395daa0c",
+        "trajectory.csv": "90fba250067be74d609464ab56f2c882166def12d2496e83412b3c0fc06b898a",
         "artifact/design.txt": "45c06ed85a088cd6df653ebfe4c2005050e1561e0e9cfedf201da9afa0cb07c4",
         "report.txt": "d1832088d97c378299c6ccaa23689fa86a3970c057dd5e210ea33502ab00dd87",
     },

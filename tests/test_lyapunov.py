@@ -4,20 +4,21 @@ from hypothesis import given, settings, strategies as st
 
 from clfpde import pipeline
 from clfpde.config import config_from_text
-from clfpde.errors import KernelTruncationExceedsModes, RemainderTooLarge, TailBoundFailed
+from clfpde.errors import KernelTruncationExceedsModes, TailBoundFailed
 from clfpde.lyapunov import (
     build_feedback_law,
     coercivity_constants,
+    coupling_table,
     linear_loop,
-    modal_state,
     select_clf_params,
     weight_inequality_margins,
 )
 from clfpde.presets import single_mode_kernel_closed_form, single_mode_tail_sum
+from clfpde.semilinear import semilinear_loop
 from clfpde.shapes import shape_gram
-from clfpde.spectral import project
 
-from conftest import PLANTS, bound, random_modal_state, rate
+from conftest import (PLANTS, bound, modal_form, random_modal_state, random_states, rate,
+                      semilinear_value_rate_bound)
 
 PI = np.pi
 S2 = np.sqrt(2.0)
@@ -39,9 +40,9 @@ def test_quoted_inequality_instances(single_mode_bundle):
     rhs1 = 441.0 * PI ** 2 * s ** 2 * omega
     assert abs(lhs1 / rhs1 - 2.0) < 1e-9
     assert 128.0 * p * PI ** 2 * sigma >= 441.0 * PI ** 2 * gamma * s ** 2
+    shapes, eig = single_mode_bundle.shapes, single_mode_bundle.eigsys
     y_m, tail_m, trunc_m = weight_inequality_margins(
-        params, single_mode_bundle.gains, single_mode_bundle.shapes,
-        single_mode_bundle.eigsys)
+        params, single_mode_bundle.gains, shapes, eig, coupling_table(shapes, eig, eig.K))
     assert np.all(y_m > 0) and tail_m > 0 and trunc_m >= 0
 
 
@@ -98,8 +99,8 @@ def test_weighting_operator_symmetry(two_mode_bundle, seed):
     rng = np.random.default_rng(seed)
     w, _ = random_modal_state(eig, 2, rng)
     u, _ = random_modal_state(eig, 2, rng)
-    cw = project(w, eig, 2)
-    cu = project(u, eig, 2)
+    cw = eig.inner(w, eig.phis[:2])
+    cu = eig.inner(u, eig.phis[:2])
     Gw = (R @ cw) @ eig.phis[:2]
     Gu = (R @ cu) @ eig.phis[:2]
     lhs = eig.inner(Gw, u)
@@ -117,14 +118,14 @@ def loop_of(bundle):
 
 def value_at(w, y, loop, eig):
     """V of the loop at the grid state (w, y)."""
-    c, norm_sq = modal_state(w, eig, eig.K)
+    c, norm_sq = modal_form(eig, w)
     return loop.value(c, np.atleast_1d(y), norm_sq)
 
 
 def rate_at(w, y, bundle, loop, v=None):
     """(dV/dt, bound) at the grid state (w, y), under the feedback law unless v is given."""
     eig = bundle.eigsys
-    c, norm_sq = modal_state(w, eig, eig.K)
+    c, norm_sq = modal_form(eig, w)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if v is None:
         v = loop.controls(c, y)
@@ -192,7 +193,7 @@ def test_kernel_dual_path(single_mode_bundle_L1):
     for _ in range(100):
         w, y = random_modal_state(eig, 1, rng)
         v_quad = grid_controls(bundle.law, w, y, eig)
-        v_modal = loop.controls(project(w, eig, eig.K), y)
+        v_modal = loop.controls(eig.inner(w, eig.phis), y)
         worst = max(worst, float(np.max(np.abs(v_quad - v_modal))))
     assert worst <= 1e-8
 
@@ -238,7 +239,7 @@ def test_modal_relation_of_transformed_state(two_mode_bundle, grid):
     rng = np.random.default_rng(11)
     u, y = random_modal_state(bundle.eigsys, 2, rng)
     w = u - y @ bundle.shapes.varphis
-    c = project(w, bundle.eigsys, 2)
+    c = bundle.eigsys.inner(w, bundle.eigsys.phis[:2])
     for n in (1, 2):
         sin_n = np.sin(n * PI * grid.x)
         integral = float((sin_n * u) @ grid.weights)
@@ -295,19 +296,11 @@ def test_tail_state_diagonal_rate(single_mode_bundle):
     amps = rng.standard_normal(20) / np.arange(1, 21) ** 2
     w = amps @ eig.phis[N:N + 20]
     vdot, _ = rate_at(w, [0.0], bundle, loop_of(bundle), v=np.zeros(1))
-    c = project(w, eig, eig.K)
+    c = eig.inner(w, eig.phis)
     gamma = bundle.params.gamma
     direct = -gamma * float((eig.lambdas[N:] * c[N:] ** 2).sum())
     assert abs(vdot - direct) <= 1e-9 * max(1.0, abs(direct))
     assert vdot <= -gamma * eig.lambdas[N] * eig.norm_sq(w) * (1.0 - 1e-9)
-
-
-def test_remainder_guard(single_mode_bundle):
-    bundle = single_mode_bundle
-    x = bundle.grid.x
-    w = np.sin(150.5 * PI * x)      # far beyond the computed span
-    with pytest.raises(RemainderTooLarge):
-        rate_at(w, [0.0], bundle, loop_of(bundle))
 
 
 # -- the dissipation form ------------------------------------------------------
@@ -370,3 +363,74 @@ def test_non_dissipative_design_fails_dissipation():
     verdict = {v.name: v for v in bundle.verdicts}["dissipation"]
     assert not verdict.passed
     assert verdict.margin == pytest.approx(-8.4e-3, rel=0.01)
+
+
+# -- batched evaluators ----------------------------------------------------------
+
+# The tests that evaluate V and dV/dt at many states do it as rows; here every
+# batched evaluator is checked row by row against its 1-D call.
+
+ROW_RTOL = 1e-13
+
+
+@pytest.fixture(scope="module", params=sorted(PLANTS))
+def plant(request):
+    bundle = pipeline.design(config_from_text(PLANTS[request.param]()))
+    pipeline.certify(bundle)
+    return bundle
+
+
+def assert_rows_match(batched, singles):
+    """Row s of a batched result equals the 1-D result on state s within ROW_RTOL of
+    the call's largest entry.  dV/dt cancels terms up to 1e4 times its size (the
+    gains reach 4e3 on two_mode_semilinear), so a row's own size would measure
+    how matrix-matrix and matrix-vector products round its inputs, not the batching.
+    """
+    batched = np.asarray(batched)
+    assert batched.shape[0] == len(singles)
+    scale = float(np.max(np.abs(batched)))
+    for row, single in zip(batched, singles):
+        single = np.asarray(single)
+        assert row.shape == single.shape
+        assert float(np.max(np.abs(row - single))) <= ROW_RTOL * scale
+
+
+def test_batched_evaluators_match_the_1d_calls_row_by_row(plant):
+    eig, shapes, gains, params, law = (plant.eigsys, plant.shapes, plant.gains,
+                                       plant.params, plant.law)
+    W, Y = random_states(eig, shapes.j, 7, 0)
+    loop = linear_loop(eig, shapes, gains, params, law, eig.K)
+
+    # the grid products, on the states W
+    C = eig.inner(W, eig.phis)
+    assert C.shape == (7, eig.K)
+    assert_rows_match(C, [eig.inner(w, eig.phis) for w in W])
+    norm_sq = eig.norm_sq(W)
+    assert_rows_match(norm_sq, [eig.norm_sq(w) for w in W])
+
+    # the modal evaluators, on the batch's own rows of (C, norm_sq, Y, V): a
+    # 1-D projection of W rounds differently from the batched one, and dV/dt
+    # would magnify that gap by the cancellation assert_rows_match describes
+    V = loop.controls(C, Y)
+    states = list(zip(C, norm_sq, Y, V))
+    assert_rows_match(V, [loop.controls(c, y) for c, _, y, _ in states])
+    bounds = [bound(loop, n, y) for _, n, y, _ in states]
+    assert all(type(b) is float for b in bounds)
+    assert_rows_match(bound(loop, norm_sq, Y), bounds)
+    values = [loop.value(c, y, n) for c, n, y, _ in states]
+    assert all(type(v) is float for v in values)
+    assert_rows_match(loop.value(C, Y, norm_sq), values)
+    rates = [rate(loop, c, y, v) for c, _, y, v in states]
+    assert all(type(r) is float for r in rates)
+    assert_rows_match(rate(loop, C, Y, V), rates)
+
+    sl = plant.sl_design
+    if sl is not None:
+        F = plant.config.semilinear.nonlinearity()
+        sl_loop = semilinear_loop(eig, shapes, sl, eig.K)
+        batched = semilinear_value_rate_bound(sl_loop, F, shapes, eig, W, C, norm_sq, Y)
+        singles = [semilinear_value_rate_bound(sl_loop, F, shapes, eig, w, c, n, y)
+                   for w, (c, n, y, _) in zip(W, states)]
+        assert all(type(x) is float for single in singles for x in single)
+        for k in range(3):
+            assert_rows_match(batched[k], [single[k] for single in singles])

@@ -10,7 +10,6 @@ from clfpde.lyapunov import (
     CLFParams,
     build_feedback_law,
     linear_loop,
-    modal_state,
 )
 from clfpde.pipeline import RATE_TOL_REL
 from clfpde.presets import preset_config
@@ -29,10 +28,9 @@ from clfpde.semilinear import (
     semilinear_loop,
 )
 from clfpde.shapes import shape_gram
-from clfpde.spectral import project
 
-from conftest import (CONFIGS, controls, random_modal_state, random_states, rate,
-                      semilinear_value_rate_bound)
+from conftest import (CONFIGS, controls, modal_form, random_modal_state, random_states,
+                      rate, semilinear_value_rate_bound)
 
 PI = np.pi
 S2 = np.sqrt(2.0)
@@ -100,7 +98,7 @@ def loop_of(bundle, controller_kind=None):
 def value_and_rate_at(w, y, bundle, loop, F):
     """(V, dV/dt, bound) of the bundle's semilinear design at the grid state (w, y)."""
     eig = bundle.eigsys
-    c, norm_sq = modal_state(w, eig, eig.K)
+    c, norm_sq = modal_form(eig, w)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     return semilinear_value_rate_bound(loop, F, bundle.shapes, eig, w, c, norm_sq, y)
 
@@ -150,7 +148,7 @@ def test_feedback_linearization_identity(two_mode_bundle):
     rng = np.random.default_rng(9)
     for _ in range(20):
         w, y = random_modal_state(eig, 2, rng)
-        c = project(w, eig, eig.K)
+        c = eig.inner(w, eig.phis)
         u = w + y @ bundle.shapes.varphis
         f_all = eig.phis @ (eig.grid.weights * eig.r_samples * F.evaluate(u))
         v = controls(loop, c, y, f_all)
@@ -169,7 +167,7 @@ def test_domination_identity(two_mode_bundle):
     coupling = loop.T
     rng = np.random.default_rng(10)
     w, y = random_modal_state(eig, 2, rng)
-    c = project(w, eig, eig.K)
+    c = eig.inner(w, eig.phis)
     u = w + y @ bundle.shapes.varphis
     f_all = eig.phis @ (eig.grid.weights * eig.r_samples * F.evaluate(u))
     v = loop.controls(c, y)
@@ -530,6 +528,24 @@ def test_semilinear_dissipation_fails_at_theta_one(paper_design):
     assert loop.dissipation(shape_gram(paper_design.shapes, eig), RATE_TOL_REL, sl.lbar) < 0.0
 
 
+def test_certify_draws_no_state_and_evaluates_no_nonlinearity(monkeypatch):
+    # the semilinear verdicts cover every F within lbar: certify neither
+    # evaluates the configured F nor draws random numbers
+    bundle = pipeline.design(preset_config("3.3"))
+    evaluated = []
+    evaluate = NonlinearitySpec.evaluate
+    monkeypatch.setattr(NonlinearitySpec, "evaluate",
+                        lambda self, s, out=None: evaluated.append(s) or evaluate(self, s, out))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("certify drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    verdicts = pipeline.certify(bundle)
+    assert "semilinear_dissipation" in [v.name for v in verdicts]
+    assert bundle.certified and evaluated == []
+
+
 def test_zero_nonlinearity_cross_checks_linear_path(two_mode_bundle):
     # with F = 0 the cancellation loop is the closed-form linear loop; the
     # semilinear functional with scalar weight R equals the linear one with
@@ -552,7 +568,7 @@ def test_zero_nonlinearity_cross_checks_linear_path(two_mode_bundle):
     for _ in range(10):
         w, y = random_modal_state(eig, 2, rng)
         V_sl, vdot_sl, _ = value_and_rate_at(w, y, bundle, sl_loop, F)
-        c, norm_sq = modal_state(w, eig, eig.K)
+        c, norm_sq = modal_form(eig, w)
         V_lin = lin_loop.value(c, y, norm_sq)
         vdot_lin = rate(lin_loop, c, y, eig.inner(law.kernels, w) - law.y_gains * y)
         assert abs(V_sl - V_lin) <= 1e-12 * max(1.0, abs(V_lin))

@@ -7,13 +7,13 @@ from scipy.integrate import solve_ivp
 from clfpde import pipeline
 from clfpde.artifact import load_artifact, save_artifact
 from clfpde.errors import (
+    ConfigError,
     DegenerateTrajectory,
     GridTooCoarse,
     Instability,
     QuadratureBudgetExceeded,
-    RemainderTooLarge,
 )
-from clfpde.lyapunov import linear_loop, modal_state
+from clfpde.lyapunov import linear_loop
 from clfpde.semilinear import NonlinearitySpec, semilinear_loop
 from clfpde.presets import dirichlet_problem, preset_config
 from clfpde.shapes import build_shape_set
@@ -34,7 +34,7 @@ from clfpde.sim import (
 from clfpde.spectral import Coefficient, SLProblem, eigensolve, gauss_rule
 from clfpde.textio import read_csv
 
-from conftest import controls, rate
+from conftest import controls, modal_form, rate
 
 PI = np.pi
 
@@ -79,7 +79,7 @@ def test_zero_state_stays_zero(single_mode_bundle):
     cfg = SimConfig(n_modes=16, dt=1e-3, t_final=0.5, record_stride=5)
     traj = simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
                            bundle.params, bundle.law,
-                           np.zeros(bundle.grid.n_points), [0.0], cfg)
+                           [0.0], [0.0], cfg)
     assert np.all(traj.norm_w == 0.0) and np.all(traj.norm_y == 0.0)
     assert np.all(traj.V == 0.0)
 
@@ -103,10 +103,10 @@ def test_certified_run_decays_and_V_monotone(single_mode_bundle):
 
 def test_open_loop_grows_at_unstable_rate(single_mode_bundle):
     bundle = single_mode_bundle
-    w0, _ = pipeline.initial_state(bundle)
+    c0 = bundle.config.w0_modes
     cfg = SimConfig(n_modes=64, dt=1e-4, t_final=1.0, record_stride=10)
     traj = simulate_linear(bundle.eigsys, bundle.shapes, None, None, None,
-                           w0, [0.0], cfg)
+                           c0, [0.0], cfg)
     fit = fit_decay_rate(traj)
     growth = -fit.rate
     assert abs(growth - PI ** 2) / PI ** 2 < 0.05
@@ -118,7 +118,7 @@ def test_sample_count_contract(single_mode_bundle):
     cfg = SimConfig(n_modes=16, dt=1e-3, t_final=1.0, record_stride=7)
     traj = simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
                            bundle.params, bundle.law,
-                           bundle.eigsys.phis[0], [0.1], cfg)
+                           [1.0], [0.1], cfg)
     steps = int(round(1.0 / 1e-3))
     assert traj.samples == steps // 7 + 1
 
@@ -142,10 +142,10 @@ def rk4_samples(bundle, traj, n_modes, dt, stride):
 
 def test_integrator_cross_check(single_mode_bundle):
     bundle = single_mode_bundle
-    w0, y0 = pipeline.initial_state(bundle)
+    c0, y0 = bundle.config.w0_modes, bundle.config.y0
     cfg = SimConfig(n_modes=64, dt=1e-4, t_final=0.5, record_stride=50)
     traj = simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
-                           bundle.params, bundle.law, w0, y0, cfg)
+                           bundle.params, bundle.law, c0, y0, cfg)
     ref_norm = np.linalg.norm(rk4_samples(bundle, traj, 64, 1e-5, 500)[-1, :64])
     rel = abs(traj.norm_w[-1] - ref_norm) / ref_norm
     assert rel < 1e-4
@@ -154,11 +154,11 @@ def test_integrator_cross_check(single_mode_bundle):
 def test_exact_propagator_is_step_size_invariant(single_mode_bundle):
     # the LTI loop is sampled exactly: only dt * record_stride matters
     bundle = single_mode_bundle
-    w0, y0 = pipeline.initial_state(bundle)
+    c0, y0 = bundle.config.w0_modes, bundle.config.y0
     fine = SimConfig(n_modes=64, dt=1e-4, t_final=0.5, record_stride=10)
     coarse = SimConfig(n_modes=64, dt=1e-3, t_final=0.5, record_stride=1)
     a, b = (simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
-                            bundle.params, bundle.law, w0, y0, cfg)
+                            bundle.params, bundle.law, c0, y0, cfg)
             for cfg in (fine, coarse))
     assert a.samples == b.samples == 501
     assert np.allclose(a.times, b.times, rtol=1e-12, atol=0.0)
@@ -168,10 +168,10 @@ def test_exact_propagator_is_step_size_invariant(single_mode_bundle):
 
 def test_exact_propagator_matches_fine_rk4(single_mode_bundle):
     bundle = single_mode_bundle
-    w0, y0 = pipeline.initial_state(bundle)
+    c0, y0 = bundle.config.w0_modes, bundle.config.y0
     cfg = SimConfig(n_modes=64, dt=1e-4, t_final=0.5, record_stride=50)
     traj = simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
-                           bundle.params, bundle.law, w0, y0, cfg)
+                           bundle.params, bundle.law, c0, y0, cfg)
     ref = rk4_samples(bundle, traj, 64, 2e-5, 250)
     assert traj.samples == len(ref) == 101
     assert np.max(np.abs(traj.coeffs - ref[:, :64])) <= 1e-9
@@ -180,10 +180,10 @@ def test_exact_propagator_matches_fine_rk4(single_mode_bundle):
 def test_exact_propagator_matches_radau(single_mode_bundle):
     # Radau on z' = A z at rtol 1e-12, sampled at the recorded times
     bundle = single_mode_bundle
-    w0, y0 = pipeline.initial_state(bundle)
+    c0, y0 = bundle.config.w0_modes, bundle.config.y0
     cfg = SimConfig(n_modes=64, dt=1e-4, t_final=0.5, record_stride=50)
     traj = simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
-                           bundle.params, bundle.law, w0, y0, cfg)
+                           bundle.params, bundle.law, c0, y0, cfg)
     A = linear_loop(bundle.eigsys, bundle.shapes, bundle.gains, bundle.params,
                     bundle.law, 64).matrix()
     ref = solve_ivp(lambda t, z: A @ z, (0.0, 0.5), np.concatenate([traj.coeffs[0], traj.y[0]]),
@@ -197,23 +197,23 @@ def test_exact_propagator_matches_radau(single_mode_bundle):
 
 def test_truncation_robustness(single_mode_bundle):
     bundle = single_mode_bundle
-    w0, y0 = pipeline.initial_state(bundle)
+    c0, y0 = bundle.config.w0_modes, bundle.config.y0
     rates = []
     for n_modes in (48, 96):
         cfg = SimConfig(n_modes=n_modes, dt=1e-4, t_final=3.0, record_stride=10)
         traj = simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
-                               bundle.params, bundle.law, w0, y0, cfg)
+                               bundle.params, bundle.law, c0, y0, cfg)
         rates.append(fit_decay_rate(traj).rate)
     assert abs(rates[1] - rates[0]) / rates[1] < 0.02
 
 
 def test_instability_guard(single_mode_bundle):
     bundle = single_mode_bundle
-    w0, _ = pipeline.initial_state(bundle)
+    c0 = bundle.config.w0_modes
     cfg = SimConfig(n_modes=32, dt=1e-4, t_final=3.0, record_stride=10)
     with pytest.raises(Instability):
         simulate_linear(bundle.eigsys, bundle.shapes, None, None, None,
-                        w0, [0.0], cfg)
+                        c0, [0.0], cfg)
 
 
 def test_instability_guard_survives_overflow(single_mode_bundle):
@@ -221,22 +221,24 @@ def test_instability_guard_survives_overflow(single_mode_bundle):
     # t = 100: the guard still names the first recorded sample past the cap,
     # and no overflow warning escapes
     bundle = single_mode_bundle
-    w0, _ = pipeline.initial_state(bundle)
+    c0 = bundle.config.w0_modes
     cfg = SimConfig(n_modes=32, dt=1e-3, t_final=100.0, record_stride=10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(Instability, match=r"at t=1\.42 exceeds"):
             simulate_linear(bundle.eigsys, bundle.shapes, None, None, None,
-                            w0, [0.0], cfg)
+                            c0, [0.0], cfg)
 
 
-def test_w0_remainder_guard(single_mode_bundle):
+def test_initial_amplitudes_beyond_n_modes(single_mode_bundle):
+    # the run starts from the amplitudes padded to n_modes: more of them is a ConfigError
     bundle = single_mode_bundle
     cfg = SimConfig(n_modes=8, dt=1e-3, t_final=1.0)
-    w0 = np.sin(20.5 * PI * bundle.grid.x)        # beyond 8 modes
-    with pytest.raises(RemainderTooLarge):
+    c, y = _initial_state(bundle.eigsys, [1.0, 0.5], [0.3], 8)
+    assert np.array_equal(c, [1.0, 0.5, 0, 0, 0, 0, 0, 0]) and np.array_equal(y, [0.3])
+    with pytest.raises(ConfigError, match="9 initial amplitudes exceed n_modes=8"):
         simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
-                        bundle.params, bundle.law, w0, [0.0], cfg)
+                        bundle.params, bundle.law, [0.5] * 9, [0.0], cfg)
 
 
 def test_energy_identity_along_trajectory(two_mode_bundle):
@@ -244,10 +246,10 @@ def test_energy_identity_along_trajectory(two_mode_bundle):
     # under mutually orthogonal shapes, at every recorded sample
     bundle = two_mode_bundle
     F = NonlinearitySpec.make("sine_type", scale=0.29)
-    w0, y0 = pipeline.initial_state(bundle)
+    c0, y0 = bundle.config.w0_modes, bundle.config.y0
     cfg = SimConfig(n_modes=32, dt=5e-4, t_final=0.5, record_stride=20)
     traj = simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design, F,
-                               w0, y0, cfg)
+                               c0, y0, cfg)
     eig = bundle.eigsys
     Phi = eig.phis[:32]
     Psi = bundle.shapes.varphis
@@ -270,12 +272,12 @@ def test_energy_identity_along_trajectory(two_mode_bundle):
 
 def test_zero_nonlinearity_matches_linear_bitwise(two_mode_bundle):
     bundle = two_mode_bundle
-    w0, y0 = pipeline.initial_state(bundle)
+    c0, y0 = bundle.config.w0_modes, bundle.config.y0
     cfg = SimConfig(n_modes=32, dt=5e-4, t_final=0.5, record_stride=10)
     lin = simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
-                          bundle.params, bundle.law, w0, y0, cfg)
+                          bundle.params, bundle.law, c0, y0, cfg)
     sem = simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design,
-                              NonlinearitySpec.make("zero"), w0, y0, cfg)
+                              NonlinearitySpec.make("zero"), c0, y0, cfg)
     assert np.array_equal(lin.coeffs, sem.coeffs)
     assert np.array_equal(lin.y, sem.y)
     assert np.array_equal(lin.v, sem.v)
@@ -296,7 +298,7 @@ def test_quadrature_budget_guard(two_mode_bundle):
     with pytest.raises(QuadratureBudgetExceeded):
         simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design,
                             NonlinearitySpec.make("sine_type", scale=0.29),
-                            bundle.eigsys.phis[0], [0.0, 0.0], cfg)
+                            [1.0], [0.0, 0.0], cfg)
 
 
 def test_zero_nonlinearity_makes_no_quadrature(two_mode_bundle):
@@ -305,14 +307,14 @@ def test_zero_nonlinearity_makes_no_quadrature(two_mode_bundle):
     cfg = SimConfig(n_modes=16, dt=1e-3, t_final=1.0, max_steps=1)
     traj = simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design,
                                NonlinearitySpec.make("zero"),
-                               bundle.eigsys.phis[0], [0.0, 0.0], cfg)
+                               [1.0], [0.0, 0.0], cfg)
     assert traj.samples == 101
 
 
 def test_quadrature_budget_counts_f_evaluations(two_mode_bundle, monkeypatch):
     # 100 ETDRK4 steps of 4 quadratures each, plus the last sample's controls
     bundle = two_mode_bundle
-    w0, y0 = pipeline.initial_state(bundle)
+    c0, y0 = bundle.config.w0_modes, bundle.config.y0
     F = NonlinearitySpec.make("sine_type", scale=0.29)
     calls = []
     evaluate = NonlinearitySpec.evaluate
@@ -323,7 +325,7 @@ def test_quadrature_budget_counts_f_evaluations(two_mode_bundle, monkeypatch):
         cfg = SimConfig(n_modes=16, dt=1e-3, t_final=1.0, record_stride=10,
                         max_steps=budget)
         return simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design, F,
-                                   w0, y0, cfg)
+                                   c0, y0, cfg)
 
     with pytest.raises(QuadratureBudgetExceeded, match="401 quadrature evaluations"):
         run(400)
@@ -335,10 +337,10 @@ def test_quadrature_budget_counts_f_evaluations(two_mode_bundle, monkeypatch):
 def semilinear_run(bundle, n_modes, t_final, dt, stride):
     """The sine-type loop of a 3.3-preset bundle from its initial state."""
     F = NonlinearitySpec.make("sine_type", scale=0.29)
-    w0, y0 = pipeline.initial_state(bundle)
+    c0, y0 = bundle.config.w0_modes, bundle.config.y0
     cfg = SimConfig(n_modes=n_modes, dt=dt, t_final=t_final, record_stride=stride)
     return simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design, F,
-                               w0, y0, cfg)
+                               c0, y0, cfg)
 
 
 def semilinear_states(bundle, n_modes, t_final, dt, stride):
@@ -422,7 +424,7 @@ def textbook_etdrk4(bundle, F, n_modes, h, records):
     E2, P1_half = _phi_functions(0.5 * h * A, 1)
     Q = 0.5 * h * P1_half
     f1, f2, f3 = h * (P1 - 3.0 * P2 + 4.0 * P3), h * (P2 - 2.0 * P3), h * (4.0 * P3 - P2)
-    c, y = _initial_state(eig, *pipeline.initial_state(bundle), n_modes)
+    c, y = _initial_state(eig, bundle.config.w0_modes, bundle.config.y0, n_modes)
     zs = [np.concatenate([c, y])]
     for _ in range(records):
         z = zs[-1]
@@ -443,10 +445,10 @@ def test_folded_etdrk4_matches_the_textbook_step(two_mode_bundle, kind):
     # the simulator folds GW into its stage operators and starts the third stage
     # from E z, not E2 E2 z: equal in exact arithmetic, so only rounding may differ
     F = NonlinearitySpec.make(kind, scale=0.29)
-    w0, y0 = pipeline.initial_state(two_mode_bundle)
+    c0, y0 = two_mode_bundle.config.w0_modes, two_mode_bundle.config.y0
     cfg = SimConfig(n_modes=16, dt=1e-3, t_final=1.0, record_stride=10)
     traj = simulate_semilinear(two_mode_bundle.eigsys, two_mode_bundle.shapes,
-                               two_mode_bundle.sl_design, F, w0, y0, cfg)
+                               two_mode_bundle.sl_design, F, c0, y0, cfg)
     Z, v = textbook_etdrk4(two_mode_bundle, F, 16, 1e-2, 100)
     assert traj.samples == 101
     assert np.max(np.abs(np.hstack([traj.coeffs, traj.y]) - Z)) <= 1e-12 * np.max(np.abs(Z))
@@ -497,12 +499,12 @@ def test_semilinear_instability_guard_names_first_sample(two_mode_bundle):
     # recorded sample past the cap, t = 0.22 (the sample before is inside it)
     bundle = pipeline.design(preset_config("3.3", lbar=60.0, kind="linear_gain"))
     F = bundle.config.semilinear.nonlinearity()
-    w0, y0 = pipeline.initial_state(bundle)
+    c0, y0 = bundle.config.w0_modes, bundle.config.y0
 
     def run(t_final):
         cfg = SimConfig(n_modes=24, dt=1e-3, t_final=t_final, record_stride=10)
         return simulate_semilinear(bundle.eigsys, bundle.shapes, bundle.sl_design, F,
-                                   w0, y0, cfg)
+                                   c0, y0, cfg)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -592,13 +594,13 @@ def assert_boundary_columns(traj, loop):
 def test_linear_trajectory_V_is_the_certified_functional(single_mode_bundle):
     bundle = single_mode_bundle
     eig = bundle.eigsys
-    w0, y0 = pipeline.initial_state(bundle)
+    c0, y0 = bundle.config.w0_modes, bundle.config.y0
     cfg = SimConfig(n_modes=32, dt=1e-4, t_final=0.2, record_stride=1)
     traj = simulate_linear(eig, bundle.shapes, bundle.gains, bundle.params, bundle.law,
-                           w0, y0, cfg)
+                           c0, y0, cfg)
     loop = linear_loop(eig, bundle.shapes, bundle.gains, bundle.params, bundle.law, 32)
     for k in range(0, traj.samples, 50):
-        c, norm_sq = modal_state(traj.coeffs[k] @ eig.phis[:32], eig, 32)
+        c, norm_sq = modal_form(eig, traj.coeffs[k] @ eig.phis[:32], 32)
         V = loop.value(c, traj.y[k], norm_sq)
         assert abs(V - traj.V[k]) <= 1e-12 * abs(traj.V[k])
     assert_boundary_columns(traj, loop)
@@ -611,13 +613,13 @@ def test_semilinear_trajectory_V_is_the_certified_functional(two_mode_bundle):
     bundle = two_mode_bundle
     eig, shapes, sl = bundle.eigsys, bundle.shapes, bundle.sl_design
     F = NonlinearitySpec.make("sine_type", scale=0.29)
-    w0, y0 = pipeline.initial_state(bundle)
+    c0, y0 = bundle.config.w0_modes, bundle.config.y0
     cfg = SimConfig(n_modes=32, dt=1e-4, t_final=0.05, record_stride=1)
-    traj = simulate_semilinear(eig, shapes, sl, F, w0, y0, cfg)
+    traj = simulate_semilinear(eig, shapes, sl, F, c0, y0, cfg)
     loop = semilinear_loop(eig, shapes, sl, 32)
     Phi = eig.phis[:32]
     for k in range(0, traj.samples, 50):
-        c, norm_sq = modal_state(traj.coeffs[k] @ Phi, eig, 32)
+        c, norm_sq = modal_form(eig, traj.coeffs[k] @ Phi, 32)
         V = loop.value(c, traj.y[k], norm_sq)
         assert abs(V - traj.V[k]) <= 1e-12 * abs(traj.V[k])
     assert_boundary_columns(traj, loop)
@@ -640,7 +642,7 @@ def test_trajectory_csv_header_and_roundtrip(tmp_path, single_mode_bundle):
     cfg = SimConfig(n_modes=16, dt=1e-3, t_final=0.5, record_stride=5)
     traj = simulate_linear(bundle.eigsys, bundle.shapes, bundle.gains,
                            bundle.params, bundle.law,
-                           bundle.eigsys.phis[0], [0.2], cfg)
+                           [1.0], [0.2], cfg)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path)
     header, rows = read_csv(path)

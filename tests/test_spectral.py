@@ -13,7 +13,6 @@ from scipy.optimize import brentq
 import clfpde
 from clfpde import pipeline, spectral
 from clfpde.errors import (
-    CutoffExceedsComputedModes,
     DimensionMismatch,
     GridTooCoarse,
     NonPositiveCoefficient,
@@ -29,7 +28,6 @@ from clfpde.spectral import (
     make_grid,
     mode_nodes,
     operator_residuals,
-    project,
 )
 
 PI = np.pi
@@ -355,7 +353,7 @@ def test_inner_product_dimension_mismatch(unit_r_eig, grid):
     for call in (lambda: unit_r_eig.inner(np.zeros(11), np.zeros(grid.n_points)),
                  lambda: unit_r_eig.inner(np.zeros((2, grid.n_points)), np.zeros((2, 11))),
                  lambda: unit_r_eig.norm_sq(np.zeros(11)),
-                 lambda: project(np.zeros(11), unit_r_eig, 2)):
+                 lambda: unit_r_eig.inner(np.zeros(11), unit_r_eig.phis[:2])):
         with pytest.raises(DimensionMismatch):
             call()
 
@@ -378,7 +376,7 @@ def remainder(w, coeffs, eig):
 
 def test_project_basis_vector(two_mode_bundle):
     eig = two_mode_bundle.eigsys
-    coeffs = project(eig.phis[0], eig, 5)
+    coeffs = eig.inner(eig.phis[0], eig.phis[:5])
     rem = remainder(eig.phis[0], coeffs, eig)
     assert abs(coeffs[0] - 1.0) < 1e-10
     assert np.max(np.abs(coeffs[1:])) < 1e-10
@@ -387,7 +385,7 @@ def test_project_basis_vector(two_mode_bundle):
 
 def test_project_zero(two_mode_bundle):
     eig = two_mode_bundle.eigsys
-    coeffs = project(np.zeros(eig.grid.n_points), eig, 4)
+    coeffs = eig.inner(np.zeros(eig.grid.n_points), eig.phis[:4])
     assert coeffs.shape == (4,) and np.all(coeffs == 0.0)
 
 
@@ -395,7 +393,7 @@ def test_parseval_split(grid):
     # brute-force quadrature of both sides of the energy split
     eig = eigensolve(dirichlet_problem(1.0, 0.0), grid, 24)
     w = grid.x * (1.0 - grid.x)
-    coeffs = project(w, eig, 10)
+    coeffs = eig.inner(w, eig.phis[:10])
     rem = remainder(w, coeffs, eig)
     lhs = eig.norm_sq(rem) + float(coeffs @ coeffs)
     rhs = eig.norm_sq(w)
@@ -410,17 +408,11 @@ def test_parseval_split_random_states(varcoef_eigsys, seed):
     rng = np.random.default_rng(seed)
     w = (rng.standard_normal(16) / np.arange(1, 17) ** 1.5) @ eig.phis[:16]
     w += 0.01 * np.sin(37 * PI * eig.grid.x)      # content beyond the cutoff
-    coeffs = project(w, eig, 12)
+    coeffs = eig.inner(w, eig.phis[:12])
     rem = remainder(w, coeffs, eig)
     lhs = eig.norm_sq(rem) + float(coeffs @ coeffs)
     rhs = eig.norm_sq(w)
     assert abs(lhs - rhs) <= 1e-7 * max(rhs, 1e-12)
-
-
-def test_project_cutoff_guard(varcoef_eigsys):
-    with pytest.raises(CutoffExceedsComputedModes):
-        project(np.zeros(varcoef_eigsys.grid.n_points), varcoef_eigsys,
-                varcoef_eigsys.K + 1)
 
 
 # -- tail assumption diagnostic ----------------------------------------------
